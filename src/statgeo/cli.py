@@ -3,9 +3,7 @@
 Exit codes: 0 success, 1 usage/parse error, 2 numerical failure. Failures
 emit machine-readable JSON on stderr. Every subcommand is deterministic
 given its seed; --profile writes wall-time diagnostics to stderr so the
-payload stays byte-reproducible. Batch evaluation fans out over a thread
-pool sized by --threads (or the STATGEO_THREADS variable), with outputs
-assembled in lattice order regardless of completion order.
+payload stays byte-reproducible.
 """
 
 from __future__ import annotations
@@ -13,10 +11,8 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -53,13 +49,6 @@ def _ints(text: str) -> tuple[int, ...]:
         return tuple(int(v) for v in text.split(","))
     except ValueError as exc:
         raise _UsageError(f"cannot parse integers {text!r}") from exc
-
-
-def _threads(args) -> int:
-    env = os.environ.get("STATGEO_THREADS")
-    if env is not None:
-        return max(1, int(env))
-    return max(1, args.threads)
 
 
 def _energy_config(args) -> geo.EnergyConfig:
@@ -202,21 +191,15 @@ def _cmd_metric_grid(args) -> int:
         source = KlProbeMetric(dec, eps=args.eps)
 
     t0 = time.perf_counter()
-    grid = met.grid_build(source, bounds, resolution, args.sigma, threads=_threads(args))
+    grid = met.grid_build(source, bounds, resolution, args.sigma)
     timings["evaluate"] = time.perf_counter() - t0
 
     extra = {}
     if args.mode == "kl-probe":
         t0 = time.perf_counter()
-        threads = _threads(args)
-        work = list(zip(grid.points, grid.tensors))
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                errors = list(
-                    pool.map(lambda pm: _probe_validation_error(dec, pm[0], pm[1]), work)
-                )
-        else:
-            errors = [_probe_validation_error(dec, p, m) for p, m in work]
+        errors = [
+            _probe_validation_error(dec, p, m) for p, m in zip(grid.points, grid.tensors)
+        ]
         extra["validation_error"] = [float(e) for e in errors]
         extra["epsilon"] = args.eps
         extra["clamped"] = int(source.clamp_count)
@@ -258,9 +241,7 @@ def _cmd_land(args) -> int:
     if args.out_density:
         bounds = np.asarray(_vector(args.density_bounds)).reshape(-1, 2)
         res = _ints(args.density_resolution)
-        axes = [np.linspace(lo, hi, r) for (lo, hi), r in zip(bounds, res)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([m.reshape(-1) for m in mesh], axis=1)
+        pts = met.lattice_points(bounds, res)
         logpdf = land_mod.land_logpdf_batch(model, pts, rng.child(5))
         tensors = model.metric.eval_batch(pts)
         _, logdet = np.linalg.slogdet(tensors)
@@ -342,7 +323,6 @@ def _cmd_log(args) -> int:
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="statgeo", description=__doc__)
-    parser.add_argument("--threads", type=int, default=1)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("toygen", help="noisy circle latent codes")

@@ -388,13 +388,6 @@ def minimize_energy_detailed(
     )
 
 
-def minimize_energy(
-    z0, z1, target, cfg: EnergyConfig | None = None, rng: RngStream | None = None
-) -> SplineCurve:
-    """Shortest-path spline between two latent points."""
-    return minimize_energy_detailed(z0, z1, target, cfg, rng).curve
-
-
 # ---------------------------------------------------------------------------
 # geodesic ODE, exponential and logarithmic maps
 

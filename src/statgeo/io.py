@@ -19,7 +19,7 @@ from .decoder import DecoderMap, Head, LayerSpec, UncertaintyReg
 from .errors import ShapeError
 from .families import FamilyKind, get_family
 from .land import LandModel
-from .metric import GridMetric, LatentMetric, MetricGrid
+from .metric import LatentMetric, MetricGrid
 
 CSV_HEADER = f"# statgeo {__version__}"
 
@@ -194,10 +194,6 @@ def save_grid(grid: MetricGrid, path, mode: str = "pullback", extra=None) -> Non
 
 def load_grid(path) -> MetricGrid:
     return grid_from_dict(load_json(path))
-
-
-def load_grid_metric(path) -> GridMetric:
-    return GridMetric(load_grid(path))
 
 
 def land_to_dict(model: LandModel, metric_ref: str = "") -> dict:

@@ -5,14 +5,18 @@ Three sources for the d x d tensor at a latent point:
 * exact pullback  M(z) = J(z)^T I_H(h(z)) J(z),
 * the KL-probe estimator built purely from divergences along coordinate
   perturbations (no Jacobian access),
-* a uniformly spaced grid of precomputed tensors blended with a
-  normalized Gaussian kernel.
+* a lattice of precomputed tensors blended with a normalized Gaussian
+  kernel. ``MetricGrid`` checks that its points are the bounds x
+  resolution lattice; ``GridMetric`` uses that the kernel factors across
+  axes and contracts the lattice one axis at a time. Far-field queries
+  get the nearest node's tensor; NaN or infinite queries get NaN.
 
 All variants expose ``eval`` (single point) and ``eval_batch``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,7 +115,12 @@ class KlProbeMetric(LatentMetric):
 
 @dataclass
 class MetricGrid:
-    """Uniform lattice of tensors with a Gaussian blending bandwidth."""
+    """Tensors on the bounds x resolution lattice, with a Gaussian bandwidth.
+
+    ``points`` must equal ``lattice_points(bounds, resolution)`` (axis 0
+    outermost) and ``tensors`` hold one d x d tensor per point; anything
+    else raises ``ShapeError``.
+    """
 
     points: np.ndarray  # (S, d)
     tensors: np.ndarray  # (S, d, d)
@@ -122,50 +131,61 @@ class MetricGrid:
     def __post_init__(self):
         self.points = np.asarray(self.points, dtype=float)
         self.tensors = np.asarray(self.tensors, dtype=float)
+        self.bounds = np.asarray(self.bounds, dtype=float).reshape(-1, 2)
+        self.resolution = tuple(int(r) for r in np.atleast_1d(self.resolution))
         if self.bandwidth <= 0:
             raise ShapeError("grid bandwidth must be > 0")
+        d = self.bounds.shape[0]
+        if len(self.resolution) != d or min(self.resolution, default=0) < 1:
+            raise ShapeError("resolution must give one count >= 1 per axis")
+        if self.tensors.shape != (math.prod(self.resolution), d, d):
+            raise ShapeError("grid needs one d x d tensor per lattice point")
+        lattice = lattice_points(self.bounds, self.resolution)
+        if self.points.shape != lattice.shape or not np.allclose(self.points, lattice):
+            raise ShapeError("grid points are not the bounds x resolution lattice")
 
 
 class GridMetric(LatentMetric):
     """Kernel-smoothed interpolation of a tensor lattice.
 
-    When every kernel weight underflows (far-field query) the nearest
-    grid tensor is returned so ODE integration stays defined;
-    ``fallback_count`` tallies those queries.
+    The normalized Gaussian kernel factors across axes, so ``eval_batch``
+    weights each axis's nodes separately and contracts the tensor lattice
+    one axis at a time. Per axis the weights are shifted so that the node
+    nearest the query weighs exactly 1: far-field queries return the
+    nearest node's tensor, and a NaN or infinite query returns NaN.
     """
 
     def __init__(self, grid: MetricGrid):
         self.grid = grid
         self.latent_dim = grid.points.shape[1]
+        # always 0: no query needs a fallback; kept for callers that read it
         self.fallback_count = 0
+        self._nodes = [
+            np.linspace(lo, hi, r) for (lo, hi), r in zip(grid.bounds, grid.resolution)
+        ]
+        self._lattice = grid.tensors.reshape(grid.resolution[0], -1)
 
     def eval(self, z):
         return self.eval_batch(np.asarray(z, dtype=float)[None])[0]
 
+    def _axis_weights(self, x: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+        """Normalized 1-D kernel weights, (m, r), of nodes for coordinates x."""
+        # nearest node to x clipped into the box, so that |x| >> |node| still resolves
+        xc = np.clip(x, nodes.min(), nodes.max())
+        near = nodes[np.argmin(np.abs(xc[:, None] - nodes), axis=1)][:, None]
+        # -[(x - n)^2 - (x - near)^2] / 2, factored so that no square of x can overflow
+        logw = (nodes - near) * (x[:, None] - 0.5 * (nodes + near))
+        w = np.exp(logw / self.grid.bandwidth**2)
+        return w / w.sum(axis=1, keepdims=True)
+
     def eval_batch(self, zs):
         zs = np.atleast_2d(np.asarray(zs, dtype=float))
-        pts = self.grid.points
-        # squared distances via the Gram expansion (BLAS-backed)
-        d2 = (
-            np.sum(zs * zs, axis=1)[:, None]
-            + np.sum(pts * pts, axis=1)[None, :]
-            - 2.0 * zs @ pts.T
-        )
-        logw = d2 / (-2.0 * self.grid.bandwidth**2)
-        logw -= logw.max(axis=1, keepdims=True)
-        w = np.exp(logw)
-        total = w.sum(axis=1, keepdims=True)
-        dead = ~np.isfinite(total[:, 0]) | (total[:, 0] <= 0)
-        if np.any(dead):
-            self.fallback_count += int(dead.sum())
-            nearest = np.argmin(d2[dead], axis=1)
-            w[dead] = 0.0
-            w[np.nonzero(dead)[0], nearest] = 1.0
-            total[dead] = 1.0
-        w = w / total
-        d = self.latent_dim
-        flat = w @ self.grid.tensors.reshape(-1, d * d)
-        return flat.reshape(-1, d, d)
+        m, d = zs.shape[0], self.latent_dim
+        out = self._axis_weights(zs[:, 0], self._nodes[0]) @ self._lattice
+        for k in range(1, d):
+            w = self._axis_weights(zs[:, k], self._nodes[k])
+            out = (w[:, None, :] @ out.reshape(m, w.shape[1], -1))[:, 0]
+        return out.reshape(m, d, d)
 
 
 def pullback(dec: DecoderMap, z) -> np.ndarray:
@@ -262,12 +282,18 @@ def simplex_chart_decoder(k: int) -> DecoderMap:
     )
 
 
+def lattice_points(bounds, resolution) -> np.ndarray:
+    """The (prod(resolution), d) bounds x resolution lattice, axis 0 outermost."""
+    axes = [np.linspace(lo, hi, r) for (lo, hi), r in zip(bounds, resolution)]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.stack([m.reshape(-1) for m in mesh], axis=1)
+
+
 def grid_build(
     metric: LatentMetric,
     bounds,
     resolution,
     sigma: float,
-    threads: int = 1,
 ) -> MetricGrid:
     """Evaluate a metric on a uniform lattice.
 
@@ -282,16 +308,8 @@ def grid_build(
         raise ShapeError("grid resolution must be >= 2 per axis")
     if sigma <= 0:
         raise ShapeError("grid bandwidth must be > 0")
-    axes = [np.linspace(lo, hi, r) for (lo, hi), r in zip(bounds, resolution)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    points = np.stack([m.reshape(-1) for m in mesh], axis=1)
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            tensors = np.stack(list(pool.map(metric.eval, points)))
-    else:
-        tensors = metric.eval_batch(points)
+    points = lattice_points(bounds, resolution)
+    tensors = metric.eval_batch(points)
     return MetricGrid(
         points=points,
         tensors=tensors,

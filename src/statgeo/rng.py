@@ -33,7 +33,3 @@ class RngStream:
         seq = np.random.SeedSequence(entropy=self.seed, spawn_key=(key,))
         stream._gen = np.random.default_rng(seq)
         return stream
-
-    def reset(self) -> None:
-        """Rewind to the start of the sequence."""
-        self._gen = np.random.default_rng(np.random.SeedSequence(self.seed))

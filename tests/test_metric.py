@@ -4,14 +4,41 @@ from hypothesis import given, settings, strategies as st
 
 import statgeo.decoder as D
 import statgeo.metric as M
+from statgeo import io
 from statgeo.decoder import DecoderMap, Head, LayerSpec
-from statgeo.errors import InvalidEpsilon, OffSimplex
+from statgeo.errors import InvalidEpsilon, OffSimplex, ShapeError
 from statgeo.families import FamilyKind, get_family
 from statgeo.geodesic import SplineCurve, kl_energy
 from statgeo.rng import RngStream
 from statgeo.toy import identity_parameter_decoder, toy_decoder
 
 from conftest import rel_frob
+
+
+def gram_kernel_reference(grid, zs):
+    """Gaussian blend over the lattice as scattered points (Gram expansion)."""
+    pts = grid.points
+    d2 = (
+        np.sum(zs * zs, axis=1)[:, None]
+        + np.sum(pts * pts, axis=1)[None, :]
+        - 2.0 * zs @ pts.T
+    )
+    logw = d2 / (-2.0 * grid.bandwidth**2)
+    logw -= logw.max(axis=1, keepdims=True)
+    w = np.exp(logw)
+    w /= w.sum(axis=1, keepdims=True)
+    d = pts.shape[1]
+    return (w @ grid.tensors.reshape(-1, d * d)).reshape(-1, d, d)
+
+
+def random_spd_grid(gen, bounds, resolution, sigma):
+    d = len(resolution)
+    a = gen.normal(size=(int(np.prod(resolution)), d, d))
+    tensors = a @ np.swapaxes(a, 1, 2) + 0.1 * np.eye(d)
+    bounds = np.asarray(bounds, dtype=float)
+    return M.MetricGrid(
+        M.lattice_points(bounds, resolution), tensors, sigma, bounds, resolution
+    )
 
 
 class TestPullback:
@@ -197,6 +224,50 @@ class TestGrid:
         )
         gm = M.GridMetric(grid)
         assert np.allclose(gm.eval(np.array([1e8, 0.0])), tensors[1])
+
+    @pytest.mark.parametrize(
+        "bounds,resolution,sigma",
+        [
+            ([[-1.0, 2.0], [0.0, 4.2]], (5, 7), 0.6),
+            ([[0.0, 1.0], [-1.0, 1.0], [-2.0, 0.5]], (4, 3, 5), 0.4),
+        ],
+    )
+    def test_matches_gram_kernel(self, gen, bounds, resolution, sigma):
+        grid = random_spd_grid(gen, bounds, resolution, sigma)
+        lo, hi = grid.bounds[:, 0], grid.bounds[:, 1]
+        inside = gen.uniform(lo, hi, size=(200, len(resolution)))
+        outside = gen.uniform(lo - 10 * sigma, hi + 10 * sigma, size=(200, len(resolution)))
+        zs = np.vstack([inside, outside])
+        got = M.GridMetric(grid).eval_batch(zs)
+        want = gram_kernel_reference(grid, zs)
+        for g, w in zip(got, want):
+            assert rel_frob(g, w) < 1e-12
+
+    def test_far_field_finite_and_nan_queries(self, gen):
+        grid = random_spd_grid(gen, [[0.0, 4.0], [0.0, 6.0]], (5, 7), 0.05)
+        gm = M.GridMetric(grid)
+        for q, node in [((1e120, 3.0), (4.0, 3.0)), ((-1e200, 1e200), (0.0, 6.0))]:
+            i = np.flatnonzero(np.all(grid.points == node, axis=1))[0]
+            assert np.allclose(gm.eval(np.array(q)), grid.tensors[i], rtol=1e-12, atol=0)
+        with np.errstate(invalid="ignore"):
+            for q in [(np.nan, 1.0), (2.0, np.inf)]:
+                assert np.all(np.isnan(gm.eval(np.array(q))))
+
+    def test_points_must_be_the_lattice(self, gen, tmp_path):
+        grid = random_spd_grid(gen, [[-1.0, 1.0], [0.0, 2.0]], (3, 4), 0.5)
+        permuted = grid.points[gen.permutation(len(grid.points))]
+        shifted = grid.points.copy()
+        shifted[5, 1] += 0.1
+        for pts in (permuted, shifted):
+            with pytest.raises(ShapeError):
+                M.MetricGrid(pts, grid.tensors, 0.5, grid.bounds, grid.resolution)
+        path = tmp_path / "grid.json"
+        io.save_grid(grid, path)
+        doc = io.load_json(path)
+        doc["points"][7][0] += 0.25
+        io.save_json(doc, path)
+        with pytest.raises(ShapeError):
+            io.load_grid(path)
 
     def test_eigenvalue_bounds_commuting_tensors(self, gen):
         # convex combinations of diagonal tensors stay inside the eigenvalue box
