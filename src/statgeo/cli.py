@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import re
 import sys
 import time
 
@@ -33,6 +34,12 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # read "-0.5,1" and "-2,2,-2,2" as values, not as options; argparse
+        # only does so for a single negative number
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
     def error(self, message):
         raise _UsageError(message)
 
@@ -301,19 +308,11 @@ def _cmd_exp(args) -> int:
 
 def _cmd_log(args) -> int:
     z, y = _vector(args.z), _vector(args.y)
-    rng = RngStream(args.seed)
-    if args.grid:
-        target = GridMetric(io.load_grid(args.grid))
-        cfg = _energy_config(args)
-        v = geo.log_map(target, z, y, cfg, rng)
-        length = float(np.linalg.norm(v))
-    else:
-        dec = io.load_decoder(args.decoder)
-        cfg = _energy_config(args)
-        v = geo.log_map(dec, z, y, cfg, rng)
-        length = float(np.linalg.norm(v))
+    target = GridMetric(io.load_grid(args.grid)) if args.grid else io.load_decoder(args.decoder)
+    v = geo.log_map(target, z, y, _energy_config(args), RngStream(args.seed))
     _print_json(
-        {"version": __version__, "v": [float(x) for x in v], "length": length}
+        {"version": __version__, "v": [float(x) for x in v],
+         "length": float(np.linalg.norm(v))}
     )
     return 0
 

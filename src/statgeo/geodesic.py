@@ -1,20 +1,31 @@
-"""Curves, discretized KL energy, shortest-path optimization and the
+"""Curves, discretized energies, shortest-path optimization and the
 geodesic ODE system with exponential/logarithmic maps.
 
 Curves are cubic Hermite perturbations of the straight chord: per latent
 dimension and per segment there are two free coefficients (interior knot
 values and knot derivatives), so endpoint constraints and C^1 continuity
-hold by construction rather than by penalty.
+hold by construction rather than by penalty. ``hermite_basis`` gives the
+perturbation and its slope as linear maps of the coefficients, for single
+curves and batches alike.
 
 The discrete energy is (2/dt) sum_n KL(p(c(n/N)), p(c((n+1)/N))) with
 dt = 1/N, which converges to the Riemannian energy integral; the matching
-length is sum_n sqrt(2 KL_n). Energies over plain metric fields use
-midpoint quadrature of zdot^T M zdot instead of divergences.
+length is sum_n sqrt(2 KL_n). Energies over plain metric fields use the
+graph energy N sum_n Delta_n^T M(mid_n) Delta_n instead of divergences.
+
+Every solver works on a batch of m rows; a single curve or shot is m = 1.
+One Barzilai-Borwein + Armijo descent fits coefficient arrays of shape
+(m, d, 2S) for ``minimize_energy_detailed`` and both log maps, with a
+step and a stopping rule per curve. Its gradient is analytic for the KL
+objective and otherwise one central-difference routine that makes one
+energy call over the rows per probe. One RK4 loop shoots both exponential
+maps; its right-hand side gets M and its central differences from a single
+``eval_batch`` over (2d+1)*m stacked points.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,6 +41,40 @@ from .errors import (
 from .families import FamilyKind, McKl
 from .metric import LatentMetric
 from .rng import RngStream
+
+
+def hermite_basis(ts, segments: int):
+    """Hermite basis B of the perturbation and its t-derivative dB at ts.
+
+    Both have shape (nt, 2S): a curve with coefficients (d, 2S) has
+    perturbation B @ coeffs.T and perturbation velocity dB @ coeffs.T.
+    """
+    t = np.atleast_1d(np.asarray(ts, dtype=float))
+    s = segments
+    seg = np.minimum((np.clip(t, 0, 1) * s).astype(int), s - 1)
+    u = t * s - seg
+    h = 1.0 / s
+    u2, u3 = u * u, u * u * u
+    rows = np.arange(t.size)
+    left_interior = seg >= 1
+    right_interior = seg + 1 <= s - 1
+
+    def scatter(w00, w10, w01, w11):
+        # knot values of the segment's ends, then its end derivatives
+        out = np.zeros((t.size, 2 * s))
+        out[rows[left_interior], seg[left_interior] - 1] += w00[left_interior]
+        out[rows[right_interior], seg[right_interior]] += w01[right_interior]
+        out[rows, s - 1 + seg] += w10
+        out[rows, s + seg] += w11
+        return out
+
+    basis = scatter(
+        2 * u3 - 3 * u2 + 1, h * (u3 - 2 * u2 + u), -2 * u3 + 3 * u2, h * (u3 - u2)
+    )
+    deriv = scatter(
+        s * (6 * u2 - 6 * u), 3 * u2 - 4 * u + 1, s * (-6 * u2 + 6 * u), 3 * u2 - 2 * u
+    )
+    return basis, deriv
 
 
 @dataclass
@@ -66,17 +111,6 @@ class SplineCurve:
     def dim(self) -> int:
         return self.z0.size
 
-    def _knot_values(self) -> np.ndarray:
-        """Perturbation values at all S+1 knots (endpoints pinned to 0)."""
-        s = self.segments
-        vals = np.zeros((self.dim, s + 1))
-        vals[:, 1:s] = self.coeffs[:, : s - 1]
-        return vals
-
-    def _knot_derivs(self) -> np.ndarray:
-        s = self.segments
-        return self.coeffs[:, s - 1 :]
-
     def eval(self, ts):
         """Positions and velocities at parameter values in [0, 1]."""
         ts = np.asarray(ts, dtype=float)
@@ -85,53 +119,17 @@ class SplineCurve:
         if np.any(t < -1e-12) or np.any(t > 1.0 + 1e-12):
             raise OutOfRange("curve parameter must lie in [0, 1]")
         t = np.clip(t, 0.0, 1.0)
-        s = self.segments
-        seg = np.minimum((t * s).astype(int), s - 1)
-        u = t * s - seg
-        h = 1.0 / s
-        vals = self._knot_values()
-        ders = self._knot_derivs()
-        u2, u3 = u * u, u * u * u
-        h00 = 2 * u3 - 3 * u2 + 1
-        h10 = u3 - 2 * u2 + u
-        h01 = -2 * u3 + 3 * u2
-        h11 = u3 - u2
-        d00 = 6 * u2 - 6 * u
-        d10 = 3 * u2 - 4 * u + 1
-        d01 = -6 * u2 + 6 * u
-        d11 = 3 * u2 - 2 * u
-        qa, qb = vals[:, seg], vals[:, seg + 1]
-        ma, mb = ders[:, seg], ders[:, seg + 1]
-        q = h00 * qa + h * h10 * ma + h01 * qb + h * h11 * mb
-        qdot = (d00 * qa + h * d10 * ma + d01 * qb + h * d11 * mb) * s
+        basis, deriv = hermite_basis(t, self.segments)
         chord = self.z1 - self.z0
-        z = self.z0[:, None] + np.outer(chord, t) + q
-        zdot = chord[:, None] + qdot
+        z = self.z0[None, :] + np.outer(t, chord) + basis @ self.coeffs.T
+        zdot = chord[None, :] + deriv @ self.coeffs.T
         if single:
-            return z[:, 0], zdot[:, 0]
-        return z.T, zdot.T
+            return z[0], zdot[0]
+        return z, zdot
 
     def basis(self, ts) -> np.ndarray:
         """d(perturbation)/d(coefficients) at ts, shape (nt, 2S)."""
-        t = np.atleast_1d(np.asarray(ts, dtype=float))
-        s = self.segments
-        seg = np.minimum((np.clip(t, 0, 1) * s).astype(int), s - 1)
-        u = t * s - seg
-        h = 1.0 / s
-        u2, u3 = u * u, u * u * u
-        h00 = 2 * u3 - 3 * u2 + 1
-        h10 = u3 - 2 * u2 + u
-        h01 = -2 * u3 + 3 * u2
-        h11 = u3 - u2
-        out = np.zeros((t.size, 2 * s))
-        rows = np.arange(t.size)
-        left_interior = seg >= 1
-        out[rows[left_interior], seg[left_interior] - 1] += h00[left_interior]
-        right_interior = seg + 1 <= s - 1
-        out[rows[right_interior], seg[right_interior]] += h01[right_interior]
-        out[rows, s - 1 + seg] += h * h10
-        out[rows, s + seg] += h * h11
-        return out
+        return hermite_basis(ts, self.segments)[0]
 
 
 def straight_line(z0, z1, segments: int = 4) -> SplineCurve:
@@ -223,27 +221,42 @@ def categorical_energy(c: SplineCurve, dec: DecoderMap, n: int) -> float:
     return float(terms.sum())
 
 
-def _segment_quadratics(c: SplineCurve, metric: LatentMetric, n: int):
-    """Delta^T M(mid) Delta per polyline segment (graph discretization)."""
-    nodes, _ = c.eval(np.arange(n + 1) / n)
-    mids, _ = c.eval((np.arange(n) + 0.5) / n)
-    deltas = nodes[1:] - nodes[:-1]
-    m = metric.eval_batch(mids)
-    return np.einsum("ni,nij,nj->n", deltas, m, deltas)
+def _graph_energy(metric: LatentMetric, z0, targets, segments: int, n: int, strict: bool):
+    """Graph energy of the curves z0 -> targets[rows] and its terms.
 
+    Returns energy(coeffs, rows) -> (rows,) and terms(coeffs, rows) ->
+    (rows, n), the per-segment Delta^T M(mid) Delta, for coefficients
+    (rows, d, 2S). The energy N sum_n Delta_n^T M Delta_n is exact for
+    straight chords on constant metrics, which keeps the discrete minimizer
+    straight. With ``strict`` a non-finite term raises NonFiniteEnergy at
+    its t.
+    """
+    ts_nodes = np.arange(n + 1) / n
+    ts_mids = (np.arange(n) + 0.5) / n
+    b_nodes = hermite_basis(ts_nodes, segments)[0]
+    b_mids = hermite_basis(ts_mids, segments)[0]
+    chords = targets - z0[None, :]
 
-def metric_energy(c: SplineCurve, metric: LatentMetric, n: int) -> float:
-    """Graph energy N sum_n Delta_n^T M Delta_n; exact for straight chords
-    on constant metrics, which keeps the discrete minimizer straight."""
-    vals = _segment_quadratics(c, metric, n)
-    _check_finite(np.arange(n) / n, vals, "graph energy")
-    return float(n * vals.sum())
+    def points(coeffs, rows, ts, basis):
+        line = z0[None, None, :] + ts[None, :, None] * chords[rows][:, None, :]
+        return line + np.einsum("mdc,tc->mtd", coeffs, basis)
 
+    def terms(coeffs, rows):
+        nodes = points(coeffs, rows, ts_nodes, b_nodes)
+        mids = points(coeffs, rows, ts_mids, b_mids)
+        deltas = nodes[:, 1:] - nodes[:, :-1]
+        m_count, _, d = nodes.shape
+        mm = metric.eval_batch(mids.reshape(-1, d)).reshape(m_count, n, d, d)
+        vals = np.einsum("mti,mtij,mtj->mt", deltas, mm, deltas)
+        if strict:
+            for row in vals:
+                _check_finite(ts_nodes[:-1], row, "graph energy")
+        return vals
 
-def metric_length(c: SplineCurve, metric: LatentMetric, n: int) -> float:
-    vals = _segment_quadratics(c, metric, n)
-    _check_finite(np.arange(n) / n, vals, "graph length")
-    return float(np.sqrt(np.maximum(vals, 0.0)).sum())
+    def energy(coeffs, rows):
+        return n * terms(coeffs, rows).sum(axis=1)
+
+    return energy, terms
 
 
 @dataclass
@@ -256,26 +269,25 @@ class GeodesicResult:
     iterations: int = 0
 
 
-def _make_objective(target, cfg: EnergyConfig, rng: RngStream):
-    """Energy callable over free coefficients plus optional analytic grad."""
-    is_decoder = isinstance(target, DecoderMap)
-    state = {"mc_key": 0}
+def _make_objective(target, z0, z1, cfg: EnergyConfig, rng: RngStream):
+    """Energy over rows of (m, d, 2S) coefficients of curves z0 -> z1, plus
+    its analytic gradient where one exists (decoder with KL objective)."""
+    if not isinstance(target, DecoderMap):
+        energy, _ = _graph_energy(target, z0, z1[None, :], cfg.segments, cfg.n_disc, True)
+        return energy, None
+    # sampled KLs draw from a fresh child stream per call: common random numbers
+    mc = None if cfg.mc_samples is None else McKl(rng.child(1000), cfg.mc_samples)
 
-    def mc_settings():
-        if not is_decoder or cfg.mc_samples is None:
-            return None
-        return McKl(rng.child(1000 + state["mc_key"]), cfg.mc_samples)
-
-    def energy(curve: SplineCurve) -> float:
-        if not is_decoder:
-            return metric_energy(curve, target, cfg.n_disc)
+    def one_energy(coeffs) -> float:
+        curve = SplineCurve(z0, z1, cfg.segments, coeffs)
         if cfg.objective == "categorical":
             return categorical_energy(curve, target, cfg.n_disc)
-        return kl_energy(curve, target, cfg.n_disc, mc_settings())
+        return kl_energy(curve, target, cfg.n_disc, mc)
 
-    def analytic_grad(curve: SplineCurve) -> np.ndarray:
+    def one_grad(coeffs) -> np.ndarray:
         n = cfg.n_disc
         ts = np.arange(1, n + 1) / n
+        curve = SplineCurve(z0, z1, cfg.segments, coeffs)
         zs, _ = curve.eval(ts)
         params = _decoded_features(target, zs)
         g1, g2 = target.family.kl_grad(params[:-1], params[1:])
@@ -285,11 +297,116 @@ def _make_objective(target, cfg: EnergyConfig, rng: RngStream):
         adj = adj.reshape(n, -1)
         jac = dec_mod.jacobian_stacked(target, zs)
         pulled = np.einsum("npd,np->nd", jac, adj)
-        basis = curve.basis(ts)
-        return 2.0 * n * np.einsum("nd,nb->db", pulled, basis)
+        return 2.0 * n * np.einsum("nd,nb->db", pulled, curve.basis(ts))
 
-    has_analytic = is_decoder and cfg.objective == "kl"
-    return energy, (analytic_grad if has_analytic else None)
+    def energy(coeffs, rows):
+        return np.array([one_energy(c) for c in coeffs])
+
+    def analytic_grad(coeffs, rows):
+        return np.stack([one_grad(c) for c in coeffs])
+
+    return energy, (analytic_grad if cfg.objective == "kl" else None)
+
+
+def _fd_gradient(energy, h: float):
+    """Central differences over every coefficient; each probe is one energy
+    call over the rows."""
+
+    def grad(coeffs, rows):
+        g = np.zeros_like(coeffs)
+        for i, j in np.ndindex(*coeffs.shape[1:]):
+            probe = coeffs.copy()
+            probe[:, i, j] += h
+            e_plus = energy(probe, rows)
+            probe[:, i, j] -= 2.0 * h
+            g[:, i, j] = (e_plus - energy(probe, rows)) / (2.0 * h)
+        return g
+
+    return grad
+
+
+def _start_coeffs(cfg: EnergyConfig, rng: RngStream, shape, warm=None) -> np.ndarray:
+    if warm is not None and warm.shape == shape:
+        return warm.copy()
+    if cfg.jitter > 0:
+        return cfg.jitter * rng.child(1).generator.standard_normal(shape)
+    return np.zeros(shape)
+
+
+def _descend(coeffs, energy, grad, cfg: EnergyConfig):
+    """Barzilai-Borwein descent with Armijo backtracking, one step per curve.
+
+    ``coeffs`` (m, d, 2S) is the start; ``energy(c, rows)`` gives the energies
+    of curves ``rows`` with coefficients c, and ``grad(c, rows)`` their
+    gradients. A curve stops when max|g| < grad_tol (converged) or when 40
+    halvings find no Armijo step; a non-finite trial energy, or a
+    NonFiniteEnergy raised by a trial, rejects the trial. Returns
+    (coeffs, energies, converged, iterations, trace), where the trace holds
+    the energies at the start and after every iteration that accepted a step.
+    """
+    m = coeffs.shape[0]
+    coeffs = coeffs.copy()
+    e_cur = np.asarray(energy(coeffs, np.arange(m)), dtype=float)
+    trace = [e_cur.copy()]
+    step = np.full(m, cfg.step_size)
+    active = np.ones(m, dtype=bool)
+    converged = np.zeros(m, dtype=bool)
+    iterations = np.zeros(m, dtype=int)
+    prev_coeffs = np.full_like(coeffs, np.nan)
+    prev_grad = np.full_like(coeffs, np.nan)
+    for _ in range(cfg.max_iters):
+        idx = np.nonzero(active)[0]
+        if idx.size == 0:
+            break
+        iterations[idx] += 1
+        sub = coeffs[idx]
+        g = grad(sub, idx)
+        done = np.abs(g).reshape(idx.size, -1).max(axis=1) < cfg.grad_tol
+        converged[idx[done]] = True
+        active[idx[done]] = False
+        idx, g, sub = idx[~done], g[~done], sub[~done]
+        if idx.size == 0:
+            break
+        # the BB step is only a proposal; the Armijo test keeps each
+        # curve's energy decreasing
+        dpsi = sub - prev_coeffs[idx]
+        dg = g - prev_grad[idx]
+        denom = np.sum(dg * dg, axis=(1, 2))
+        bb = np.abs(np.sum(dpsi * dg, axis=(1, 2))) / np.where(denom > 0, denom, 1.0)
+        usable = np.isfinite(bb) & (bb > 0) & (denom > 0)
+        step[idx[usable]] = np.clip(bb[usable], 1e-12, 1e3)
+        prev_coeffs[idx] = sub
+        prev_grad[idx] = g
+        gsq = np.sum(g * g, axis=(1, 2))
+        pending = np.arange(idx.size)  # positions in idx still searching
+        for _ in range(40):
+            rows = idx[pending]
+            trial = sub[pending] - step[rows, None, None] * g[pending]
+            try:
+                e_trial = energy(trial, rows)
+            except NonFiniteEnergy:
+                e_trial = np.full(rows.size, np.inf)
+            ok = np.isfinite(e_trial) & (
+                e_trial <= e_cur[rows] - 1e-4 * step[rows] * gsq[pending]
+            )
+            coeffs[rows[ok]] = trial[ok]
+            e_cur[rows[ok]] = e_trial[ok]
+            pending = pending[~ok]
+            if pending.size == 0:
+                break
+            step[idx[pending]] *= 0.5
+        active[idx[pending]] = False  # line search failed
+        if pending.size < idx.size:
+            trace.append(e_cur.copy())
+    return coeffs, e_cur, converged, iterations, trace
+
+
+def _finite_endpoints(z0, z1):
+    z0 = np.asarray(z0, dtype=float)
+    z1 = np.asarray(z1, dtype=float)
+    if not (np.all(np.isfinite(z0)) and np.all(np.isfinite(z1))):
+        raise ShapeError("geodesic endpoints must be finite")
+    return z0, z1
 
 
 def minimize_energy_detailed(
@@ -298,93 +415,32 @@ def minimize_energy_detailed(
     """Gradient descent with backtracking over spline coefficients.
 
     ``target`` is a DecoderMap (KL or categorical energy) or a
-    LatentMetric (quadrature energy). The returned curve never has more
+    LatentMetric (graph energy). The returned curve never has more
     energy than the straight chord.
     """
     cfg = cfg or EnergyConfig()
     rng = rng or RngStream(0)
-    z0 = np.asarray(z0, dtype=float)
-    z1 = np.asarray(z1, dtype=float)
-    if not (np.all(np.isfinite(z0)) and np.all(np.isfinite(z1))):
-        raise ShapeError("geodesic endpoints must be finite")
-
-    energy, analytic_grad = _make_objective(target, cfg, rng)
-    base = straight_line(z0, z1, cfg.segments)
-    straight_energy = energy(base)
-
-    curve = replace(base)
-    if cfg.jitter > 0:
-        curve.coeffs = cfg.jitter * rng.child(1).generator.standard_normal(
-            curve.coeffs.shape
-        )
-
-    def fd_grad(cur: SplineCurve) -> np.ndarray:
-        g = np.zeros_like(cur.coeffs)
-        h = cfg.fd_step
-        probe = replace(cur, coeffs=cur.coeffs.copy())
-        for idx in np.ndindex(*cur.coeffs.shape):
-            orig = probe.coeffs[idx]
-            probe.coeffs[idx] = orig + h
-            e_plus = energy(probe)
-            probe.coeffs[idx] = orig - h
-            e_minus = energy(probe)
-            probe.coeffs[idx] = orig
-            g[idx] = (e_plus - e_minus) / (2.0 * h)
-        return g
-
-    use_analytic = cfg.gradient_mode == "analytic" and analytic_grad is not None
-    grad = analytic_grad if use_analytic else fd_grad
-
-    e_cur = energy(curve)
-    trace = [e_cur]
-    step = cfg.step_size
-    converged = False
-    iterations = 0
-    prev_coeffs = prev_grad = None
-    for it in range(cfg.max_iters):
-        iterations = it + 1
-        g = grad(curve)
-        gnorm = float(np.max(np.abs(g)))
-        if gnorm < cfg.grad_tol:
-            converged = True
-            break
-        # Barzilai-Borwein proposal for the trial step; the Armijo
-        # backtracking below still guarantees monotone energy decrease
-        if prev_grad is not None:
-            dpsi = curve.coeffs - prev_coeffs
-            dg = g - prev_grad
-            denom = float(np.sum(dg * dg))
-            if denom > 0:
-                bb = abs(float(np.sum(dpsi * dg))) / denom
-                if np.isfinite(bb) and bb > 0:
-                    step = min(max(bb, 1e-12), 1e3)
-        prev_coeffs, prev_grad = curve.coeffs.copy(), g
-        gsq = float(np.sum(g * g))
-        accepted = False
-        for _ in range(40):
-            trial = replace(curve, coeffs=curve.coeffs - step * g)
-            try:
-                e_new = energy(trial)
-            except NonFiniteEnergy:
-                e_new = np.inf
-            if np.isfinite(e_new) and e_new <= e_cur - 1e-4 * step * gsq:
-                curve, e_cur = trial, e_new
-                trace.append(e_cur)
-                accepted = True
-                break
-            step *= 0.5
-        if not accepted:
-            break
-
-    if e_cur > straight_energy:
-        curve, e_cur = base, straight_energy
+    z0, z1 = _finite_endpoints(z0, z1)
+    energy, analytic_grad = _make_objective(target, z0, z1, cfg, rng)
+    shape = (1, z0.size, 2 * cfg.segments)
+    straight_energy = float(energy(np.zeros(shape), np.arange(1))[0])
+    if cfg.gradient_mode == "analytic" and analytic_grad is not None:
+        grad = analytic_grad
+    else:
+        grad = _fd_gradient(energy, cfg.fd_step)
+    coeffs, e_cur, converged, iterations, trace = _descend(
+        _start_coeffs(cfg, rng, shape), energy, grad, cfg
+    )
+    curve, e_final = SplineCurve(z0, z1, cfg.segments, coeffs[0]), float(e_cur[0])
+    if e_final > straight_energy:
+        curve, e_final = straight_line(z0, z1, cfg.segments), straight_energy
     return GeodesicResult(
         curve=curve,
-        energy=e_cur,
+        energy=e_final,
         straight_energy=straight_energy,
-        energy_trace=trace,
-        converged=converged,
-        iterations=iterations,
+        energy_trace=[float(e[0]) for e in trace],
+        converged=bool(converged[0]),
+        iterations=int(iterations[0]),
     )
 
 
@@ -392,49 +448,54 @@ def minimize_energy_detailed(
 # geodesic ODE, exponential and logarithmic maps
 
 
-def _metric_derivs(metric: LatentMetric, z: np.ndarray, h: float) -> np.ndarray:
-    d = z.size
-    out = np.empty((d, d, d))
-    for k in range(d):
-        e = np.zeros(d)
-        e[k] = h
-        out[k] = (metric.eval(z + e) - metric.eval(z - e)) / (2.0 * h)
-    return out
-
-
-def ode_rhs(metric: LatentMetric, z, zdot, fd_step: float = 1e-4) -> np.ndarray:
-    """Geodesic acceleration for the metric field at (z, zdot).
-
-    Metric derivatives are central finite differences; the linear system
-    is solved directly rather than inverting the tensor.
-    """
-    z = np.asarray(z, dtype=float)
-    zdot = np.asarray(zdot, dtype=float)
-    dm = _metric_derivs(metric, z, fd_step)
-    mdot = np.einsum("k,kij->ij", zdot, dm)
-    term_a = 2.0 * mdot @ zdot
-    term_b = np.einsum("kij,i,j->k", dm, zdot, zdot)
-    try:
-        return -0.5 * np.linalg.solve(metric.eval(z), term_a - term_b)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMetric(f"metric not invertible at z={z}") from exc
-
-
 def _ode_rhs_batch(metric: LatentMetric, zs, vs, fd_step: float) -> np.ndarray:
+    """Geodesic accelerations at the rows of (zs, vs).
+
+    M and its central differences along each axis come from one
+    ``eval_batch`` over the (2d+1)*m stacked points; the linear systems are
+    solved directly rather than inverting the tensors.
+    """
     m, d = zs.shape
-    dm = np.empty((d, m, d, d))
-    for k in range(d):
-        e = np.zeros(d)
-        e[k] = fd_step
-        dm[k] = (metric.eval_batch(zs + e) - metric.eval_batch(zs - e)) / (2.0 * fd_step)
+    shifts = fd_step * np.eye(d)[:, None, :]
+    stacked = np.concatenate([zs[None], zs[None] + shifts, zs[None] - shifts])
+    mm = metric.eval_batch(stacked.reshape(-1, d)).reshape(2 * d + 1, m, d, d)
+    dm = (mm[1 : d + 1] - mm[d + 1 :]) / (2.0 * fd_step)
     mdot = np.einsum("mk,kmij->mij", vs, dm)
     term_a = 2.0 * np.einsum("mij,mj->mi", mdot, vs)
     term_b = np.einsum("kmij,mi,mj->mk", dm, vs, vs)
     try:
-        sol = np.linalg.solve(metric.eval_batch(zs), (term_a - term_b)[..., None])
-        return -0.5 * sol[..., 0]
+        return -0.5 * np.linalg.solve(mm[0], (term_a - term_b)[..., None])[..., 0]
     except np.linalg.LinAlgError as exc:
-        raise SingularMetric("metric not invertible along batch") from exc
+        raise SingularMetric("metric not invertible along the geodesic") from exc
+
+
+def ode_rhs(metric: LatentMetric, z, zdot, fd_step: float = 1e-4) -> np.ndarray:
+    """Geodesic acceleration for the metric field at (z, zdot); metric
+    derivatives are central finite differences."""
+    z = np.asarray(z, dtype=float)
+    zdot = np.asarray(zdot, dtype=float)
+    return _ode_rhs_batch(metric, z[None], zdot[None], fd_step)[0]
+
+
+def _rk4(metric: LatentMetric, zs, vs, steps: int, fd_step: float, return_path: bool):
+    """RK4 over t in [0, 1] for rows (zs, vs): the endpoints, and the
+    (steps + 1, m, d) path when ``return_path`` is set."""
+    h = 1.0 / steps
+    path = [zs]
+    for _ in range(steps):
+        k1v = _ode_rhs_batch(metric, zs, vs, fd_step)
+        k1z = vs
+        k2v = _ode_rhs_batch(metric, zs + 0.5 * h * k1z, vs + 0.5 * h * k1v, fd_step)
+        k2z = vs + 0.5 * h * k1v
+        k3v = _ode_rhs_batch(metric, zs + 0.5 * h * k2z, vs + 0.5 * h * k2v, fd_step)
+        k3z = vs + 0.5 * h * k2v
+        k4v = _ode_rhs_batch(metric, zs + h * k3z, vs + h * k3v, fd_step)
+        k4z = vs + h * k3v
+        zs = zs + (h / 6.0) * (k1z + 2 * k2z + 2 * k3z + k4z)
+        vs = vs + (h / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
+        if return_path:
+            path.append(zs)
+    return zs, (np.stack(path) if return_path else None)
 
 
 def _rescale_initial_velocity(metric: LatentMetric, z, v) -> np.ndarray:
@@ -464,29 +525,16 @@ def exp_map(
     ``log_map`` (Euclidean norm equals geodesic length); disable it to
     integrate the raw velocity.
     """
-    z = np.asarray(z, dtype=float).copy()
-    v = np.asarray(v, dtype=float).copy()
+    z = np.asarray(z, dtype=float)
+    v = np.asarray(v, dtype=float)
     if rescale_velocity:
         v = _rescale_initial_velocity(metric, z, v)
-    h = 1.0 / steps
-    path = [z.copy()]
-
-    def rhs(state_z, state_v):
-        return state_v, ode_rhs(metric, state_z, state_v, fd_step)
-
-    for _ in range(steps):
-        k1z, k1v = rhs(z, v)
-        k2z, k2v = rhs(z + 0.5 * h * k1z, v + 0.5 * h * k1v)
-        k3z, k3v = rhs(z + 0.5 * h * k2z, v + 0.5 * h * k2v)
-        k4z, k4v = rhs(z + h * k3z, v + h * k3v)
-        z = z + (h / 6.0) * (k1z + 2 * k2z + 2 * k3z + k4z)
-        v = v + (h / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
-        path.append(z.copy())
-    if not np.all(np.isfinite(z)):
+    ends, path = _rk4(metric, z[None], v[None], steps, fd_step, return_path)
+    if not np.all(np.isfinite(ends)):
         raise NonFiniteEnergy("exponential map diverged")
     if return_path:
-        return z, np.linspace(0.0, 1.0, steps + 1), np.stack(path)
-    return z
+        return ends[0], np.linspace(0.0, 1.0, steps + 1), path[:, 0]
+    return ends[0]
 
 
 def exp_map_batch(
@@ -494,57 +542,41 @@ def exp_map_batch(
     rescale_velocity: bool = True,
 ) -> np.ndarray:
     """Vectorized exponential map across a batch of tangent vectors."""
-    zs = np.atleast_2d(np.asarray(zs, dtype=float)).copy()
-    vs = np.atleast_2d(np.asarray(vs, dtype=float)).copy()
+    zs = np.atleast_2d(np.asarray(zs, dtype=float))
+    vs = np.atleast_2d(np.asarray(vs, dtype=float))
     if rescale_velocity:
         norm_e = np.linalg.norm(vs, axis=1)
         m = metric.eval_batch(zs)
         norm_m = np.sqrt(np.einsum("mi,mij,mj->m", vs, m, vs))
         scale = np.where(norm_e > 0, norm_e / np.maximum(norm_m, 1e-300), 1.0)
         vs = vs * scale[:, None]
-    h = 1.0 / steps
-    for _ in range(steps):
-        k1v = _ode_rhs_batch(metric, zs, vs, fd_step)
-        k1z = vs
-        k2v = _ode_rhs_batch(metric, zs + 0.5 * h * k1z, vs + 0.5 * h * k1v, fd_step)
-        k2z = vs + 0.5 * h * k1v
-        k3v = _ode_rhs_batch(metric, zs + 0.5 * h * k2z, vs + 0.5 * h * k2v, fd_step)
-        k3z = vs + 0.5 * h * k2v
-        k4v = _ode_rhs_batch(metric, zs + h * k3z, vs + h * k3v, fd_step)
-        k4z = vs + h * k3v
-        zs = zs + (h / 6.0) * (k1z + 2 * k2z + 2 * k3z + k4z)
-        vs = vs + (h / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
-    return zs
+    return _rk4(metric, zs, vs, steps, fd_step, return_path=False)[0]
 
 
-def _batch_curve_tables(z0, targets, segments, n):
-    """Shared Hermite basis tables for curves from z0 to each target."""
-    proto = SplineCurve(z0, targets[0], segments)
-    ts_nodes = np.arange(n + 1) / n
-    ts_mids = (np.arange(n) + 0.5) / n
-    b_nodes = proto.basis(ts_nodes)  # (n+1, 2S)
-    b_mids = proto.basis(ts_mids)
-    return ts_nodes, ts_mids, b_nodes, b_mids
+def _scaled_tangents(chords, coeffs, lengths, segments: int) -> np.ndarray:
+    """Curve velocities at t=0, rescaled to Euclidean norm = length. The
+    perturbation's slope there is the first knot-derivative coefficient."""
+    v0 = chords + coeffs[:, :, segments - 1]
+    norms = np.linalg.norm(v0, axis=1)
+    scale = np.where(norms > 0, lengths / np.maximum(norms, 1e-300), 0.0)
+    return v0 * scale[:, None]
 
 
-def _batch_nodes(z0, targets, coeffs, ts, basis):
-    """Curve points for a batch: line part plus Hermite perturbation."""
-    chords = targets - z0[None, :]
-    line = z0[None, None, :] + ts[None, :, None] * chords[:, None, :]
-    return line + np.einsum("mdc,tc->mtd", coeffs, basis)
-
-
-def _batch_graph_energy(metric, z0, targets, coeffs, n, tables):
-    _, _, b_nodes, b_mids = tables
-    ts_nodes = np.arange(n + 1) / n
-    ts_mids = (np.arange(n) + 0.5) / n
-    nodes = _batch_nodes(z0, targets, coeffs, ts_nodes, b_nodes)
-    mids = _batch_nodes(z0, targets, coeffs, ts_mids, b_mids)
-    deltas = nodes[:, 1:] - nodes[:, :-1]
-    m_count, _, d = nodes.shape
-    mm = metric.eval_batch(mids.reshape(-1, d)).reshape(m_count, n, d, d)
-    vals = np.einsum("mti,mtij,mtj->mt", deltas, mm, deltas)
-    return n * vals.sum(axis=1), vals
+def _graph_log_maps(metric, z0, targets, cfg, rng, warm_coeffs, strict: bool):
+    """(tangents, lengths, coeffs) of the graph-energy curves z0 -> targets."""
+    m, d = targets.shape
+    energy, terms = _graph_energy(metric, z0, targets, cfg.segments, cfg.n_disc, strict)
+    shape = (m, d, 2 * cfg.segments)
+    rows = np.arange(m)
+    e_straight = energy(np.zeros(shape), rows)
+    coeffs, e_cur, _, _, _ = _descend(
+        _start_coeffs(cfg, rng, shape, warm_coeffs), energy,
+        _fd_gradient(energy, cfg.fd_step), cfg,
+    )
+    coeffs[e_cur > e_straight] = 0.0
+    lengths = np.sqrt(np.maximum(terms(coeffs, rows), 0.0)).sum(axis=1)
+    tangents = _scaled_tangents(targets - z0[None, :], coeffs, lengths, cfg.segments)
+    return tangents, lengths, coeffs
 
 
 def log_map_batch(
@@ -557,102 +589,21 @@ def log_map_batch(
 ):
     """Logarithmic maps from one base point to many targets at once.
 
-    Runs the spline optimizations in lockstep with fully batched energy
-    evaluations (metric objective). Returns (tangents, lengths, coeffs);
-    ``coeffs`` can warm-start the next call when the base point moves a
-    little, as happens inside density fitting.
+    Fits the graph-energy curves to all targets in one batched descent.
+    Returns (tangents, lengths, coeffs); ``coeffs`` can warm-start the next
+    call when the base point moves a little, as happens inside density
+    fitting. Non-finite energies are not raised: their rows come back
+    non-finite.
     """
-    cfg = cfg or EnergyConfig(segments=1, n_disc=16)
-    rng = rng or RngStream(0)
-    z0 = np.asarray(z0, dtype=float)
-    targets = np.atleast_2d(np.asarray(targets, dtype=float))
-    m, d = targets.shape
-    n = cfg.n_disc
-    s2 = 2 * cfg.segments
-    tables = _batch_curve_tables(z0, targets, cfg.segments, n)
-
-    if warm_coeffs is not None and warm_coeffs.shape == (m, d, s2):
-        coeffs = warm_coeffs.copy()
-    elif cfg.jitter > 0:
-        coeffs = cfg.jitter * rng.child(1).generator.standard_normal((m, d, s2))
-    else:
-        coeffs = np.zeros((m, d, s2))
-
-    def energy(c, idx):
-        return _batch_graph_energy(metric, z0, targets[idx], c, n, tables)[0]
-
-    all_idx = np.arange(m)
-    e_straight = energy(np.zeros((m, d, s2)), all_idx)
-    e_cur = energy(coeffs, all_idx)
-    step = np.full(m, cfg.step_size)
-    h = cfg.fd_step
-    active = np.ones(m, dtype=bool)
-    prev_coeffs = np.full((m, d, s2), np.nan)
-    prev_grad = np.full((m, d, s2), np.nan)
-    for _ in range(cfg.max_iters):
-        idx = np.nonzero(active)[0]
-        if idx.size == 0:
-            break
-        sub = coeffs[idx]
-        grad = np.zeros_like(sub)
-        for i in range(d):
-            for j in range(s2):
-                probe = sub.copy()
-                probe[:, i, j] += h
-                e_plus = energy(probe, idx)
-                probe[:, i, j] -= 2.0 * h
-                grad[:, i, j] = (e_plus - energy(probe, idx)) / (2.0 * h)
-        gnorm = np.abs(grad).reshape(idx.size, -1).max(axis=1)
-        converged_now = gnorm < cfg.grad_tol
-        active[idx[converged_now]] = False
-        live = ~converged_now
-        idx, grad, sub = idx[live], grad[live], sub[live]
-        if idx.size == 0:
-            continue
-        # per-curve Barzilai-Borwein trial steps, Armijo-safeguarded below
-        dpsi = sub - prev_coeffs[idx]
-        dg = grad - prev_grad[idx]
-        denom = np.sum(dg * dg, axis=(1, 2))
-        bb = np.abs(np.sum(dpsi * dg, axis=(1, 2))) / np.where(denom > 0, denom, 1.0)
-        usable = np.isfinite(bb) & (bb > 0) & (denom > 0)
-        step[idx[usable]] = np.clip(bb[usable], 1e-12, 1e3)
-        prev_coeffs[idx] = sub
-        prev_grad[idx] = grad
-        gsq = np.sum(grad * grad, axis=(1, 2))
-        e_sub = e_cur[idx]
-        remaining = np.ones(idx.size, dtype=bool)
-        for _bt in range(40):
-            rem_idx = np.nonzero(remaining)[0]
-            trial = sub[rem_idx] - step[idx[rem_idx], None, None] * grad[rem_idx]
-            e_trial = energy(trial, idx[rem_idx])
-            ok = np.isfinite(e_trial) & (
-                e_trial <= e_sub[rem_idx] - 1e-4 * step[idx[rem_idx]] * gsq[rem_idx]
-            )
-            ok_rows = rem_idx[ok]
-            if ok_rows.size:
-                coeffs[idx[ok_rows]] = trial[ok]
-                e_cur[idx[ok_rows]] = e_trial[ok]
-                step[idx[ok_rows]] = np.minimum(step[idx[ok_rows]] * 1.5, 1e3)
-            remaining[ok_rows] = False
-            if not np.any(remaining):
-                break
-            step[idx[remaining]] *= 0.5
-        # curves whose line search collapsed cannot improve further
-        dead = remaining & (step[idx] < 1e-14)
-        active[idx[dead]] = False
-
-    worse = e_cur > e_straight
-    coeffs[worse] = 0.0
-
-    _, vals = _batch_graph_energy(metric, z0, targets, coeffs, n, tables)
-    lengths = np.sqrt(np.maximum(vals, 0.0)).sum(axis=1)
-    # velocity at t=0: the perturbation derivative there is the first knot
-    # derivative coefficient (Hermite basis), so no differencing is needed
-    chords = targets - z0[None, :]
-    v0 = chords + coeffs[:, :, cfg.segments - 1]
-    norms = np.linalg.norm(v0, axis=1)
-    scale = np.where(norms > 0, lengths / np.maximum(norms, 1e-300), 0.0)
-    return v0 * scale[:, None], lengths, coeffs
+    return _graph_log_maps(
+        metric,
+        np.asarray(z0, dtype=float),
+        np.atleast_2d(np.asarray(targets, dtype=float)),
+        cfg or EnergyConfig(segments=1, n_disc=16),
+        rng or RngStream(0),
+        warm_coeffs,
+        strict=False,
+    )
 
 
 def log_map(
@@ -663,17 +614,21 @@ def log_map(
     rng: RngStream | None = None,
 ) -> np.ndarray:
     """Initial velocity of the shortest path z -> y, rescaled so its
-    Euclidean norm equals the curve length."""
-    z = np.asarray(z, dtype=float)
-    y = np.asarray(y, dtype=float)
+    Euclidean norm equals the curve length.
+
+    On a metric target this is the batched log map with one target, except
+    that a non-finite graph-energy term (straight chord, start or gradient
+    probe; not a line-search trial) raises NonFiniteEnergy at its t.
+    """
     cfg = cfg or EnergyConfig()
+    z, y = _finite_endpoints(z, y)
+    if not isinstance(target, DecoderMap):
+        vs, _, _ = _graph_log_maps(
+            target, z, y[None, :], cfg, rng or RngStream(0), None, strict=True
+        )
+        return vs[0]
     result = minimize_energy_detailed(z, y, target, cfg, rng)
-    _, v0 = result.curve.eval(0.0)
-    norm = float(np.linalg.norm(v0))
-    if norm == 0.0:
-        return np.zeros_like(z)
-    if isinstance(target, DecoderMap):
-        length = curve_length(result.curve, target, cfg.n_disc)
-    else:
-        length = metric_length(result.curve, target, cfg.n_disc)
-    return v0 / norm * length
+    length = curve_length(result.curve, target, cfg.n_disc)
+    return _scaled_tangents(
+        (y - z)[None, :], result.curve.coeffs[None], np.array([length]), cfg.segments
+    )[0]

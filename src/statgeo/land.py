@@ -90,7 +90,8 @@ def land_normalizer_stats(
     measured against the mean's own weight w(0) = 1, so weights that all
     collapse to w << 1 away from the mean count as a collapse. It equals the
     Kish ESS whenever the mean of w^2 is at least 1. Raises
-    DegenerateEstimate when it falls below 10.
+    DegenerateEstimate when it falls below 10, or when 1/C overflows or
+    underflows (a tiny or huge precision, or huge weights).
     """
     mean = np.asarray(mean, dtype=float)
     precision = np.asarray(precision, dtype=float)
@@ -108,8 +109,11 @@ def land_normalizer_stats(
     if ess < 10.0:
         raise DegenerateEstimate(f"normalizer effective sample size {ess:.1f} < 10")
     sign, logdet_g = np.linalg.slogdet(precision)
-    base = (2.0 * np.pi) ** (d / 2.0) * np.exp(-0.5 * logdet_g)
-    inv_c = base * float(np.mean(w))
+    with np.errstate(over="ignore"):  # an overflow raises just below
+        base = (2.0 * np.pi) ** (d / 2.0) * np.exp(-0.5 * logdet_g)
+        inv_c = base * float(np.mean(w))
+    if not (np.isfinite(inv_c) and inv_c > 0):
+        raise DegenerateEstimate(f"normalizer 1/C = {inv_c} is not a positive finite number")
     c = 1.0 / inv_c
     se_w = float(np.std(w) / np.sqrt(n))
     se_c = c * se_w / max(float(np.mean(w)), 1e-300)

@@ -50,3 +50,70 @@ def test_threads_option_is_a_usage_error(decoder_path, tmp_path, capsys):
     assert code == 1
     assert json.loads(capsys.readouterr().err)["error"] == "usage"
     assert not (tmp_path / "g.json").exists()
+
+
+@pytest.fixture
+def grid_path(decoder_path, tmp_path):
+    path = tmp_path / "grid.json"
+    source = M.PullbackMetric(io.load_decoder(decoder_path))
+    io.save_grid(M.grid_build(source, [[-2, 2], [-2, 2]], (5, 5), SIGMA), path)
+    return path
+
+
+EXP_ARGS = ["--z", "-0.5,1", "--v", "0.3,-0.1", "--steps", "10"]
+LOG_ARGS = ["--z", "0.5,-1", "--y", "-0.2,0.3", "--seed", "1", "--n-disc", "16",
+            "--segments", "2", "--max-iters", "20"]
+
+
+@pytest.mark.parametrize("command", ["exp", "log"])
+@pytest.mark.parametrize("source", ["--decoder", "--grid"])
+def test_exp_and_log_print_repeatable_json(command, source, decoder_path, grid_path, capsys):
+    path = decoder_path if source == "--decoder" else grid_path
+    argv = [command, source, str(path), *(EXP_ARGS if command == "exp" else LOG_ARGS)]
+    outs = []
+    for _ in range(2):
+        assert cli.main(argv) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    doc = json.loads(outs[0])
+    if command == "exp":
+        assert np.all(np.isfinite(doc["endpoint"]))
+    else:
+        assert doc["length"] == np.linalg.norm(doc["v"]) > 0
+
+
+def test_exp_out_writes_the_path(decoder_path, tmp_path, capsys):
+    out = tmp_path / "path.csv"
+    assert cli.main(["exp", "--decoder", str(decoder_path), *EXP_ARGS, "--out", str(out)]) == 0
+    endpoint = json.loads(capsys.readouterr().out)["endpoint"]
+    lines = out.read_text().splitlines()
+    assert lines[:2] == [io.CSV_HEADER, "t,z0,z1"]
+    rows = np.array([[float(x) for x in line.split(",")] for line in lines[2:]])
+    assert rows.shape == (11, 3)
+    assert np.array_equal(rows[0], [0.0, -0.5, 1.0])
+    assert np.array_equal(rows[-1], [1.0, *endpoint])
+
+
+def test_exp_where_the_metric_vanishes_is_singular(decoder_path, capsys):
+    # the regularized decoder saturates far from the data: its pullback
+    # metric is exactly 0 there, so no direction has a positive length
+    assert not np.any(M.PullbackMetric(io.load_decoder(decoder_path)).eval([10.0, 10.0]))
+    code = cli.main(["exp", "--decoder", str(decoder_path), "--z=10,10", "--v=0.3,0.1"])
+    assert code == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "SingularMetric"
+
+
+def test_negative_vector_values_need_no_equals_sign(decoder_path, tmp_path, capsys):
+    spaced, joined = tmp_path / "spaced.json", tmp_path / "joined.json"
+    assert cli.main([
+        "metric-grid", "--decoder", str(decoder_path), "--bounds", BOUNDS,
+        "--resolution", RESOLUTION, "--out", str(spaced),
+    ]) == 0
+    assert run_metric_grid(decoder_path, joined, "pullback") == 0
+    assert spaced.read_bytes() == joined.read_bytes()
+    capsys.readouterr()
+    assert cli.main(["exp", "--decoder", str(decoder_path), *EXP_ARGS]) == 0
+    assert cli.main(["exp", "--decoder", str(decoder_path), "--z=-0.5,1", "--v=0.3,-0.1",
+                     "--steps", "10"]) == 0
+    first, second = capsys.readouterr().out.split("}\n")[:2]
+    assert first == second

@@ -44,6 +44,17 @@ class TestCurve:
             assert np.allclose(zl, zr, atol=1e-9)
             assert np.allclose(vl, vr, atol=1e-9)
 
+    @pytest.mark.parametrize("segments", [1, 4])
+    def test_basis_times_coeffs_plus_chord_is_eval(self, gen, segments):
+        # the analytic gradient contracts with the basis, so it must be the
+        # exact linear map from coefficients to curve points
+        c = SplineCurve(
+            gen.normal(size=3), gen.normal(size=3), segments, gen.normal(size=(3, 2 * segments))
+        )
+        ts = np.linspace(0.0, 1.0, 57)
+        line = c.z0[None, :] + ts[:, None] * (c.z1 - c.z0)[None, :]
+        assert np.max(np.abs(line + c.basis(ts) @ c.coeffs.T - c.eval(ts)[0])) < 1e-14
+
     def test_out_of_range(self):
         c = straight_line(np.zeros(2), np.ones(2))
         with pytest.raises(OutOfRange):
@@ -293,3 +304,47 @@ class TestReparametrizationInvariance:
         res2 = G.minimize_energy_detailed(a @ codes[0], a @ codes[1], dec_rel, cfg, RngStream(6))
         length2 = G.curve_length(res2.curve, dec_rel, cfg.n_disc)
         assert abs(length - length2) / length < 0.01
+
+
+class TestBatchedSolvers:
+    smooth = TestExpLog.smooth
+
+    def test_log_map_batch_rows_are_independent(self):
+        # each curve keeps its own step and stopping rule, so a row solved
+        # in a batch equals the same row solved alone
+        cfg = EnergyConfig(n_disc=24, segments=2, max_iters=80, jitter=0.0)
+        z0 = np.array([0.1, -0.2])
+        targets = np.array([[0.8, 0.3], [-0.5, 0.6], [0.2, -0.9]])
+        vs, lengths, coeffs = G.log_map_batch(self.smooth, z0, targets, cfg, RngStream(1))
+        for k, y in enumerate(targets):
+            v1, l1, c1 = G.log_map_batch(self.smooth, z0, y[None], cfg, RngStream(2))
+            assert np.max(np.abs(v1[0] - vs[k])) < 1e-12
+            assert abs(l1[0] - lengths[k]) < 1e-12
+            assert np.max(np.abs(c1[0] - coeffs[k])) < 1e-12
+            v = G.log_map(self.smooth, z0, y, cfg, RngStream(3))
+            assert np.max(np.abs(v - vs[k])) < 1e-12
+
+    def test_exp_map_batch_rows_match_exp_map(self, gen):
+        zs = 0.4 * gen.normal(size=(4, 2))
+        vs = 0.5 * gen.normal(size=(4, 2))
+        vs[2] = 0.0
+        ends = G.exp_map_batch(self.smooth, zs, vs, steps=40)
+        for z, v, end in zip(zs, vs, ends):
+            assert np.max(np.abs(G.exp_map(self.smooth, z, v, steps=40) - end)) < 1e-12
+
+    def test_single_curve_calls_raise_nonfinite_energy(self):
+        # the metric is infinite past x = 0.5: the straight chord's energy is
+        # not finite, which single-curve calls report with its t while the
+        # batched log map returns a non-finite row
+        metric = M.CallableMetric(lambda z: np.diag([1.0 if z[0] <= 0.5 else np.inf] * 2), 2)
+        cfg = EnergyConfig(n_disc=16, segments=1, max_iters=5, jitter=0.0)
+        z0, z1 = np.zeros(2), np.array([1.0, 0.0])
+        with pytest.raises(NonFiniteEnergy) as err:
+            G.minimize_energy_detailed(z0, z1, metric, cfg, RngStream(0))
+        assert err.value.t == pytest.approx(0.5)
+        with pytest.raises(NonFiniteEnergy) as err:
+            G.log_map(metric, z0, z1, cfg, RngStream(0))
+        assert err.value.t == pytest.approx(0.5)
+        with np.errstate(invalid="ignore"):
+            vs, lengths, _ = G.log_map_batch(metric, z0, z1[None], cfg, RngStream(0))
+        assert not np.isfinite(lengths[0]) and not np.all(np.isfinite(vs))

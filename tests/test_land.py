@@ -145,3 +145,11 @@ def test_uniformly_scaled_metric_is_not_degenerate():
     c, _, ess = L.land_normalizer_stats(np.zeros(2), np.eye(2), metric, RngStream(0), 200)
     assert ess == 200
     assert c == pytest.approx(1 / (2 * np.pi), rel=1e-12)
+
+
+def test_overflowing_normalizer_raises():
+    # 1/C = (2 pi)^(d/2) det(Gamma)^(-1/2) mean(w) overflows for a tiny
+    # precision; C = 0 would make the NLL log(0) instead of a rejected trial
+    metric = ConstantMetric(np.eye(3))
+    with pytest.raises(DegenerateEstimate):
+        L.land_normalizer_stats(np.zeros(3), 1e-210 * np.eye(3), metric, RngStream(0), 64)
