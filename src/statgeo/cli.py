@@ -83,11 +83,18 @@ def _add_optimizer_args(p):
                    help="sampled KL inside the optimizer (common random numbers)")
 
 
-def _load_metric(args):
-    if getattr(args, "grid", None):
+def _load_target(args):
+    """The --grid file's GridMetric, else the --decoder file's decoder."""
+    if args.grid:
         return GridMetric(io.load_grid(args.grid))
-    dec = io.load_decoder(args.decoder)
-    return PullbackMetric(dec)
+    if args.decoder is None:
+        raise _UsageError("one of --decoder or --grid is required")
+    return io.load_decoder(args.decoder)
+
+
+def _load_metric(args):
+    target = _load_target(args)
+    return target if isinstance(target, GridMetric) else PullbackMetric(target)
 
 
 def _print_json(doc: dict) -> None:
@@ -308,8 +315,7 @@ def _cmd_exp(args) -> int:
 
 def _cmd_log(args) -> int:
     z, y = _vector(args.z), _vector(args.y)
-    target = GridMetric(io.load_grid(args.grid)) if args.grid else io.load_decoder(args.decoder)
-    v = geo.log_map(target, z, y, _energy_config(args), RngStream(args.seed))
+    v = geo.log_map(_load_target(args), z, y, _energy_config(args), RngStream(args.seed))
     _print_json(
         {"version": __version__, "v": [float(x) for x in v],
          "length": float(np.linalg.norm(v))}

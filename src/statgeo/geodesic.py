@@ -17,10 +17,12 @@ Every solver works on a batch of m rows; a single curve or shot is m = 1.
 One Barzilai-Borwein + Armijo descent fits coefficient arrays of shape
 (m, d, 2S) for ``minimize_energy_detailed`` and both log maps, with a
 step and a stopping rule per curve. Its gradient is analytic for the KL
-objective and otherwise one central-difference routine that makes one
-energy call over the rows per probe. One RK4 loop shoots both exponential
-maps; its right-hand side gets M and its central differences from a single
-``eval_batch`` over (2d+1)*m stacked points.
+objective and the graph energy, where it makes one
+``eval_batch_and_grad`` call over the curves' midpoints; otherwise, and
+with ``gradient_mode="fd"``, it is one central-difference routine that
+makes one energy call over the rows per probe. One RK4 loop shoots both
+exponential maps; its right-hand side gets M and dM/dz from one
+``eval_batch_and_grad`` call per stage.
 """
 
 from __future__ import annotations
@@ -150,7 +152,7 @@ class EnergyConfig:
     max_iters: int = 200
     grad_tol: float = 1e-6
     step_size: float = 0.1
-    gradient_mode: str = "fd"  # "fd" or "analytic"
+    gradient_mode: str = "analytic"  # or "fd": central differences of the energy
     fd_step: float = 1e-6
     jitter: float = 1e-4
     objective: str = "kl"  # "kl" or "categorical"; metric targets use quadrature
@@ -166,24 +168,30 @@ def _decoded_features(dec: DecoderMap, zs: np.ndarray) -> np.ndarray:
     return stacked.reshape(zs.shape[0], dec.feature_count, dec.family.param_dim)
 
 
-def _segment_kls(dec: DecoderMap, c: SplineCurve, n: int, mc: McKl | None):
-    """Per-segment summed KL between consecutive decoded curve points."""
+def _curve_points(c: SplineCurve, n: int):
+    """Parameters t = 1/N, ..., 1 and the curve points there."""
     ts = np.arange(1, n + 1) / n
-    zs, _ = c.eval(ts)
+    return ts, c.eval(ts)[0]
+
+
+def _segment_kls(dec: DecoderMap, ts, zs, mc: McKl | None) -> np.ndarray:
+    """Summed KL between each pair of consecutive decoded points zs (at
+    parameters ts); a non-finite one raises NonFiniteEnergy at its t."""
     params = _decoded_features(dec, zs)
     fam = dec.family
     if mc is None:
         kls = fam.kl(params[:-1], params[1:]).sum(axis=-1)
     else:
         gen = mc.rng.child(0).generator
-        kls = np.zeros(n - 1)
-        for i in range(n - 1):
+        kls = np.zeros(len(zs) - 1)
+        for i in range(len(zs) - 1):
             for f in range(dec.feature_count):
                 x = fam.sample(params[i, f], gen, mc.n_samples)
                 kls[i] += np.mean(
                     fam.log_pdf(params[i, f], x) - fam.log_pdf(params[i + 1, f], x)
                 )
-    return ts, kls
+    _check_finite(ts[:-1], kls, "segment KL")
+    return kls
 
 
 def _check_finite(ts, values, what: str):
@@ -195,24 +203,18 @@ def _check_finite(ts, values, what: str):
 
 def kl_energy(c: SplineCurve, dec: DecoderMap, n: int, mc: McKl | None = None) -> float:
     """(2/dt) sum of consecutive decoded KL divergences, dt = 1/N."""
-    ts, kls = _segment_kls(dec, c, n, mc)
-    _check_finite(ts[:-1], kls, "segment KL")
-    return float(2.0 * n * kls.sum())
+    return float(2.0 * n * _segment_kls(dec, *_curve_points(c, n), mc).sum())
 
 
 def curve_length(c: SplineCurve, dec: DecoderMap, n: int, mc: McKl | None = None) -> float:
     """sum_n sqrt(2 KL_n): the discrete Fisher-Rao length."""
-    ts, kls = _segment_kls(dec, c, n, mc)
-    _check_finite(ts[:-1], kls, "segment KL")
+    kls = _segment_kls(dec, *_curve_points(c, n), mc)
     return float(np.sqrt(2.0 * np.maximum(kls, 0.0)).sum())
 
 
-def categorical_energy(c: SplineCurve, dec: DecoderMap, n: int) -> float:
-    """Great-circle small-angle energy sum(2 - 2 sqrt(h_n)^T sqrt(h_{n+1}))."""
+def _categorical_energy(dec: DecoderMap, ts, zs) -> float:
     if dec.family.kind != FamilyKind.CATEGORICAL:
         raise FamilyMismatch("categorical energy needs a categorical decoder")
-    ts = np.arange(1, n + 1) / n
-    zs, _ = c.eval(ts)
     params = _decoded_features(dec, zs)
     roots = np.sqrt(np.maximum(params, 0.0))
     dots = np.sum(roots[:-1] * roots[1:], axis=-1)
@@ -221,42 +223,69 @@ def categorical_energy(c: SplineCurve, dec: DecoderMap, n: int) -> float:
     return float(terms.sum())
 
 
-def _graph_energy(metric: LatentMetric, z0, targets, segments: int, n: int, strict: bool):
-    """Graph energy of the curves z0 -> targets[rows] and its terms.
+def categorical_energy(c: SplineCurve, dec: DecoderMap, n: int) -> float:
+    """Great-circle small-angle energy sum(2 - 2 sqrt(h_n)^T sqrt(h_{n+1}))."""
+    return _categorical_energy(dec, *_curve_points(c, n))
 
-    Returns energy(coeffs, rows) -> (rows,) and terms(coeffs, rows) ->
-    (rows, n), the per-segment Delta^T M(mid) Delta, for coefficients
-    (rows, d, 2S). The energy N sum_n Delta_n^T M Delta_n is exact for
-    straight chords on constant metrics, which keeps the discrete minimizer
-    straight. With ``strict`` a non-finite term raises NonFiniteEnergy at
-    its t.
+
+def _graph_energy(metric: LatentMetric, z0, targets, segments: int, n: int, strict: bool):
+    """Graph energy of the curves z0 -> targets[rows], its terms and its
+    gradient.
+
+    Returns energy(coeffs, rows) -> (rows,), terms(coeffs, rows) ->
+    (rows, n), the per-segment Delta^T M(mid) Delta, and grad(coeffs, rows)
+    -> (rows, d, 2S), for coefficients (rows, d, 2S). The energy
+    N sum_n Delta_n^T M Delta_n is exact for straight chords on constant
+    metrics, which keeps the discrete minimizer straight. Its gradient is
+    N sum_n [2 M Delta_n (x) (B_nodes[n+1] - B_nodes[n])
+    + (Delta_n^T dM/dz_k Delta_n) (x) B_mids[n]], from one
+    ``eval_batch_and_grad`` call over the midpoints. With ``strict`` a
+    non-finite term raises NonFiniteEnergy at its t.
     """
     ts_nodes = np.arange(n + 1) / n
     ts_mids = (np.arange(n) + 0.5) / n
     b_nodes = hermite_basis(ts_nodes, segments)[0]
     b_mids = hermite_basis(ts_mids, segments)[0]
+    db_nodes = b_nodes[1:] - b_nodes[:-1]
     chords = targets - z0[None, :]
 
     def points(coeffs, rows, ts, basis):
         line = z0[None, None, :] + ts[None, :, None] * chords[rows][:, None, :]
         return line + np.einsum("mdc,tc->mtd", coeffs, basis)
 
-    def terms(coeffs, rows):
+    def deltas_and_mids(coeffs, rows):
         nodes = points(coeffs, rows, ts_nodes, b_nodes)
         mids = points(coeffs, rows, ts_mids, b_mids)
-        deltas = nodes[:, 1:] - nodes[:, :-1]
-        m_count, _, d = nodes.shape
-        mm = metric.eval_batch(mids.reshape(-1, d)).reshape(m_count, n, d, d)
-        vals = np.einsum("mti,mtij,mtj->mt", deltas, mm, deltas)
+        return nodes[:, 1:] - nodes[:, :-1], mids.reshape(-1, nodes.shape[2])
+
+    def checked(vals):
         if strict:
             for row in vals:
                 _check_finite(ts_nodes[:-1], row, "graph energy")
         return vals
 
+    def terms(coeffs, rows):
+        deltas, mids = deltas_and_mids(coeffs, rows)
+        mm = metric.eval_batch(mids).reshape(*deltas.shape, -1)
+        return checked(np.einsum("mti,mtij,mtj->mt", deltas, mm, deltas))
+
     def energy(coeffs, rows):
         return n * terms(coeffs, rows).sum(axis=1)
 
-    return energy, terms
+    def grad(coeffs, rows):
+        deltas, mids = deltas_and_mids(coeffs, rows)
+        mm, dm = metric.eval_batch_and_grad(mids)
+        m_delta = np.einsum("mtij,mtj->mti", mm.reshape(*deltas.shape, -1), deltas)
+        quad = np.einsum(
+            "kmtij,mti,mtj->mtk", dm.reshape(-1, *deltas.shape, deltas.shape[-1]), deltas, deltas
+        )
+        checked(np.einsum("mti,mti->mt", deltas, m_delta) + quad.sum(axis=2))
+        return n * (
+            2.0 * np.einsum("mti,tc->mic", m_delta, db_nodes)
+            + np.einsum("mtk,tc->mkc", quad, b_mids)
+        )
+
+    return energy, terms, grad
 
 
 @dataclass
@@ -271,24 +300,27 @@ class GeodesicResult:
 
 def _make_objective(target, z0, z1, cfg: EnergyConfig, rng: RngStream):
     """Energy over rows of (m, d, 2S) coefficients of curves z0 -> z1, plus
-    its analytic gradient where one exists (decoder with KL objective)."""
+    its analytic gradient where one exists (KL objective or metric target)."""
     if not isinstance(target, DecoderMap):
-        energy, _ = _graph_energy(target, z0, z1[None, :], cfg.segments, cfg.n_disc, True)
-        return energy, None
+        energy, _, grad = _graph_energy(
+            target, z0, z1[None, :], cfg.segments, cfg.n_disc, True
+        )
+        return energy, grad
     # sampled KLs draw from a fresh child stream per call: common random numbers
     mc = None if cfg.mc_samples is None else McKl(rng.child(1000), cfg.mc_samples)
+    n = cfg.n_disc
+    ts = np.arange(1, n + 1) / n
+    basis = hermite_basis(ts, cfg.segments)[0]
+    line = z0[None, :] + np.outer(ts, z1 - z0)  # as in SplineCurve.eval
 
     def one_energy(coeffs) -> float:
-        curve = SplineCurve(z0, z1, cfg.segments, coeffs)
+        zs = line + basis @ coeffs.T
         if cfg.objective == "categorical":
-            return categorical_energy(curve, target, cfg.n_disc)
-        return kl_energy(curve, target, cfg.n_disc, mc)
+            return _categorical_energy(target, ts, zs)
+        return float(2.0 * n * _segment_kls(target, ts, zs, mc).sum())
 
     def one_grad(coeffs) -> np.ndarray:
-        n = cfg.n_disc
-        ts = np.arange(1, n + 1) / n
-        curve = SplineCurve(z0, z1, cfg.segments, coeffs)
-        zs, _ = curve.eval(ts)
+        zs = line + basis @ coeffs.T
         params = _decoded_features(target, zs)
         g1, g2 = target.family.kl_grad(params[:-1], params[1:])
         adj = np.zeros_like(params)
@@ -297,7 +329,7 @@ def _make_objective(target, z0, z1, cfg: EnergyConfig, rng: RngStream):
         adj = adj.reshape(n, -1)
         jac = dec_mod.jacobian_stacked(target, zs)
         pulled = np.einsum("npd,np->nd", jac, adj)
-        return 2.0 * n * np.einsum("nd,nb->db", pulled, curve.basis(ts))
+        return 2.0 * n * np.einsum("nd,nb->db", pulled, basis)
 
     def energy(coeffs, rows):
         return np.array([one_energy(c) for c in coeffs])
@@ -306,6 +338,14 @@ def _make_objective(target, z0, z1, cfg: EnergyConfig, rng: RngStream):
         return np.stack([one_grad(c) for c in coeffs])
 
     return energy, (analytic_grad if cfg.objective == "kl" else None)
+
+
+def _gradient(cfg: EnergyConfig, energy, analytic_grad):
+    """The analytic gradient when ``cfg`` selects it and one exists, else
+    central differences of the energy."""
+    if cfg.gradient_mode == "analytic" and analytic_grad is not None:
+        return analytic_grad
+    return _fd_gradient(energy, cfg.fd_step)
 
 
 def _fd_gradient(energy, h: float):
@@ -424,12 +464,8 @@ def minimize_energy_detailed(
     energy, analytic_grad = _make_objective(target, z0, z1, cfg, rng)
     shape = (1, z0.size, 2 * cfg.segments)
     straight_energy = float(energy(np.zeros(shape), np.arange(1))[0])
-    if cfg.gradient_mode == "analytic" and analytic_grad is not None:
-        grad = analytic_grad
-    else:
-        grad = _fd_gradient(energy, cfg.fd_step)
     coeffs, e_cur, converged, iterations, trace = _descend(
-        _start_coeffs(cfg, rng, shape), energy, grad, cfg
+        _start_coeffs(cfg, rng, shape), energy, _gradient(cfg, energy, analytic_grad), cfg
     )
     curve, e_final = SplineCurve(z0, z1, cfg.segments, coeffs[0]), float(e_cur[0])
     if e_final > straight_energy:
@@ -451,27 +487,23 @@ def minimize_energy_detailed(
 def _ode_rhs_batch(metric: LatentMetric, zs, vs, fd_step: float) -> np.ndarray:
     """Geodesic accelerations at the rows of (zs, vs).
 
-    M and its central differences along each axis come from one
-    ``eval_batch`` over the (2d+1)*m stacked points; the linear systems are
-    solved directly rather than inverting the tensors.
+    M and dM/dz come from one ``eval_batch_and_grad`` call (``fd_step`` is
+    its difference step where the metric has no analytic derivative); the
+    linear systems are solved directly rather than inverting the tensors.
     """
-    m, d = zs.shape
-    shifts = fd_step * np.eye(d)[:, None, :]
-    stacked = np.concatenate([zs[None], zs[None] + shifts, zs[None] - shifts])
-    mm = metric.eval_batch(stacked.reshape(-1, d)).reshape(2 * d + 1, m, d, d)
-    dm = (mm[1 : d + 1] - mm[d + 1 :]) / (2.0 * fd_step)
+    mm, dm = metric.eval_batch_and_grad(zs, fd_step)
     mdot = np.einsum("mk,kmij->mij", vs, dm)
     term_a = 2.0 * np.einsum("mij,mj->mi", mdot, vs)
     term_b = np.einsum("kmij,mi,mj->mk", dm, vs, vs)
     try:
-        return -0.5 * np.linalg.solve(mm[0], (term_a - term_b)[..., None])[..., 0]
+        return -0.5 * np.linalg.solve(mm, (term_a - term_b)[..., None])[..., 0]
     except np.linalg.LinAlgError as exc:
         raise SingularMetric("metric not invertible along the geodesic") from exc
 
 
 def ode_rhs(metric: LatentMetric, z, zdot, fd_step: float = 1e-4) -> np.ndarray:
-    """Geodesic acceleration for the metric field at (z, zdot); metric
-    derivatives are central finite differences."""
+    """Geodesic acceleration for the metric field at (z, zdot); see
+    ``LatentMetric.eval_batch_and_grad`` for the metric derivatives."""
     z = np.asarray(z, dtype=float)
     zdot = np.asarray(zdot, dtype=float)
     return _ode_rhs_batch(metric, z[None], zdot[None], fd_step)[0]
@@ -565,13 +597,12 @@ def _scaled_tangents(chords, coeffs, lengths, segments: int) -> np.ndarray:
 def _graph_log_maps(metric, z0, targets, cfg, rng, warm_coeffs, strict: bool):
     """(tangents, lengths, coeffs) of the graph-energy curves z0 -> targets."""
     m, d = targets.shape
-    energy, terms = _graph_energy(metric, z0, targets, cfg.segments, cfg.n_disc, strict)
+    energy, terms, grad = _graph_energy(metric, z0, targets, cfg.segments, cfg.n_disc, strict)
     shape = (m, d, 2 * cfg.segments)
     rows = np.arange(m)
     e_straight = energy(np.zeros(shape), rows)
     coeffs, e_cur, _, _, _ = _descend(
-        _start_coeffs(cfg, rng, shape, warm_coeffs), energy,
-        _fd_gradient(energy, cfg.fd_step), cfg,
+        _start_coeffs(cfg, rng, shape, warm_coeffs), energy, _gradient(cfg, energy, grad), cfg
     )
     coeffs[e_cur > e_straight] = 0.0
     lengths = np.sqrt(np.maximum(terms(coeffs, rows), 0.0)).sum(axis=1)

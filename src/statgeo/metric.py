@@ -11,7 +11,10 @@ Three sources for the d x d tensor at a latent point:
   axes and contracts the lattice one axis at a time. Far-field queries
   get the nearest node's tensor; NaN or infinite queries get NaN.
 
-All variants expose ``eval`` (single point) and ``eval_batch``.
+All variants expose ``eval`` (single point), ``eval_batch`` and
+``eval_batch_and_grad``, which adds dM/dz: analytic for the constant and
+grid metrics, otherwise central differences from one ``eval_batch`` over
+the (2d+1)*m stacked points.
 """
 
 from __future__ import annotations
@@ -39,6 +42,17 @@ class LatentMetric:
         zs = np.atleast_2d(np.asarray(zs, dtype=float))
         return np.stack([self.eval(z) for z in zs])
 
+    def eval_batch_and_grad(self, zs, fd_step: float = 1e-4):
+        """(M, dM) at the rows of zs: M is (m, d, d) and dM[k] = dM/dz_k is
+        (d, m, d, d). This default takes central differences of step
+        ``fd_step`` from one ``eval_batch`` over the (2d+1)*m stacked points."""
+        zs = np.atleast_2d(np.asarray(zs, dtype=float))
+        m, d = zs.shape
+        shifts = fd_step * np.eye(d)[:, None, :]
+        stacked = np.concatenate([zs[None], zs[None] + shifts, zs[None] - shifts])
+        mm = self.eval_batch(stacked.reshape(-1, d)).reshape(2 * d + 1, m, d, d)
+        return mm[0], (mm[1 : d + 1] - mm[d + 1 :]) / (2.0 * fd_step)
+
     def __call__(self, z) -> np.ndarray:
         return self.eval(z)
 
@@ -56,6 +70,10 @@ class ConstantMetric(LatentMetric):
     def eval_batch(self, zs):
         zs = np.atleast_2d(np.asarray(zs, dtype=float))
         return np.broadcast_to(self.matrix, (zs.shape[0],) + self.matrix.shape).copy()
+
+    def eval_batch_and_grad(self, zs, fd_step: float = 1e-4):
+        mm = self.eval_batch(zs)
+        return mm, np.zeros((self.latent_dim,) + mm.shape)
 
 
 class CallableMetric(LatentMetric):
@@ -178,14 +196,41 @@ class GridMetric(LatentMetric):
         w = np.exp(logw / self.grid.bandwidth**2)
         return w / w.sum(axis=1, keepdims=True)
 
-    def eval_batch(self, zs):
+    def _contract(self, zs, grad: bool) -> np.ndarray:
+        """M, and with ``grad`` also dM/dz_k for each k: (1 or 1 + d, m, d, d).
+
+        Each track carries one product of 1-D weights through the lattice,
+        one axis at a time; the track of dM/dz_k swaps axis k's weights w
+        for their derivatives w * (nodes - w @ nodes) / sigma^2. One-hot
+        (far-field) weights have a mean of exactly their node, so dw = 0.
+        """
         zs = np.atleast_2d(np.asarray(zs, dtype=float))
-        m, d = zs.shape[0], self.latent_dim
-        out = self._axis_weights(zs[:, 0], self._nodes[0]) @ self._lattice
+        m, d = zs.shape
+
+        def weights(k):
+            nodes = self._nodes[k]
+            w = self._axis_weights(zs[:, k], nodes)
+            if not grad:
+                return w, []
+            return w, [w * (nodes - (w @ nodes)[:, None]) / self.grid.bandwidth**2]
+
+        w, dw = weights(0)
+        tracks = [v @ self._lattice for v in [w, *dw]]
         for k in range(1, d):
-            w = self._axis_weights(zs[:, k], self._nodes[k])
-            out = (w[:, None, :] @ out.reshape(m, w.shape[1], -1))[:, 0]
-        return out.reshape(m, d, d)
+            w, dw = weights(k)
+            lats = [t.reshape(m, w.shape[1], -1) for t in tracks]
+            tracks = [(w[:, None, :] @ lat)[:, 0] for lat in lats] + [
+                (v[:, None, :] @ lats[0])[:, 0] for v in dw
+            ]
+        return np.stack(tracks).reshape(-1, m, d, d)
+
+    def eval_batch(self, zs):
+        return self._contract(zs, grad=False)[0]
+
+    def eval_batch_and_grad(self, zs, fd_step: float = 1e-4):
+        """Exact M and dM/dz (``fd_step`` is unused)."""
+        out = self._contract(zs, grad=True)
+        return out[0], out[1:]
 
 
 def pullback(dec: DecoderMap, z) -> np.ndarray:

@@ -117,3 +117,20 @@ def test_negative_vector_values_need_no_equals_sign(decoder_path, tmp_path, caps
                      "--steps", "10"]) == 0
     first, second = capsys.readouterr().out.split("}\n")[:2]
     assert first == second
+
+
+@pytest.mark.parametrize("command", ["exp", "log", "land"])
+def test_metric_source_is_required(command, tmp_path, capsys):
+    codes, model = tmp_path / "codes.csv", tmp_path / "model.json"
+    assert cli.main(["toygen", "--n", "8", "--seed", "1", "--out", str(codes)]) == 0
+    capsys.readouterr()
+    rest = {
+        "exp": EXP_ARGS,
+        "log": LOG_ARGS,
+        "land": ["--codes", str(codes), "--seed", "1", "--out-model", str(model)],
+    }[command]
+    assert cli.main([command, *rest]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == "usage"
+    assert not model.exists()

@@ -8,6 +8,8 @@ from statgeo.geodesic import EnergyConfig, SplineCurve, straight_line
 from statgeo.rng import RngStream
 from statgeo.toy import identity_parameter_decoder, toy_decoder
 
+from conftest import rel_frob
+
 
 class TestCurve:
     def test_zero_coefficients_straight_line(self, gen):
@@ -348,3 +350,49 @@ class TestBatchedSolvers:
         with np.errstate(invalid="ignore"):
             vs, lengths, _ = G.log_map_batch(metric, z0, z1[None], cfg, RngStream(0))
         assert not np.isfinite(lengths[0]) and not np.all(np.isfinite(vs))
+
+
+class TestGraphGradient:
+    smooth = M.CallableMetric(lambda z: np.diag(1.0 + z**2), 2)
+
+    @staticmethod
+    def grid_metric(gen):
+        lattice = M.lattice_points([[-2.0, 2.0], [-2.0, 2.0]], (12, 12))
+        a = gen.normal(size=(len(lattice), 2, 2))
+        tensors = a @ np.swapaxes(a, 1, 2) + 0.5 * np.eye(2)
+        grid = M.MetricGrid(lattice, tensors, 0.4, [[-2.0, 2.0], [-2.0, 2.0]], (12, 12))
+        return M.GridMetric(grid)
+
+    @pytest.mark.parametrize("segments", [1, 4])
+    @pytest.mark.parametrize("source", ["callable", "grid"])
+    def test_analytic_matches_fd_gradient(self, gen, source, segments):
+        metric = self.smooth if source == "callable" else self.grid_metric(gen)
+        z0, targets = np.array([0.3, -0.5]), gen.uniform(-1.5, 1.5, size=(5, 2))
+        energy, _, grad = G._graph_energy(metric, z0, targets, segments, 16, strict=False)
+        coeffs, rows = 0.1 * gen.normal(size=(5, 2, 2 * segments)), np.arange(5)
+        want = G._fd_gradient(energy, 1e-6)(coeffs, rows)
+        assert rel_frob(grad(coeffs, rows), want) < 1e-6
+        sub = rows[[1, 3]]
+        assert rel_frob(grad(coeffs[sub], sub), want[sub]) < 1e-6
+
+    def test_analytic_and_fd_log_maps_agree(self):
+        z0, targets = np.array([0.1, -0.2]), np.array([[0.8, 0.3], [-0.5, 0.6], [0.2, -0.9]])
+        lengths = {}
+        for mode in ("analytic", "fd"):
+            cfg = EnergyConfig(n_disc=24, segments=2, max_iters=400, grad_tol=1e-9,
+                               jitter=0.0, gradient_mode=mode)
+            _, lengths[mode], _ = G.log_map_batch(self.smooth, z0, targets, cfg, RngStream(1))
+        assert np.max(np.abs(lengths["analytic"] - lengths["fd"])) < 1e-6
+
+    def test_strict_gradient_raises_at_its_t(self):
+        metric = M.CallableMetric(lambda z: np.diag([1.0 if z[0] <= 0.5 else np.inf] * 2), 2)
+        z0, z1 = np.zeros(2), np.array([1.0, 0.0])
+        _, _, grad = G._graph_energy(metric, z0, z1[None], 1, 16, strict=True)
+        with pytest.raises(NonFiniteEnergy) as err, np.errstate(invalid="ignore"):
+            grad(np.zeros((1, 2, 2)), np.arange(1))
+        assert err.value.t == pytest.approx(0.5)
+        cfg = EnergyConfig(n_disc=16, segments=1, max_iters=5, jitter=0.0,
+                           gradient_mode="analytic")
+        with pytest.raises(NonFiniteEnergy) as err:
+            G.log_map(metric, z0, z1, cfg, RngStream(0))
+        assert err.value.t == pytest.approx(0.5)

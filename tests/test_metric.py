@@ -253,6 +253,44 @@ class TestGrid:
             for q in [(np.nan, 1.0), (2.0, np.inf)]:
                 assert np.all(np.isnan(gm.eval(np.array(q))))
 
+    @pytest.mark.parametrize(
+        "bounds,resolution,sigma",
+        [
+            ([[-1.0, 2.0], [0.0, 4.2]], (5, 7), 0.6),
+            ([[0.0, 1.0], [-1.0, 1.0], [-2.0, 0.5]], (4, 3, 5), 0.4),
+        ],
+    )
+    def test_derivative_matches_central_differences(self, gen, bounds, resolution, sigma):
+        grid = random_spd_grid(gen, bounds, resolution, sigma)
+        lo, hi = grid.bounds[:, 0], grid.bounds[:, 1]
+        inside = gen.uniform(lo, hi, size=(200, len(resolution)))
+        outside = gen.uniform(lo - 10 * sigma, hi + 10 * sigma, size=(200, len(resolution)))
+        zs = np.vstack([inside, outside])
+        gm = M.GridMetric(grid)
+        mm, dm = gm.eval_batch_and_grad(zs)
+        assert np.array_equal(mm, gm.eval_batch(zs))
+        _, want = M.LatentMetric.eval_batch_and_grad(gm, zs)
+        assert dm.shape == (len(resolution), len(zs), len(resolution), len(resolution))
+        assert rel_frob(dm, want) < 1e-6
+
+    def test_derivative_far_field_zero_and_nan_queries(self, gen):
+        grid = random_spd_grid(gen, [[0.0, 4.0], [0.0, 6.0]], (5, 7), 0.05)
+        gm = M.GridMetric(grid)
+        _, dm = gm.eval_batch_and_grad(np.array([[1e120, 3.0], [-1e200, 1e200]]))
+        # one-hot weights along a far-field axis: that axis's derivative is
+        # exactly 0 (at (1e120, 3) the kernel's exp(-200) tails keep dM/dz_1 > 0)
+        assert np.all(dm[0] == 0.0)
+        assert np.all(dm[:, 1] == 0.0)
+        with np.errstate(invalid="ignore"):
+            mm, dm = gm.eval_batch_and_grad(np.array([[np.nan, 1.0], [2.0, np.nan]]))
+        assert np.all(np.isnan(mm)) and np.all(np.isnan(dm))
+
+    def test_constant_metric_derivative_is_zero(self, gen):
+        mat = np.array([[2.0, 0.3], [0.3, 1.0]])
+        mm, dm = M.ConstantMetric(mat).eval_batch_and_grad(gen.normal(size=(4, 2)))
+        assert np.array_equal(mm, np.broadcast_to(mat, (4, 2, 2)))
+        assert dm.shape == (2, 4, 2, 2) and not np.any(dm)
+
     def test_points_must_be_the_lattice(self, gen, tmp_path):
         grid = random_spd_grid(gen, [[-1.0, 1.0], [0.0, 2.0]], (3, 4), 0.5)
         permuted = grid.points[gen.permutation(len(grid.points))]
