@@ -8,21 +8,24 @@ hold by construction rather than by penalty. ``hermite_basis`` gives the
 perturbation and its slope as linear maps of the coefficients, for single
 curves and batches alike.
 
-The discrete energy is (2/dt) sum_n KL(p(c(n/N)), p(c((n+1)/N))) with
-dt = 1/N, which converges to the Riemannian energy integral; the matching
-length is sum_n sqrt(2 KL_n). Energies over plain metric fields use the
-graph energy N sum_n Delta_n^T M(mid_n) Delta_n instead of divergences.
+Both discrete energies share the nodes t = n/N, n = 0..N: an energy is
+N sum_n term_n over the N segments between them, and the matching length
+sum_n sqrt(term_n). On a decoder the term is 2 KL(p(c(t_n)) || p(c(t_n+1))),
+which converges to the Riemannian energy integral; on a plain metric field
+it is the graph term Delta_n^T M(mid_n) Delta_n. (The categorical
+objective keeps its own energy scale; see ``_decoder_energy``.)
 
 Every solver works on a batch of m rows; a single curve or shot is m = 1.
-One Barzilai-Borwein + Armijo descent fits coefficient arrays of shape
-(m, d, 2S) for ``minimize_energy_detailed`` and both log maps, with a
-step and a stopping rule per curve. Its gradient is analytic for the KL
-objective and the graph energy, where it makes one
-``eval_batch_and_grad`` call over the curves' midpoints; otherwise, and
-with ``gradient_mode="fd"``, it is one central-difference routine that
-makes one energy call over the rows per probe. One RK4 loop shoots both
-exponential maps; its right-hand side gets M and dM/dz from one
-``eval_batch_and_grad`` call per stage.
+One fitter serves ``minimize_energy_detailed`` and both log maps, on
+decoders and metric fields alike: one Barzilai-Borwein + Armijo descent
+over coefficient arrays of shape (m, d, 2S), with a step and a stopping
+rule per curve. Its gradient is analytic for the KL objective (one
+``jacobian_stacked`` call over the nodes) and the graph energy (one
+``eval_batch_and_grad`` call over the midpoints); for the categorical
+objective, and with ``gradient_mode="fd"``, it is one central-difference
+routine that makes one energy call over the rows per probe. One RK4 loop
+shoots both exponential maps; its right-hand side gets M and dM/dz from
+one ``eval_batch_and_grad`` call per stage.
 """
 
 from __future__ import annotations
@@ -163,69 +166,114 @@ class EnergyConfig:
             raise ShapeError("energy discretization needs N >= 2")
 
 
-def _decoded_features(dec: DecoderMap, zs: np.ndarray) -> np.ndarray:
-    stacked = dec_mod.forward_stacked(dec, zs)
-    return stacked.reshape(zs.shape[0], dec.feature_count, dec.family.param_dim)
-
-
-def _curve_points(c: SplineCurve, n: int):
-    """Parameters t = 1/N, ..., 1 and the curve points there."""
-    ts = np.arange(1, n + 1) / n
-    return ts, c.eval(ts)[0]
-
-
-def _segment_kls(dec: DecoderMap, ts, zs, mc: McKl | None) -> np.ndarray:
-    """Summed KL between each pair of consecutive decoded points zs (at
-    parameters ts); a non-finite one raises NonFiniteEnergy at its t."""
-    params = _decoded_features(dec, zs)
-    fam = dec.family
-    if mc is None:
-        kls = fam.kl(params[:-1], params[1:]).sum(axis=-1)
-    else:
-        gen = mc.rng.child(0).generator
-        kls = np.zeros(len(zs) - 1)
-        for i in range(len(zs) - 1):
-            for f in range(dec.feature_count):
-                x = fam.sample(params[i, f], gen, mc.n_samples)
-                kls[i] += np.mean(
-                    fam.log_pdf(params[i, f], x) - fam.log_pdf(params[i + 1, f], x)
-                )
-    _check_finite(ts[:-1], kls, "segment KL")
-    return kls
-
-
 def _check_finite(ts, values, what: str):
+    """Raise NonFiniteEnergy at the t of the first non-finite value of the
+    first row (of values (rows, nt) or (nt,)) that has one."""
     bad = ~np.isfinite(values)
     if np.any(bad):
-        t_bad = float(ts[int(np.argmax(bad))])
+        t_bad = float(ts[np.nonzero(bad)[-1][0]])
         raise NonFiniteEnergy(f"{what} became non-finite near t={t_bad:.4f}", t=t_bad)
 
 
+def _spline_points(z0, chords, coeffs, ts, basis) -> np.ndarray:
+    """Points z0 + t chord + B coeffs at ts of the curves with these chords
+    and coefficients (m, d, 2S), shape (m, nt, d)."""
+    line = z0[None, None, :] + ts[None, :, None] * chords[:, None, :]
+    return line + np.einsum("mdc,tc->mtd", coeffs, basis)
+
+
+def _sampled_kls(fam, params, mc: McKl) -> np.ndarray:
+    """Sampled KL, summed over features, between consecutive rows of params
+    (nt, D, p); every call draws from a fresh ``mc.rng.child(0)`` stream."""
+    gen = mc.rng.child(0).generator
+    kls = np.zeros(len(params) - 1)
+    for i in range(len(params) - 1):
+        for f in range(params.shape[1]):
+            x = fam.sample(params[i, f], gen, mc.n_samples)
+            kls[i] += np.mean(fam.log_pdf(params[i, f], x) - fam.log_pdf(params[i + 1, f], x))
+    return kls
+
+
+def _decoder_energy(dec: DecoderMap, z0, targets, cfg: EnergyConfig, mc: McKl | None, strict: bool):
+    """Energy of the decoded curves z0 -> targets[rows], its terms and its
+    gradient, in ``_graph_energy``'s form.
+
+    The terms (rows, N) are the squared Fisher-Rao lengths of the segments
+    between the nodes t = n/N, n = 0..N: 2 sum_f KL(p_n || p_{n+1}) for the
+    KL objective (sampled with ``mc``, from a fresh stream per row), and
+    4 sum_f (2 - 2 sqrt(h_n)^T sqrt(h_{n+1})) for the categorical one. The
+    KL energy is N sum_n terms; the categorical energy keeps its scale,
+    sum (2 - 2 sqrt(h_n)^T sqrt(h_{n+1})) = sum_n terms / 4. The KL gradient
+    is analytic, from one ``kl_grad`` and one ``jacobian_stacked`` over the
+    nodes; the categorical objective has none (None). With ``strict`` a
+    non-finite term raises NonFiniteEnergy at its t.
+    """
+    fam, n = dec.family, cfg.n_disc
+    categorical = cfg.objective == "categorical"
+    if categorical and fam.kind != FamilyKind.CATEGORICAL:
+        raise FamilyMismatch("categorical energy needs a categorical decoder")
+    ts = np.arange(n + 1) / n
+    basis = hermite_basis(ts, cfg.segments)[0]
+    chords = targets - z0[None, :]
+    scale = 0.25 if categorical else float(n)
+
+    def decoded(zs):
+        flat = dec_mod.forward_stacked(dec, zs.reshape(-1, zs.shape[2]))
+        return flat.reshape(*zs.shape[:2], dec.feature_count, fam.param_dim)
+
+    def terms(coeffs, rows):
+        params = decoded(_spline_points(z0, chords[rows], coeffs, ts, basis))
+        if categorical:
+            roots = np.sqrt(np.maximum(params, 0.0))
+            dots = np.sum(roots[:, :-1] * roots[:, 1:], axis=-1)
+            vals = 4.0 * (2.0 - 2.0 * dots).sum(axis=-1)
+        elif mc is None:
+            vals = 2.0 * fam.kl(params[:, :-1], params[:, 1:]).sum(axis=-1)
+        else:
+            vals = 2.0 * np.stack([_sampled_kls(fam, row, mc) for row in params])
+        if strict:
+            _check_finite(ts, vals, "categorical energy term" if categorical else "segment KL")
+        return vals
+
+    def energy(coeffs, rows):
+        return scale * terms(coeffs, rows).sum(axis=1)
+
+    def grad(coeffs, rows):
+        zs = _spline_points(z0, chords[rows], coeffs, ts, basis)
+        params = decoded(zs)
+        g1, g2 = fam.kl_grad(params[:, :-1], params[:, 1:])
+        adj = np.zeros_like(params)
+        adj[:, :-1] += g1
+        adj[:, 1:] += g2
+        flat = zs.reshape(-1, zs.shape[2])
+        jac = dec_mod.jacobian_stacked(dec, flat)
+        pulled = np.einsum("npd,np->nd", jac, adj.reshape(flat.shape[0], -1))
+        return 2.0 * n * np.einsum("mtd,tc->mdc", pulled.reshape(zs.shape), basis)
+
+    return energy, terms, (None if categorical else grad)
+
+
+def _one_curve(c: SplineCurve, dec: DecoderMap, n: int, objective: str, mc: McKl | None, part: int):
+    """The energy (part 0) or the terms (part 1) of the single curve c
+    under ``_decoder_energy``, strict."""
+    cfg = EnergyConfig(n_disc=n, segments=c.segments, objective=objective)
+    fn = _decoder_energy(dec, c.z0, c.z1[None], cfg, mc, True)[part]
+    return fn(c.coeffs[None], np.arange(1))[0]
+
+
 def kl_energy(c: SplineCurve, dec: DecoderMap, n: int, mc: McKl | None = None) -> float:
-    """(2/dt) sum of consecutive decoded KL divergences, dt = 1/N."""
-    return float(2.0 * n * _segment_kls(dec, *_curve_points(c, n), mc).sum())
+    """(2/dt) sum_n KL(p(c(t_n)) || p(c(t_n+1))), t_n = n dt, dt = 1/N."""
+    return float(_one_curve(c, dec, n, "kl", mc, 0))
 
 
 def curve_length(c: SplineCurve, dec: DecoderMap, n: int, mc: McKl | None = None) -> float:
     """sum_n sqrt(2 KL_n): the discrete Fisher-Rao length."""
-    kls = _segment_kls(dec, *_curve_points(c, n), mc)
-    return float(np.sqrt(2.0 * np.maximum(kls, 0.0)).sum())
-
-
-def _categorical_energy(dec: DecoderMap, ts, zs) -> float:
-    if dec.family.kind != FamilyKind.CATEGORICAL:
-        raise FamilyMismatch("categorical energy needs a categorical decoder")
-    params = _decoded_features(dec, zs)
-    roots = np.sqrt(np.maximum(params, 0.0))
-    dots = np.sum(roots[:-1] * roots[1:], axis=-1)
-    terms = (2.0 - 2.0 * dots).sum(axis=-1)
-    _check_finite(ts[:-1], terms, "categorical energy term")
-    return float(terms.sum())
+    return float(np.sqrt(np.maximum(_one_curve(c, dec, n, "kl", mc, 1), 0.0)).sum())
 
 
 def categorical_energy(c: SplineCurve, dec: DecoderMap, n: int) -> float:
     """Great-circle small-angle energy sum(2 - 2 sqrt(h_n)^T sqrt(h_{n+1}))."""
-    return _categorical_energy(dec, *_curve_points(c, n))
+    return float(_one_curve(c, dec, n, "categorical", None, 0))
 
 
 def _graph_energy(metric: LatentMetric, z0, targets, segments: int, n: int, strict: bool):
@@ -249,19 +297,14 @@ def _graph_energy(metric: LatentMetric, z0, targets, segments: int, n: int, stri
     db_nodes = b_nodes[1:] - b_nodes[:-1]
     chords = targets - z0[None, :]
 
-    def points(coeffs, rows, ts, basis):
-        line = z0[None, None, :] + ts[None, :, None] * chords[rows][:, None, :]
-        return line + np.einsum("mdc,tc->mtd", coeffs, basis)
-
     def deltas_and_mids(coeffs, rows):
-        nodes = points(coeffs, rows, ts_nodes, b_nodes)
-        mids = points(coeffs, rows, ts_mids, b_mids)
+        nodes = _spline_points(z0, chords[rows], coeffs, ts_nodes, b_nodes)
+        mids = _spline_points(z0, chords[rows], coeffs, ts_mids, b_mids)
         return nodes[:, 1:] - nodes[:, :-1], mids.reshape(-1, nodes.shape[2])
 
     def checked(vals):
         if strict:
-            for row in vals:
-                _check_finite(ts_nodes[:-1], row, "graph energy")
+            _check_finite(ts_nodes[:-1], vals, "graph energy")
         return vals
 
     def terms(coeffs, rows):
@@ -298,56 +341,6 @@ class GeodesicResult:
     iterations: int = 0
 
 
-def _make_objective(target, z0, z1, cfg: EnergyConfig, rng: RngStream):
-    """Energy over rows of (m, d, 2S) coefficients of curves z0 -> z1, plus
-    its analytic gradient where one exists (KL objective or metric target)."""
-    if not isinstance(target, DecoderMap):
-        energy, _, grad = _graph_energy(
-            target, z0, z1[None, :], cfg.segments, cfg.n_disc, True
-        )
-        return energy, grad
-    # sampled KLs draw from a fresh child stream per call: common random numbers
-    mc = None if cfg.mc_samples is None else McKl(rng.child(1000), cfg.mc_samples)
-    n = cfg.n_disc
-    ts = np.arange(1, n + 1) / n
-    basis = hermite_basis(ts, cfg.segments)[0]
-    line = z0[None, :] + np.outer(ts, z1 - z0)  # as in SplineCurve.eval
-
-    def one_energy(coeffs) -> float:
-        zs = line + basis @ coeffs.T
-        if cfg.objective == "categorical":
-            return _categorical_energy(target, ts, zs)
-        return float(2.0 * n * _segment_kls(target, ts, zs, mc).sum())
-
-    def one_grad(coeffs) -> np.ndarray:
-        zs = line + basis @ coeffs.T
-        params = _decoded_features(target, zs)
-        g1, g2 = target.family.kl_grad(params[:-1], params[1:])
-        adj = np.zeros_like(params)
-        adj[:-1] += g1
-        adj[1:] += g2
-        adj = adj.reshape(n, -1)
-        jac = dec_mod.jacobian_stacked(target, zs)
-        pulled = np.einsum("npd,np->nd", jac, adj)
-        return 2.0 * n * np.einsum("nd,nb->db", pulled, basis)
-
-    def energy(coeffs, rows):
-        return np.array([one_energy(c) for c in coeffs])
-
-    def analytic_grad(coeffs, rows):
-        return np.stack([one_grad(c) for c in coeffs])
-
-    return energy, (analytic_grad if cfg.objective == "kl" else None)
-
-
-def _gradient(cfg: EnergyConfig, energy, analytic_grad):
-    """The analytic gradient when ``cfg`` selects it and one exists, else
-    central differences of the energy."""
-    if cfg.gradient_mode == "analytic" and analytic_grad is not None:
-        return analytic_grad
-    return _fd_gradient(energy, cfg.fd_step)
-
-
 def _fd_gradient(energy, h: float):
     """Central differences over every coefficient; each probe is one energy
     call over the rows."""
@@ -378,9 +371,10 @@ def _descend(coeffs, energy, grad, cfg: EnergyConfig):
 
     ``coeffs`` (m, d, 2S) is the start; ``energy(c, rows)`` gives the energies
     of curves ``rows`` with coefficients c, and ``grad(c, rows)`` their
-    gradients. A curve stops when max|g| < grad_tol (converged) or when 40
-    halvings find no Armijo step; a non-finite trial energy, or a
-    NonFiniteEnergy raised by a trial, rejects the trial. Returns
+    gradients. A curve whose start energy is not finite never moves; the
+    others stop when max|g| < grad_tol (converged) or when 40 halvings find
+    no Armijo step. A non-finite trial energy, or a NonFiniteEnergy raised
+    by a trial, rejects the trial. Returns
     (coeffs, energies, converged, iterations, trace), where the trace holds
     the energies at the start and after every iteration that accepted a step.
     """
@@ -389,7 +383,7 @@ def _descend(coeffs, energy, grad, cfg: EnergyConfig):
     e_cur = np.asarray(energy(coeffs, np.arange(m)), dtype=float)
     trace = [e_cur.copy()]
     step = np.full(m, cfg.step_size)
-    active = np.ones(m, dtype=bool)
+    active = np.isfinite(e_cur)
     converged = np.zeros(m, dtype=bool)
     iterations = np.zeros(m, dtype=int)
     prev_coeffs = np.full_like(coeffs, np.nan)
@@ -449,6 +443,33 @@ def _finite_endpoints(z0, z1):
     return z0, z1
 
 
+def _fit_curves(target, z0, targets, cfg: EnergyConfig, rng: RngStream, warm, strict: bool):
+    """Energy-minimizing curves z0 -> targets (m, d) in one batched descent.
+
+    ``target`` is a DecoderMap (``_decoder_energy``) or a LatentMetric
+    (``_graph_energy``). A curve that ends above its straight chord is reset
+    to the chord. Returns (coeffs, energies, straight energies, converged,
+    iterations, trace, terms), with ``terms`` the objective's per-segment
+    squared lengths.
+    """
+    shape = (targets.shape[0], z0.size, 2 * cfg.segments)
+    if isinstance(target, DecoderMap):
+        # sampled KLs draw from a fresh child stream per call: common random numbers
+        mc = None if cfg.mc_samples is None else McKl(rng.child(1000), cfg.mc_samples)
+        energy, terms, grad = _decoder_energy(target, z0, targets, cfg, mc, strict)
+    else:
+        energy, terms, grad = _graph_energy(target, z0, targets, cfg.segments, cfg.n_disc, strict)
+    if cfg.gradient_mode != "analytic" or grad is None:
+        grad = _fd_gradient(energy, cfg.fd_step)
+    straight = energy(np.zeros(shape), np.arange(shape[0]))
+    coeffs, e_cur, converged, iterations, trace = _descend(
+        _start_coeffs(cfg, rng, shape, warm), energy, grad, cfg
+    )
+    worse = e_cur > straight
+    coeffs[worse], e_cur[worse] = 0.0, straight[worse]
+    return coeffs, e_cur, straight, converged, iterations, trace, terms
+
+
 def minimize_energy_detailed(
     z0, z1, target, cfg: EnergyConfig | None = None, rng: RngStream | None = None
 ) -> GeodesicResult:
@@ -459,21 +480,14 @@ def minimize_energy_detailed(
     energy than the straight chord.
     """
     cfg = cfg or EnergyConfig()
-    rng = rng or RngStream(0)
     z0, z1 = _finite_endpoints(z0, z1)
-    energy, analytic_grad = _make_objective(target, z0, z1, cfg, rng)
-    shape = (1, z0.size, 2 * cfg.segments)
-    straight_energy = float(energy(np.zeros(shape), np.arange(1))[0])
-    coeffs, e_cur, converged, iterations, trace = _descend(
-        _start_coeffs(cfg, rng, shape), energy, _gradient(cfg, energy, analytic_grad), cfg
+    coeffs, energies, straight, converged, iterations, trace, _ = _fit_curves(
+        target, z0, z1[None, :], cfg, rng or RngStream(0), None, strict=True
     )
-    curve, e_final = SplineCurve(z0, z1, cfg.segments, coeffs[0]), float(e_cur[0])
-    if e_final > straight_energy:
-        curve, e_final = straight_line(z0, z1, cfg.segments), straight_energy
     return GeodesicResult(
-        curve=curve,
-        energy=e_final,
-        straight_energy=straight_energy,
+        curve=SplineCurve(z0, z1, cfg.segments, coeffs[0]),
+        energy=float(energies[0]),
+        straight_energy=float(straight[0]),
         energy_trace=[float(e[0]) for e in trace],
         converged=bool(converged[0]),
         iterations=int(iterations[0]),
@@ -585,33 +599,21 @@ def exp_map_batch(
     return _rk4(metric, zs, vs, steps, fd_step, return_path=False)[0]
 
 
-def _scaled_tangents(chords, coeffs, lengths, segments: int) -> np.ndarray:
-    """Curve velocities at t=0, rescaled to Euclidean norm = length. The
-    perturbation's slope there is the first knot-derivative coefficient."""
-    v0 = chords + coeffs[:, :, segments - 1]
+def _log_maps(target, z0, targets, cfg: EnergyConfig, rng: RngStream, warm, strict: bool):
+    """(tangents, lengths, coeffs) of the fitted curves z0 -> targets: the
+    length is sum_n sqrt(term_n), and the tangent is the curve's velocity at
+    t = 0 (the perturbation's slope there is the first knot-derivative
+    coefficient) rescaled to Euclidean norm = length."""
+    coeffs, *_, terms = _fit_curves(target, z0, targets, cfg, rng, warm, strict)
+    lengths = np.sqrt(np.maximum(terms(coeffs, np.arange(len(coeffs))), 0.0)).sum(axis=1)
+    v0 = targets - z0[None, :] + coeffs[:, :, cfg.segments - 1]
     norms = np.linalg.norm(v0, axis=1)
     scale = np.where(norms > 0, lengths / np.maximum(norms, 1e-300), 0.0)
-    return v0 * scale[:, None]
-
-
-def _graph_log_maps(metric, z0, targets, cfg, rng, warm_coeffs, strict: bool):
-    """(tangents, lengths, coeffs) of the graph-energy curves z0 -> targets."""
-    m, d = targets.shape
-    energy, terms, grad = _graph_energy(metric, z0, targets, cfg.segments, cfg.n_disc, strict)
-    shape = (m, d, 2 * cfg.segments)
-    rows = np.arange(m)
-    e_straight = energy(np.zeros(shape), rows)
-    coeffs, e_cur, _, _, _ = _descend(
-        _start_coeffs(cfg, rng, shape, warm_coeffs), energy, _gradient(cfg, energy, grad), cfg
-    )
-    coeffs[e_cur > e_straight] = 0.0
-    lengths = np.sqrt(np.maximum(terms(coeffs, rows), 0.0)).sum(axis=1)
-    tangents = _scaled_tangents(targets - z0[None, :], coeffs, lengths, cfg.segments)
-    return tangents, lengths, coeffs
+    return v0 * scale[:, None], lengths, coeffs
 
 
 def log_map_batch(
-    metric: LatentMetric,
+    target,
     z0,
     targets,
     cfg: EnergyConfig | None = None,
@@ -620,14 +622,15 @@ def log_map_batch(
 ):
     """Logarithmic maps from one base point to many targets at once.
 
-    Fits the graph-energy curves to all targets in one batched descent.
-    Returns (tangents, lengths, coeffs); ``coeffs`` can warm-start the next
-    call when the base point moves a little, as happens inside density
-    fitting. Non-finite energies are not raised: their rows come back
-    non-finite.
+    ``target`` is a LatentMetric or a DecoderMap, as for
+    ``minimize_energy_detailed``; all curves are fitted in one batched
+    descent, and each row equals the same target fitted alone. Returns
+    (tangents, lengths, coeffs); ``coeffs`` can warm-start the next call
+    when the base point moves a little, as happens inside density fitting.
+    Non-finite energies are not raised: their rows come back non-finite.
     """
-    return _graph_log_maps(
-        metric,
+    return _log_maps(
+        target,
         np.asarray(z0, dtype=float),
         np.atleast_2d(np.asarray(targets, dtype=float)),
         cfg or EnergyConfig(segments=1, n_disc=16),
@@ -647,19 +650,10 @@ def log_map(
     """Initial velocity of the shortest path z -> y, rescaled so its
     Euclidean norm equals the curve length.
 
-    On a metric target this is the batched log map with one target, except
-    that a non-finite graph-energy term (straight chord, start or gradient
-    probe; not a line-search trial) raises NonFiniteEnergy at its t.
+    This is the batched log map with one target, except that a non-finite
+    energy term (straight chord, start or, on a metric, a gradient probe;
+    not a line-search trial) raises NonFiniteEnergy at its t.
     """
-    cfg = cfg or EnergyConfig()
     z, y = _finite_endpoints(z, y)
-    if not isinstance(target, DecoderMap):
-        vs, _, _ = _graph_log_maps(
-            target, z, y[None, :], cfg, rng or RngStream(0), None, strict=True
-        )
-        return vs[0]
-    result = minimize_energy_detailed(z, y, target, cfg, rng)
-    length = curve_length(result.curve, target, cfg.n_disc)
-    return _scaled_tangents(
-        (y - z)[None, :], result.curve.coeffs[None], np.array([length]), cfg.segments
-    )[0]
+    return _log_maps(target, z, y[None, :], cfg or EnergyConfig(), rng or RngStream(0),
+                     None, strict=True)[0][0]

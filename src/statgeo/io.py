@@ -151,11 +151,6 @@ def load_codes(path) -> np.ndarray:
 
 
 def grid_to_dict(grid: MetricGrid, mode: str, extra: dict | None = None) -> dict:
-    tensors = grid.tensors
-    sign, logdet = np.linalg.slogdet(tensors)
-    log_sqrt_det = [
-        0.5 * float(ld) if s > 0 else None for s, ld in zip(sign, logdet)
-    ]
     doc = {
         "version": __version__,
         "kind": "metric_grid",
@@ -165,8 +160,7 @@ def grid_to_dict(grid: MetricGrid, mode: str, extra: dict | None = None) -> dict
         "resolution": [int(r) for r in grid.resolution],
         "bandwidth": float(grid.bandwidth),
         "points": _floats(grid.points),
-        "tensors": [_floats(t.reshape(-1)) for t in tensors],
-        "log_sqrt_det": log_sqrt_det,
+        "tensors": [_floats(t.reshape(-1)) for t in grid.tensors],
     }
     if extra:
         doc.update(extra)

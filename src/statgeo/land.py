@@ -168,7 +168,10 @@ def land_fit(
 
     Log maps are recomputed whenever the mean moves (warm-started from the
     previous curves); the normalizer reuses one seed per outer iteration so
-    finite differences see common random numbers.
+    finite differences see common random numbers. A DegenerateEstimate,
+    InvalidParam or LinAlgError in an iteration's NLL or gradient probes
+    ends the iterations, and in a line-search trial rejects the trial; with
+    no accepted step the fit raises NonConvergence carrying the model.
     """
     cfg = cfg or LandFitConfig()
     rng = rng or RngStream(0)
@@ -220,10 +223,10 @@ def land_fit(
     converged = False
     for it in range(cfg.max_iters):
         seed = 10_000 + it
-        e_cur = nll(params, seed, vs=vs_cur)
         grad = np.zeros_like(params)
         h = cfg.fd_step
         try:
+            e_cur = nll(params, seed, vs=vs_cur)
             for i in range(params.size):
                 probe = params.copy()
                 probe[i] += h

@@ -3,9 +3,11 @@ import json
 import numpy as np
 import pytest
 
+import statgeo.geodesic as G
 import statgeo.metric as M
 from statgeo import cli, io
-from statgeo.toy import toy_decoder
+from statgeo.rng import RngStream
+from statgeo.toy import identity_parameter_decoder, toy_decoder
 
 BOUNDS, RESOLUTION, SIGMA = "-2,2,-2,2", "5,5", 0.25
 
@@ -134,3 +136,43 @@ def test_metric_source_is_required(command, tmp_path, capsys):
     assert captured.out == ""
     assert json.loads(captured.err)["error"] == "usage"
     assert not model.exists()
+
+
+def test_geodesic_writes_a_curve_no_longer_than_the_chord(decoder_path, tmp_path, capsys):
+    out = tmp_path / "curve.csv"
+    assert cli.main([
+        "geodesic", "--decoder", str(decoder_path), "--z0=0.6,0.2", "--z1=-0.4,0.8",
+        "--seed", "1", "--n-disc", "16", "--segments", "2", "--max-iters", "20",
+        "--samples", "8", "--out", str(out),
+    ]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["energy"] <= doc["straight_energy"] and doc["length"] > 0
+    lines = out.read_text().splitlines()
+    assert lines[0] == io.CSV_HEADER
+    assert lines[1].startswith("t,z0,z1,eta0,") and lines[1].endswith(",segment_kl")
+    rows = np.array([[float(x) for x in line.split(",")] for line in lines[2:]])
+    assert rows.shape[0] == 9 and np.all(np.isfinite(rows))
+    assert np.array_equal(rows[0, :3], [0.0, 0.6, 0.2]) and rows[0, -1] == 0.0
+    assert np.allclose(rows[-1, :3], [1.0, -0.4, 0.8], rtol=0, atol=1e-15)
+
+
+def test_geodesic_with_overflowing_energy_reports_its_t(tmp_path, capsys):
+    path = tmp_path / "normal.json"
+    io.save_decoder(identity_parameter_decoder("normal"), path)
+    with np.errstate(over="ignore"):
+        code = cli.main(["geodesic", "--decoder", str(path), "--z0=0,1", "--z1=1e200,1",
+                         "--seed", "1", "--n-disc", "16"])
+    assert code == 2
+    captured = capsys.readouterr()
+    err = json.loads(captured.err)
+    assert captured.out == "" and err["error"] == "NonFiniteEnergy"
+    assert isinstance(err["t"], float) and 0.0 <= err["t"] <= 1.0
+
+
+def test_log_decoder_is_the_batched_log_map(decoder_path, capsys):
+    assert cli.main(["log", "--decoder", str(decoder_path), *LOG_ARGS]) == 0
+    v = json.loads(capsys.readouterr().out)["v"]
+    cfg = G.EnergyConfig(n_disc=16, segments=2, max_iters=20)  # the CLI's other defaults
+    dec = io.load_decoder(decoder_path)
+    want = G.log_map_batch(dec, [0.5, -1.0], [[-0.2, 0.3]], cfg, RngStream(1))[0][0]
+    assert v == [float(x) for x in want]

@@ -396,3 +396,66 @@ class TestGraphGradient:
         with pytest.raises(NonFiniteEnergy) as err:
             G.log_map(metric, z0, z1, cfg, RngStream(0))
         assert err.value.t == pytest.approx(0.5)
+
+
+class TestDecoderEnergy:
+    dec = toy_decoder("beta", seed=5)
+
+    def test_identity_normal_chord_is_exact(self):
+        # (0, 1) -> (1, 1) moves the mean at unit variance: each of the N
+        # segments has 2 KL = 1/N^2, so energy and length are both exactly 1
+        dec = identity_parameter_decoder("normal")
+        c = straight_line(np.array([0.0, 1.0]), np.array([1.0, 1.0]))
+        for n in (4, 16):
+            assert abs(G.kl_energy(c, dec, n) - 1.0) < 1e-12
+            assert abs(G.curve_length(c, dec, n) - 1.0) < 1e-12
+
+    @pytest.mark.parametrize("segments", [1, 4])
+    def test_analytic_matches_fd_gradient(self, gen, segments):
+        z0, targets = np.array([0.6, 0.2]), gen.uniform(-1.0, 1.0, size=(5, 2))
+        cfg = EnergyConfig(n_disc=16, segments=segments)
+        energy, _, grad = G._decoder_energy(self.dec, z0, targets, cfg, None, strict=False)
+        coeffs, rows = 0.1 * gen.normal(size=(5, 2, 2 * segments)), np.arange(5)
+        want = G._fd_gradient(energy, 1e-6)(coeffs, rows)
+        assert rel_frob(grad(coeffs, rows), want) < 1e-6
+        sub = rows[[1, 3]]
+        assert rel_frob(grad(coeffs[sub], sub), want[sub]) < 1e-6
+
+    @pytest.mark.parametrize("mc_samples", [None, 16])
+    def test_log_map_batch_rows_match_single_calls(self, mc_samples):
+        cfg = EnergyConfig(n_disc=12, segments=2, max_iters=15, jitter=0.0, mc_samples=mc_samples)
+        z0 = np.array([0.6, 0.2])
+        targets = np.array([[-0.4, 0.8], [0.1, -0.7], [0.9, 0.5]])
+        vs, lengths, coeffs = G.log_map_batch(self.dec, z0, targets, cfg, RngStream(1))
+        assert np.all(np.isfinite(vs)) and np.all(lengths > 0)
+        for k, y in enumerate(targets):
+            v1, l1, c1 = G.log_map_batch(self.dec, z0, y[None], cfg, RngStream(1))
+            assert np.max(np.abs(v1[0] - vs[k])) < 1e-12
+            assert abs(l1[0] - lengths[k]) < 1e-12
+            assert np.max(np.abs(c1[0] - coeffs[k])) < 1e-12
+            v = G.log_map(self.dec, z0, y, cfg, RngStream(1))
+            assert np.max(np.abs(v - vs[k])) < 1e-12
+
+
+def test_descend_drops_rows_that_start_non_finite(gen):
+    # the (1, 0) chord crosses the infinite half of the metric: its start
+    # energy is inf, so it must cost no gradient and no line-search trial
+    metric = M.CallableMetric(lambda z: np.diag([1.0 if z[0] <= 0.5 else np.inf] * 2), 2)
+    cfg = EnergyConfig(n_disc=16, segments=1, max_iters=5, jitter=0.0)
+    z0, targets = np.zeros(2), np.array([[1.0, 0.0], [0.3, 0.2]])
+    energy, _, grad = G._graph_energy(metric, z0, targets, 1, 16, strict=False)
+    calls = []
+
+    def counted(coeffs, rows):
+        calls.append(rows.copy())
+        return energy(coeffs, rows)
+
+    start = 0.05 * gen.normal(size=(2, 2, 2))
+    with np.errstate(invalid="ignore"):
+        coeffs, e, converged, iterations, _ = G._descend(start, counted, grad, cfg)
+    assert len(calls) > 1 and all(0 not in rows for rows in calls[1:])
+    assert e[0] == np.inf and not converged[0] and iterations[0] == 0
+    energy1, _, grad1 = G._graph_energy(metric, z0, targets[1:], 1, 16, strict=False)
+    alone = G._descend(start[1:], energy1, grad1, cfg)
+    assert np.array_equal(coeffs[1], alone[0][0]) and e[1] == alone[1][0]
+    assert iterations[1] == alone[3][0] and converged[1] == alone[2][0]

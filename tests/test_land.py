@@ -3,7 +3,7 @@ import pytest
 
 import statgeo.land as L
 import statgeo.metric as M
-from statgeo.errors import DegenerateEstimate, InvalidParam
+from statgeo.errors import DegenerateEstimate, InvalidParam, NonConvergence
 from statgeo.geodesic import EnergyConfig
 from statgeo.metric import ConstantMetric, GridMetric, PullbackMetric, grid_build
 from statgeo.rng import RngStream
@@ -153,3 +153,33 @@ def test_overflowing_normalizer_raises():
     metric = ConstantMetric(np.eye(3))
     with pytest.raises(DegenerateEstimate):
         L.land_normalizer_stats(np.zeros(3), 1e-210 * np.eye(3), metric, RngStream(0), 64)
+
+
+@pytest.mark.parametrize("seed,skip", [(10_001, 0), (10_000, 1)])
+def test_failing_iteration_nll_ends_the_fit(monkeypatch, seed, skip):
+    # the stub fails every normalizer drawn from rng.child(seed) after the
+    # first `skip`: iteration 1's NLL (after one accepted step), or
+    # iteration 0's NLL (the opening NLL shares its seed; no step accepted)
+    gen = np.random.default_rng(11)
+    pts = gen.normal(size=(60, 2))
+    cfg = L.LandFitConfig(max_iters=10, mc_samples=128)
+    real, calls = L.land_normalizer_stats, []
+    bad = RngStream(2).child(seed).generator.bit_generator.state
+
+    def stub(mean, precision, metric, rng, n, **kw):
+        if rng.generator.bit_generator.state == bad:
+            calls.append(1)
+            if len(calls) > skip:
+                raise DegenerateEstimate("stub")
+        return real(mean, precision, metric, rng, n, **kw)
+
+    monkeypatch.setattr(L, "land_normalizer_stats", stub)
+    if skip == 0:
+        model = L.land_fit(pts, IDENTITY, cfg=cfg, rng=RngStream(2))
+        assert len(model.nll_trace) == 2
+    else:
+        with pytest.raises(NonConvergence) as err:
+            L.land_fit(pts, IDENTITY, cfg=cfg, rng=RngStream(2))
+        model = err.value.last
+        assert len(model.nll_trace) == 1
+    assert not model.converged and model.norm_const > 0

@@ -307,6 +307,20 @@ class TestGrid:
         with pytest.raises(ShapeError):
             io.load_grid(path)
 
+    def test_grid_file_round_trip(self, gen, tmp_path):
+        # the file keeps no log_sqrt_det, and a file written with one still loads
+        grid = random_spd_grid(gen, [[-1.0, 1.0], [0.0, 2.0]], (3, 4), 0.37)
+        path, old = tmp_path / "grid.json", tmp_path / "old.json"
+        io.save_grid(grid, path)
+        doc = io.load_json(path)
+        assert "log_sqrt_det" not in doc
+        logdet = np.linalg.slogdet(grid.tensors)[1]
+        io.save_json(dict(doc, log_sqrt_det=[0.5 * float(v) for v in logdet]), old)
+        for got in (io.load_grid(path), io.load_grid(old)):
+            assert np.array_equal(got.tensors, grid.tensors)
+            assert np.array_equal(got.bounds, grid.bounds)
+            assert got.resolution == grid.resolution and got.bandwidth == grid.bandwidth
+
     def test_eigenvalue_bounds_commuting_tensors(self, gen):
         # convex combinations of diagonal tensors stay inside the eigenvalue box
         diags = gen.uniform(0.5, 4.0, size=(9, 2))
