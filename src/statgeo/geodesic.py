@@ -30,7 +30,7 @@ one ``eval_batch_and_grad`` call per stage.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -253,27 +253,31 @@ def _decoder_energy(dec: DecoderMap, z0, targets, cfg: EnergyConfig, mc: McKl | 
     return energy, terms, (None if categorical else grad)
 
 
-def _one_curve(c: SplineCurve, dec: DecoderMap, n: int, objective: str, mc: McKl | None, part: int):
-    """The energy (part 0) or the terms (part 1) of the single curve c
-    under ``_decoder_energy``, strict."""
+def _one_curve(c: SplineCurve, dec: DecoderMap, n: int, objective: str, mc: McKl | None):
+    """The (energy, terms) of the single curve c under ``_decoder_energy``,
+    strict, each a function of no argument."""
     cfg = EnergyConfig(n_disc=n, segments=c.segments, objective=objective)
-    fn = _decoder_energy(dec, c.z0, c.z1[None], cfg, mc, True)[part]
-    return fn(c.coeffs[None], np.arange(1))[0]
+    energy, terms, _ = _decoder_energy(dec, c.z0, c.z1[None], cfg, mc, True)
+    args = (c.coeffs[None], np.arange(1))
+    return (lambda: energy(*args)[0]), (lambda: terms(*args)[0])
 
 
 def kl_energy(c: SplineCurve, dec: DecoderMap, n: int, mc: McKl | None = None) -> float:
     """(2/dt) sum_n KL(p(c(t_n)) || p(c(t_n+1))), t_n = n dt, dt = 1/N."""
-    return float(_one_curve(c, dec, n, "kl", mc, 0))
+    energy, _ = _one_curve(c, dec, n, "kl", mc)
+    return float(energy())
 
 
 def curve_length(c: SplineCurve, dec: DecoderMap, n: int, mc: McKl | None = None) -> float:
     """sum_n sqrt(2 KL_n): the discrete Fisher-Rao length."""
-    return float(np.sqrt(np.maximum(_one_curve(c, dec, n, "kl", mc, 1), 0.0)).sum())
+    _, terms = _one_curve(c, dec, n, "kl", mc)
+    return float(np.sqrt(np.maximum(terms(), 0.0)).sum())
 
 
 def categorical_energy(c: SplineCurve, dec: DecoderMap, n: int) -> float:
     """Great-circle small-angle energy sum(2 - 2 sqrt(h_n)^T sqrt(h_{n+1}))."""
-    return float(_one_curve(c, dec, n, "categorical", None, 0))
+    energy, _ = _one_curve(c, dec, n, "categorical", None)
+    return float(energy())
 
 
 def _graph_energy(metric: LatentMetric, z0, targets, segments: int, n: int, strict: bool):
@@ -436,8 +440,7 @@ def _descend(coeffs, energy, grad, cfg: EnergyConfig):
 
 
 def _finite_endpoints(z0, z1):
-    z0 = np.asarray(z0, dtype=float)
-    z1 = np.asarray(z1, dtype=float)
+    z0, z1 = np.asarray(z0, dtype=float), np.asarray(z1, dtype=float)
     if not (np.all(np.isfinite(z0)) and np.all(np.isfinite(z1))):
         raise ShapeError("geodesic endpoints must be finite")
     return z0, z1
@@ -449,14 +452,15 @@ def _fit_curves(target, z0, targets, cfg: EnergyConfig, rng: RngStream, warm, st
     ``target`` is a DecoderMap (``_decoder_energy``) or a LatentMetric
     (``_graph_energy``). A curve that ends above its straight chord is reset
     to the chord. Returns (coeffs, energies, straight energies, converged,
-    iterations, trace, terms), with ``terms`` the objective's per-segment
-    squared lengths.
+    iterations, trace, terms), with ``terms`` the per-segment squared
+    lengths: on a decoder the exact KL ones, whatever the objective.
     """
     shape = (targets.shape[0], z0.size, 2 * cfg.segments)
     if isinstance(target, DecoderMap):
         # sampled KLs draw from a fresh child stream per call: common random numbers
         mc = None if cfg.mc_samples is None else McKl(rng.child(1000), cfg.mc_samples)
-        energy, terms, grad = _decoder_energy(target, z0, targets, cfg, mc, strict)
+        energy, _, grad = _decoder_energy(target, z0, targets, cfg, mc, strict)
+        terms = _decoder_energy(target, z0, targets, replace(cfg, objective="kl"), None, strict)[1]
     else:
         energy, terms, grad = _graph_energy(target, z0, targets, cfg.segments, cfg.n_disc, strict)
     if cfg.gradient_mode != "analytic" or grad is None:
@@ -518,8 +522,7 @@ def _ode_rhs_batch(metric: LatentMetric, zs, vs, fd_step: float) -> np.ndarray:
 def ode_rhs(metric: LatentMetric, z, zdot, fd_step: float = 1e-4) -> np.ndarray:
     """Geodesic acceleration for the metric field at (z, zdot); see
     ``LatentMetric.eval_batch_and_grad`` for the metric derivatives."""
-    z = np.asarray(z, dtype=float)
-    zdot = np.asarray(zdot, dtype=float)
+    z, zdot = np.asarray(z, dtype=float), np.asarray(zdot, dtype=float)
     return _ode_rhs_batch(metric, z[None], zdot[None], fd_step)[0]
 
 
@@ -571,8 +574,7 @@ def exp_map(
     ``log_map`` (Euclidean norm equals geodesic length); disable it to
     integrate the raw velocity.
     """
-    z = np.asarray(z, dtype=float)
-    v = np.asarray(v, dtype=float)
+    z, v = np.asarray(z, dtype=float), np.asarray(v, dtype=float)
     if rescale_velocity:
         v = _rescale_initial_velocity(metric, z, v)
     ends, path = _rk4(metric, z[None], v[None], steps, fd_step, return_path)
@@ -588,8 +590,7 @@ def exp_map_batch(
     rescale_velocity: bool = True,
 ) -> np.ndarray:
     """Vectorized exponential map across a batch of tangent vectors."""
-    zs = np.atleast_2d(np.asarray(zs, dtype=float))
-    vs = np.atleast_2d(np.asarray(vs, dtype=float))
+    zs, vs = np.atleast_2d(np.asarray(zs, dtype=float)), np.atleast_2d(np.asarray(vs, dtype=float))
     if rescale_velocity:
         norm_e = np.linalg.norm(vs, axis=1)
         m = metric.eval_batch(zs)
@@ -601,9 +602,9 @@ def exp_map_batch(
 
 def _log_maps(target, z0, targets, cfg: EnergyConfig, rng: RngStream, warm, strict: bool):
     """(tangents, lengths, coeffs) of the fitted curves z0 -> targets: the
-    length is sum_n sqrt(term_n), and the tangent is the curve's velocity at
-    t = 0 (the perturbation's slope there is the first knot-derivative
-    coefficient) rescaled to Euclidean norm = length."""
+    length is sum_n sqrt(term_n) (exact KLs on a decoder), and the tangent
+    is the curve's velocity at t = 0 (the perturbation's slope there is the
+    first knot-derivative coefficient) rescaled to Euclidean norm = length."""
     coeffs, *_, terms = _fit_curves(target, z0, targets, cfg, rng, warm, strict)
     lengths = np.sqrt(np.maximum(terms(coeffs, np.arange(len(coeffs))), 0.0)).sum(axis=1)
     v0 = targets - z0[None, :] + coeffs[:, :, cfg.segments - 1]
@@ -624,7 +625,8 @@ def log_map_batch(
 
     ``target`` is a LatentMetric or a DecoderMap, as for
     ``minimize_energy_detailed``; all curves are fitted in one batched
-    descent, and each row equals the same target fitted alone. Returns
+    descent; with ``jitter=0`` each row equals the same target fitted
+    alone (the start jitter is drawn for the whole batch). Returns
     (tangents, lengths, coeffs); ``coeffs`` can warm-start the next call
     when the base point moves a little, as happens inside density fitting.
     Non-finite energies are not raised: their rows come back non-finite.

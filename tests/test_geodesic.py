@@ -436,6 +436,26 @@ class TestDecoderEnergy:
             v = G.log_map(self.dec, z0, y, cfg, RngStream(1))
             assert np.max(np.abs(v - vs[k])) < 1e-12
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_sampled_kl_log_map_has_exact_length(self, seed):
+        # sampled KLs steer the fit, but the length is measured with exact
+        # KLs: between the Fisher-Rao distance sqrt(2) arccosh(5/4) ~ 0.980
+        # and the unit chord, not inflated by the sampling noise
+        dec = identity_parameter_decoder("normal")
+        z0, y = np.array([0.0, 1.0]), np.array([1.0, 1.0])
+        cfg = EnergyConfig(n_disc=32, segments=2, max_iters=10, mc_samples=16)
+        v = G.log_map(dec, z0, y, cfg, RngStream(seed))
+        assert 0.97 < np.linalg.norm(v) < 1.01
+
+    def test_categorical_log_map_length_is_kl_length(self):
+        dec = M.simplex_chart_decoder(3)
+        z0, targets = np.array([0.3, 0.3]), np.array([[0.1, 0.6], [0.5, 0.2]])
+        cfg = EnergyConfig(n_disc=16, segments=2, max_iters=10, objective="categorical")
+        _, lengths, coeffs = G.log_map_batch(dec, z0, targets, cfg, RngStream(0))
+        for y, length, c in zip(targets, lengths, coeffs):
+            want = G.curve_length(SplineCurve(z0, y, 2, c), dec, 16)
+            assert abs(length - want) < 1e-12
+
 
 def test_descend_drops_rows_that_start_non_finite(gen):
     # the (1, 0) chord crosses the infinite half of the metric: its start
