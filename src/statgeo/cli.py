@@ -181,14 +181,22 @@ def _cmd_geodesic(args) -> int:
     return 0
 
 
-def _probe_validation_error(dec, z, m, radius=0.1, directions=8) -> float:
-    angles = 2.0 * np.pi * np.arange(directions) / directions
-    total = 0.0
-    for ang in angles:
-        delta = radius * np.array([np.cos(ang), np.sin(ang)])
-        kl_val = met._decoded_kl(dec, z, z + delta, None)
-        total += abs(kl_val - 0.5 * delta @ m @ delta)
-    return total / directions
+def _probe_validation_errors(dec, points, tensors, radius=0.1, directions=8) -> np.ndarray:
+    """Per node, the mean over offsets delta of |KL - delta^T M delta / 2|.
+
+    The offsets are ``directions`` equally spaced directions of length
+    ``radius`` in the plane of latent axes 0 and 1 (zero on the others), or
+    +-radius on a 1-latent decoder.
+    """
+    if dec.latent_dim == 1:
+        offsets = radius * np.array([[1.0], [-1.0]])
+    else:
+        angles = 2.0 * np.pi * np.arange(directions) / directions
+        offsets = np.zeros((directions, dec.latent_dim))
+        offsets[:, 0], offsets[:, 1] = radius * np.cos(angles), radius * np.sin(angles)
+    kls = met._decoded_kls(dec, points, points[:, None, :] + offsets)
+    quad = 0.5 * np.einsum("ki,nij,kj->nk", offsets, tensors, offsets)
+    return np.abs(kls - quad).mean(axis=1)
 
 
 def _cmd_metric_grid(args) -> int:
@@ -211,9 +219,7 @@ def _cmd_metric_grid(args) -> int:
     extra = {}
     if args.mode == "kl-probe":
         t0 = time.perf_counter()
-        errors = [
-            _probe_validation_error(dec, p, m) for p, m in zip(grid.points, grid.tensors)
-        ]
+        errors = _probe_validation_errors(dec, grid.points, grid.tensors)
         extra["validation_error"] = [float(e) for e in errors]
         extra["epsilon"] = args.eps
         extra["clamped"] = int(source.clamp_count)

@@ -267,21 +267,25 @@ def _heads_forward(dec: DecoderMap, u: np.ndarray) -> np.ndarray:
     return _interleave(dec, outs)
 
 
-def raw_forward_stacked(dec: DecoderMap, z) -> np.ndarray:
-    """Head outputs without uncertainty reweighting, feature-major."""
+def _checked_batch(dec: DecoderMap, z):
+    """(u, single): the pre-transformed latent batch and whether z was one
+    point; non-finite points raise ShapeError."""
     zb, single = _as_batch(z, dec.latent_dim)
     if not np.all(np.isfinite(zb)):
         raise ShapeError("latent point must be finite")
-    out = _heads_forward(dec, _pre(dec, zb))
+    return _pre(dec, zb), single
+
+
+def raw_forward_stacked(dec: DecoderMap, z) -> np.ndarray:
+    """Head outputs without uncertainty reweighting, feature-major."""
+    u, single = _checked_batch(dec, z)
+    out = _heads_forward(dec, u)
     return out[0] if single else out
 
 
 def forward_stacked(dec: DecoderMap, z) -> np.ndarray:
     """Decoded stacked parameters, reweighted when regularization is present."""
-    zb, single = _as_batch(z, dec.latent_dim)
-    if not np.all(np.isfinite(zb)):
-        raise ShapeError("latent point must be finite")
-    u = _pre(dec, zb)
+    u, single = _checked_batch(dec, z)
     h = _heads_forward(dec, u)
     if dec.regularization is not None:
         s = translated_sigmoid(dec.regularization, support_distance(dec.regularization, u))
@@ -297,10 +301,13 @@ def forward(dec: DecoderMap, z) -> list[ParamPoint]:
     return [ParamPoint(dec.family, row) for row in per_feature]
 
 
-def jacobian_stacked(dec: DecoderMap, z) -> np.ndarray:
-    """Exact Jacobian of forward_stacked, shape (m, D*p, d) or (D*p, d)."""
-    zb, single = _as_batch(z, dec.latent_dim)
-    u = _pre(dec, zb)
+def forward_and_jacobian_stacked(dec: DecoderMap, z):
+    """(forward_stacked, jacobian_stacked) from one pass over the heads.
+
+    The parameters are bit-identical to ``forward_stacked``'s, shape
+    (m, D*p) or (D*p,); the Jacobian has shape (m, D*p, d) or (D*p, d).
+    """
+    u, single = _checked_batch(dec, z)
     schema = dec.family.head_schema()
     outs, jacs = [], []
     for head, (_, width, _) in zip(dec.heads, schema):
@@ -308,7 +315,7 @@ def jacobian_stacked(dec: DecoderMap, z) -> np.ndarray:
         outs.append(o)
         jacs.append(j)
     h = _interleave(dec, outs)
-    m = zb.shape[0]
+    m = u.shape[0]
     jparts = [
         j.reshape(m, dec.feature_count, -1, dec.latent_dim) for j in jacs
     ]
@@ -321,12 +328,19 @@ def jacobian_stacked(dec: DecoderMap, z) -> np.ndarray:
         grad_dist = 2.0 * (u - reg.centers[nearest])  # (m, d) wrt u
         grad_s = sp[:, None] * grad_dist
         mask = dec.blend_mask_stacked().astype(float)
+        gap = dec._extrap - h
         jac = (1.0 - s[:, None] * mask)[..., None] * jac + (
-            mask * (dec._extrap - h)
+            mask * gap
         )[..., None] * grad_s[:, None, :]
+        h = h + s[:, None] * mask * gap
     if dec.pre_transform is not None:
         jac = jac @ dec.pre_transform[0]
-    return jac[0] if single else jac
+    return (h[0], jac[0]) if single else (h, jac)
+
+
+def jacobian_stacked(dec: DecoderMap, z) -> np.ndarray:
+    """Exact Jacobian of forward_stacked, shape (m, D*p, d) or (D*p, d)."""
+    return forward_and_jacobian_stacked(dec, z)[1]
 
 
 def jacobian(dec: DecoderMap, z) -> np.ndarray:

@@ -20,7 +20,8 @@ One fitter serves ``minimize_energy_detailed`` and both log maps, on
 decoders and metric fields alike: one Barzilai-Borwein + Armijo descent
 over coefficient arrays of shape (m, d, 2S), with a step and a stopping
 rule per curve. Its gradient is analytic for the KL objective (one
-``jacobian_stacked`` call over the nodes) and the graph energy (one
+decoder pass over the nodes that returns both the parameters and their
+Jacobians) and the graph energy (one
 ``eval_batch_and_grad`` call over the midpoints); for the categorical
 objective, and with ``gradient_mode="fd"``, it is one central-difference
 routine that makes one energy call over the rows per probe. One RK4 loop
@@ -204,9 +205,10 @@ def _decoder_energy(dec: DecoderMap, z0, targets, cfg: EnergyConfig, mc: McKl | 
     4 sum_f (2 - 2 sqrt(h_n)^T sqrt(h_{n+1})) for the categorical one. The
     KL energy is N sum_n terms; the categorical energy keeps its scale,
     sum (2 - 2 sqrt(h_n)^T sqrt(h_{n+1})) = sum_n terms / 4. The KL gradient
-    is analytic, from one ``kl_grad`` and one ``jacobian_stacked`` over the
-    nodes; the categorical objective has none (None). With ``strict`` a
-    non-finite term raises NonFiniteEnergy at its t.
+    is analytic: one ``forward_and_jacobian_stacked`` pass decodes the nodes
+    and gives their Jacobians, then one ``kl_grad`` call; the categorical
+    objective has none (None). With ``strict`` a non-finite term raises
+    NonFiniteEnergy at its t.
     """
     fam, n = dec.family, cfg.n_disc
     categorical = cfg.objective == "categorical"
@@ -240,13 +242,13 @@ def _decoder_energy(dec: DecoderMap, z0, targets, cfg: EnergyConfig, mc: McKl | 
 
     def grad(coeffs, rows):
         zs = _spline_points(z0, chords[rows], coeffs, ts, basis)
-        params = decoded(zs)
+        flat = zs.reshape(-1, zs.shape[2])
+        stacked, jac = dec_mod.forward_and_jacobian_stacked(dec, flat)
+        params = stacked.reshape(*zs.shape[:2], dec.feature_count, fam.param_dim)
         g1, g2 = fam.kl_grad(params[:, :-1], params[:, 1:])
         adj = np.zeros_like(params)
         adj[:, :-1] += g1
         adj[:, 1:] += g2
-        flat = zs.reshape(-1, zs.shape[2])
-        jac = dec_mod.jacobian_stacked(dec, flat)
         pulled = np.einsum("npd,np->nd", jac, adj.reshape(flat.shape[0], -1))
         return 2.0 * n * np.einsum("mtd,tc->mdc", pulled.reshape(zs.shape), basis)
 

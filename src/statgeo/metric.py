@@ -4,7 +4,8 @@ Three sources for the d x d tensor at a latent point:
 
 * exact pullback  M(z) = J(z)^T I_H(h(z)) J(z),
 * the KL-probe estimator built purely from divergences along coordinate
-  perturbations (no Jacobian access),
+  perturbations (no Jacobian access): per point, one decoder call over the
+  point and its d + d(d-1)/2 probes and one ``kl`` call over the pairs,
 * a lattice of precomputed tensors blended with a normalized Gaussian
   kernel. ``MetricGrid`` checks that its points are the bounds x
   resolution lattice; ``GridMetric`` uses that the kernel factors across
@@ -112,8 +113,12 @@ class PullbackMetric(LatentMetric):
 class KlProbeMetric(LatentMetric):
     """Numerical metric from KL divergences along coordinate probes.
 
-    Negative eigenvalues from noisy probes are clamped to
-    1e-8 * trace / d; ``clamp_count`` tallies how often that fired.
+    ``eval`` decodes z, z + eps e_i and z + eps (e_i + e_j), i < j, in one
+    ``forward_stacked`` call and takes their KLs from one ``kl`` call
+    (sampled KLs with ``mc`` are drawn per probe). ``eval_batch`` stays the
+    per-point loop of ``LatentMetric``. Negative eigenvalues from noisy
+    probes are clamped to 1e-8 * trace / d; ``clamp_count`` tallies how
+    often that fired.
     """
 
     def __init__(self, decoder: DecoderMap, eps: float = 1e-2, mc: McKl | None = None):
@@ -259,18 +264,32 @@ def _decoded_kl(dec: DecoderMap, z1, z2, mc: McKl | None) -> float:
     return total
 
 
+def _decoded_kls(dec: DecoderMap, zs, probes) -> np.ndarray:
+    """sum_f KL(p(zs[n]) || p(probes[n, k])) for zs (n, d) and probes
+    (n, k, d), shape (n, k): one ``forward_stacked`` call over the n(1 + k)
+    points and one ``kl`` call over the n*k pairs."""
+    n, k, d = probes.shape
+    points = np.concatenate([zs[:, None, :], probes], axis=1).reshape(-1, d)
+    params = dec_mod.forward_stacked(dec, points).reshape(
+        n, 1 + k, dec.feature_count, dec.family.param_dim
+    )
+    return dec.family.kl(params[:, :1], params[:, 1:]).sum(axis=-1)
+
+
 def _kl_probe_impl(dec: DecoderMap, z, eps: float, mc: McKl | None):
     d = dec.latent_dim
     eye = np.eye(d)
-    kl_single = np.array(
-        [_decoded_kl(dec, z, z + eps * eye[i], mc) for i in range(d)]
-    )
+    iu, ju = np.triu_indices(d, 1)
+    # the d axis probes, then one probe along e_i + e_j for each pair i < j
+    probes = z + eps * np.concatenate([eye, eye[iu] + eye[ju]])
+    if mc is None:
+        kls = _decoded_kls(dec, z[None], probes[None])[0]
+    else:
+        kls = np.array([_decoded_kl(dec, z, p, mc) for p in probes])
+    kl_single, pair = kls[:d], kls[d:]
     m = np.zeros((d, d))
     np.fill_diagonal(m, 2.0 * kl_single / eps**2)
-    for i in range(d):
-        for j in range(i + 1, d):
-            pair = _decoded_kl(dec, z, z + eps * (eye[i] + eye[j]), mc)
-            m[i, j] = m[j, i] = (pair - kl_single[i] - kl_single[j]) / eps**2
+    m[iu, ju] = m[ju, iu] = (pair - kl_single[iu] - kl_single[ju]) / eps**2
     return clamp_spd(m)
 
 

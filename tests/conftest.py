@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from statgeo.decoder import DecoderMap, Head, LayerSpec
 from statgeo.families import FamilyKind, ParamPoint, get_family
 from statgeo.rng import RngStream
+from statgeo.toy import toy_decoder
 
 ALL_KINDS = list(FamilyKind)
 
@@ -10,6 +12,21 @@ ALL_KINDS = list(FamilyKind)
 def rel_frob(a, b) -> float:
     """Relative Frobenius distance of a from b."""
     return float(np.linalg.norm(a - b) / np.linalg.norm(b))
+
+
+def lifted_decoder(latent_dim: int, seed: int = 0) -> DecoderMap:
+    """The unregularized toy beta decoder (seed 5) read through a (2, d) map:
+    each head's first-layer weights are right-multiplied by a random A
+    (scaled by 1/sqrt(d), as the toy layers are), so the decoder evaluates
+    the 2-latent one at A z."""
+    base = toy_decoder("beta", seed=5, regularized=False)
+    a = np.random.default_rng(seed).standard_normal((2, latent_dim)) / np.sqrt(latent_dim)
+    heads = []
+    for head in base.heads:
+        first = head.layers[0]
+        lifted = LayerSpec(first.weight @ a, first.bias, first.activation)
+        heads.append(Head(head.name, (lifted, *head.layers[1:])))
+    return DecoderMap(latent_dim, base.feature_count, base.family, tuple(heads))
 
 
 def k_for(kind: FamilyKind):

@@ -9,6 +9,8 @@ from statgeo import cli, io
 from statgeo.rng import RngStream
 from statgeo.toy import identity_parameter_decoder, toy_decoder
 
+from conftest import lifted_decoder
+
 BOUNDS, RESOLUTION, SIGMA = "-2,2,-2,2", "5,5", 0.25
 
 
@@ -42,6 +44,74 @@ def test_metric_grid_writes_the_in_process_grid(decoder_path, tmp_path, mode, ca
     assert got.resolution == (5, 5)
     assert np.array_equal(got.points, want.points)
     assert np.array_equal(got.tensors, want.tensors)
+
+
+def validation_error_reference(dec, z, m, radius=0.1, directions=8) -> float:
+    """The per-node validation loop: one KL per offset in the plane of latent
+    axes 0 and 1."""
+    angles = 2.0 * np.pi * np.arange(directions) / directions
+    total = 0.0
+    for ang in angles:
+        delta = np.zeros(dec.latent_dim)
+        delta[:2] = radius * np.array([np.cos(ang), np.sin(ang)])
+        kl_val = M._decoded_kl(dec, z, z + delta, None)
+        total += abs(kl_val - 0.5 * delta @ m @ delta)
+    return total / directions
+
+
+# the 3-latent decoder is nearly quadratic at radius 0.1: its validation
+# errors (<= 2.4e-5) are ~1e-3 of its KLs, so the KLs' last-ulp rounding is
+# ~1e-10 of the largest error
+@pytest.mark.parametrize("latent_dim,tol", [(2, 1e-10), (3, 1e-8)])
+def test_validation_errors_match_the_per_node_loop(latent_dim, tol):
+    if latent_dim == 2:
+        dec, bounds, resolution = toy_decoder("beta", seed=5), [[-2, 2], [-2, 2]], (20, 20)
+    else:
+        dec, bounds, resolution = lifted_decoder(3), [[-1.5, 1.5]] * 3, (4, 4, 4)
+    grid = M.grid_build(M.KlProbeMetric(dec), bounds, resolution, SIGMA)
+    got = cli._probe_validation_errors(dec, grid.points, grid.tensors)
+    want = np.array([
+        validation_error_reference(dec, z, m) for z, m in zip(grid.points, grid.tensors)
+    ])
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= tol * np.max(want)
+
+
+@pytest.mark.parametrize("latent_dim,bounds,resolution", [
+    (1, "-2,2", "7"),
+    (3, "-1,1,-1,1,-1,1", "3,3,3"),
+])
+def test_kl_probe_grid_on_other_latent_dims(latent_dim, bounds, resolution, tmp_path, capsys):
+    dec_path, out = tmp_path / "dec.json", tmp_path / "grid.json"
+    io.save_decoder(lifted_decoder(latent_dim), dec_path)
+    assert cli.main([
+        "metric-grid", "--decoder", str(dec_path), "--mode", "kl-probe",
+        f"--bounds={bounds}", "--resolution", resolution, "--out", str(out),
+    ]) == 0
+    points = json.loads(capsys.readouterr().out)["points"]
+    doc = json.loads(out.read_text())
+    assert doc["latent_dim"] == latent_dim and len(doc["validation_error"]) == points
+    assert np.all(np.isfinite(doc["validation_error"]))
+
+
+@pytest.mark.parametrize("command", ["metric-grid", "geodesic"])
+def test_profile_leaves_stdout_unchanged(command, decoder_path, tmp_path, capsys):
+    if command == "metric-grid":
+        argv = ["metric-grid", "--decoder", str(decoder_path), "--mode", "kl-probe",
+                f"--bounds={BOUNDS}", "--resolution", RESOLUTION, "--out", str(tmp_path / "g.json")]
+        stages = {"load", "evaluate", "validate"}
+    else:
+        argv = ["geodesic", "--decoder", str(decoder_path), "--z0=0.6,0.2", "--z1=-0.4,0.8",
+                "--seed", "1", "--n-disc", "16", "--segments", "2", "--max-iters", "20"]
+        stages = {"load", "optimize", "write"}
+    assert cli.main(argv) == 0
+    plain = capsys.readouterr()
+    assert cli.main([*argv, "--profile"]) == 0
+    profiled = capsys.readouterr()
+    assert profiled.out == plain.out and plain.err == ""
+    profile = json.loads(profiled.err.splitlines()[-1])["profile"]
+    assert set(profile) == stages
+    assert all(v >= 0 for v in profile.values())
 
 
 def test_threads_option_is_a_usage_error(decoder_path, tmp_path, capsys):

@@ -104,6 +104,36 @@ class TestJacobian:
             assert np.max(np.abs(jac - fd) / (1.0 + np.abs(jac))) < 1e-5
 
 
+class TestSharedPass:
+    """forward_and_jacobian_stacked: one pass, both outputs bit-identical."""
+
+    @pytest.mark.parametrize("kind", [k.value for k in FamilyKind])
+    @pytest.mark.parametrize("regularized", [False, True])
+    def test_matches_forward_and_jacobian(self, kind, regularized, gen):
+        dec = toy_decoder(kind, seed=7, regularized=regularized)
+        zs = gen.uniform(-3.0, 3.0, size=(40, 2))
+        params, jac = D.forward_and_jacobian_stacked(dec, zs)
+        assert np.array_equal(params, D.forward_stacked(dec, zs))
+        assert np.array_equal(jac, D.jacobian_stacked(dec, zs))
+        one_params, one_jac = D.forward_and_jacobian_stacked(dec, zs[0])
+        assert np.array_equal(one_params, D.forward_stacked(dec, zs[0]))
+        assert np.array_equal(one_jac, D.jacobian_stacked(dec, zs[0]))
+
+    def test_matches_with_pre_transform(self, gen):
+        a = np.array([[1.2, -0.4], [0.3, 0.9]])
+        dec = D.compose_linear(toy_decoder("beta", seed=5), a, np.array([0.1, -0.2]))
+        zs = gen.uniform(-2.0, 2.0, size=(40, 2))
+        params, jac = D.forward_and_jacobian_stacked(dec, zs)
+        assert np.array_equal(params, D.forward_stacked(dec, zs))
+        assert np.array_equal(jac, D.jacobian_stacked(dec, zs))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_point_raises(self, bad):
+        dec = toy_decoder("beta", seed=5)
+        with pytest.raises(ShapeError):
+            D.forward_and_jacobian_stacked(dec, np.array([[0.0, 0.0], [bad, 1.0]]))
+
+
 class TestKMeans:
     def test_single_cluster_is_mean(self, gen):
         pts = gen.normal(size=(40, 2))

@@ -7,12 +7,12 @@ import statgeo.metric as M
 from statgeo import io
 from statgeo.decoder import DecoderMap, Head, LayerSpec
 from statgeo.errors import InvalidEpsilon, OffSimplex, ShapeError
-from statgeo.families import FamilyKind, get_family
+from statgeo.families import FamilyKind, McKl, get_family
 from statgeo.geodesic import SplineCurve, kl_energy
 from statgeo.rng import RngStream
 from statgeo.toy import identity_parameter_decoder, toy_decoder
 
-from conftest import rel_frob
+from conftest import lifted_decoder, rel_frob
 
 
 def gram_kernel_reference(grid, zs):
@@ -29,6 +29,35 @@ def gram_kernel_reference(grid, zs):
     w /= w.sum(axis=1, keepdims=True)
     d = pts.shape[1]
     return (w @ grid.tensors.reshape(-1, d * d)).reshape(-1, d, d)
+
+
+def kl_probe_reference(dec, z, eps, mc=None):
+    """The per-probe estimator: two decoder calls and one KL per probe."""
+    d = dec.latent_dim
+    eye = np.eye(d)
+    kl_single = np.array([M._decoded_kl(dec, z, z + eps * eye[i], mc) for i in range(d)])
+    m = np.zeros((d, d))
+    np.fill_diagonal(m, 2.0 * kl_single / eps**2)
+    for i in range(d):
+        for j in range(i + 1, d):
+            pair = M._decoded_kl(dec, z, z + eps * (eye[i] + eye[j]), mc)
+            m[i, j] = m[j, i] = (pair - kl_single[i] - kl_single[j]) / eps**2
+    return M.clamp_spd(m)[0]
+
+
+def probe_cases():
+    """(decoder, latent points, tolerance): the 20 x 20 [-2, 2]^2 lattice of
+    the toy beta decoder, and a 3-latent decoder, which has 3 pair probes.
+
+    One decoder call per point moves the decoded parameters by an ulp. The
+    Beta KL formulas cancel terms of order 10-100 down to KLs of order
+    eps^2, so that ulp becomes an absolute error of about 1e-10 in M. The
+    toy lattice's largest tensor is large enough to make that 1e-12 of it;
+    the 3-latent decoder's tensors are small (|M|_F <= 2.1), hence 1e-8.
+    """
+    square = M.lattice_points([[-2, 2], [-2, 2]], (20, 20))
+    cube = M.lattice_points([[-1.5, 1.5]] * 3, (4, 4, 4))
+    return [(toy_decoder("beta", seed=5), square, 1e-10), (lifted_decoder(3), cube, 1e-8)]
 
 
 def random_spd_grid(gen, bounds, resolution, sigma):
@@ -112,6 +141,22 @@ class TestKlProbe:
         exact = M.pullback(dec, z)
         errs = [rel_frob(M.kl_probe(dec, z, eps=e), exact) for e in (1e-1, 1e-2, 1e-3)]
         assert errs[0] > errs[1] > errs[2]
+
+    @pytest.mark.parametrize("case", [0, 1])
+    def test_matches_per_probe_reference(self, case):
+        dec, points, tol = probe_cases()[case]
+        got = np.stack([M.kl_probe(dec, z, eps=1e-2) for z in points])
+        want = np.stack([kl_probe_reference(dec, z, 1e-2) for z in points])
+        scale = np.linalg.norm(want, axis=(1, 2)).max()
+        assert np.linalg.norm(got - want, axis=(1, 2)).max() <= tol * scale
+
+    @pytest.mark.parametrize("case", [0, 1])
+    def test_sampled_kl_matches_per_probe_reference(self, case):
+        dec, points, _ = probe_cases()[case]
+        for z in points[::23]:
+            mc = McKl(RngStream(3), 16)
+            want = kl_probe_reference(dec, z, 1e-2, mc)
+            assert np.array_equal(M.kl_probe(dec, z, 1e-2, mc), want)
 
     def test_clamping_counter(self):
         # a decoder that is locally constant gives ~zero probes; the metric
