@@ -51,6 +51,13 @@ def _vector(text: str) -> np.ndarray:
         raise _UsageError(f"cannot parse vector {text!r}") from exc
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)  # argparse reports the ValueError as a usage error
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return value
+
+
 def _ints(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(v) for v in text.split(","))
@@ -73,13 +80,13 @@ def _energy_config(args) -> geo.EnergyConfig:
 
 def _add_optimizer_args(p):
     p.add_argument("--n-disc", type=int, default=200, help="energy discretization N")
-    p.add_argument("--segments", type=int, default=4, help="spline segments")
+    p.add_argument("--segments", type=_positive_int, default=4, help="spline segments")
     p.add_argument("--max-iters", type=int, default=200)
     p.add_argument("--grad-tol", type=float, default=1e-6)
     p.add_argument("--gradient-mode", choices=["fd", "analytic"], default="analytic")
     p.add_argument("--jitter", type=float, default=1e-4)
     p.add_argument("--objective", choices=["kl", "categorical"], default="kl")
-    p.add_argument("--mc-samples", type=int, default=None,
+    p.add_argument("--mc-samples", type=_positive_int, default=None,
                    help="sampled KL inside the optimizer (common random numbers)")
 
 
@@ -126,6 +133,9 @@ def _resolve_endpoints(args):
         return _vector(args.z0), _vector(args.z1)
     if args.codes is not None and args.i0 is not None and args.i1 is not None:
         codes = io.load_codes(args.codes)
+        for i in (args.i0, args.i1):
+            if not 0 <= i < len(codes):
+                raise _UsageError(f"code index {i} is outside 0..{len(codes) - 1}")
         return codes[args.i0], codes[args.i1]
     raise _UsageError("give either --z0/--z1 or --codes with --i0/--i1")
 
@@ -287,7 +297,7 @@ def _cmd_kl(args) -> int:
     dec = io.load_decoder(args.decoder)
     z1, z2 = _vector(args.z1), _vector(args.z2)
     mc = None
-    if args.mc_samples:
+    if args.mc_samples is not None:
         if args.seed is None:
             raise _UsageError("--seed is required with --mc-samples")
         mc = McKl(RngStream(args.seed), args.mc_samples)
@@ -337,7 +347,7 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("toygen", help="noisy circle latent codes")
-    p.add_argument("--n", type=int, default=200)
+    p.add_argument("--n", type=_positive_int, default=200)
     p.add_argument("--noise", type=float, default=0.1)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True)
@@ -350,7 +360,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--codes")
     p.add_argument("--i0", type=int)
     p.add_argument("--i1", type=int)
-    p.add_argument("--samples", type=int, default=64)
+    p.add_argument("--samples", type=_positive_int, default=64)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out")
     p.add_argument("--profile", action="store_true")
@@ -374,8 +384,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--codes", required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--max-iters", type=int, default=40)
-    p.add_argument("--mc-samples", type=int, default=256)
-    p.add_argument("--exp-steps", type=int, default=20)
+    p.add_argument("--mc-samples", type=_positive_int, default=256)
+    p.add_argument("--exp-steps", type=_positive_int, default=20)
     p.add_argument("--out-model", required=True)
     p.add_argument("--out-density")
     p.add_argument("--density-bounds", default="-2,2,-2,2")
@@ -386,7 +396,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--decoder", required=True)
     p.add_argument("--z1", required=True)
     p.add_argument("--z2", required=True)
-    p.add_argument("--mc-samples", type=int, default=None)
+    p.add_argument("--mc-samples", type=_positive_int, default=None)
     p.add_argument("--seed", type=int)
     p.set_defaults(fn=_cmd_kl)
 
@@ -395,7 +405,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--grid")
     p.add_argument("--z", required=True)
     p.add_argument("--v", required=True)
-    p.add_argument("--steps", type=int, default=100)
+    p.add_argument("--steps", type=_positive_int, default=100)
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_exp)
 

@@ -106,7 +106,7 @@ class Family:
     def fisher(self, values):
         raise NotImplementedError
 
-    def max_uncertainty(self, sigma_max=1e3, lambda_min=1e-3, kappa_min=1e-3):
+    def max_uncertainty(self):
         raise NotImplementedError
 
     def __repr__(self):
@@ -163,8 +163,8 @@ class NormalFamily(Family):
         out[..., 1, 1] = 0.5 / var**2
         return out
 
-    def max_uncertainty(self, sigma_max=1e3, **_):
-        return np.array([0.0, sigma_max**2])
+    def max_uncertainty(self):
+        return np.array([0.0, 1e6])  # standard deviation 1e3
 
 
 class BernoulliFamily(Family):
@@ -213,7 +213,7 @@ class BernoulliFamily(Family):
         t = self._theta(values)
         return (1.0 / (t * (1.0 - t)))[..., None, None]
 
-    def max_uncertainty(self, **_):
+    def max_uncertainty(self):
         return np.array([0.5])
 
 
@@ -283,7 +283,7 @@ class CategoricalFamily(Family):
         out[..., idx, idx] = 1.0 / t
         return out
 
-    def max_uncertainty(self, **_):
+    def max_uncertainty(self):
         return np.full(self.k, 1.0 / self.k)
 
 
@@ -345,7 +345,7 @@ class GammaFamily(Family):
         out[..., 1, 1] = a / b**2
         return out
 
-    def max_uncertainty(self, **_):
+    def max_uncertainty(self):
         return np.array([1.0, 1e-3])
 
 
@@ -419,7 +419,7 @@ class BetaFamily(Family):
         out[..., 1, 1] = trigamma(b) - tab
         return out
 
-    def max_uncertainty(self, **_):
+    def max_uncertainty(self):
         return np.array([1.0, 1.0])
 
 
@@ -462,8 +462,8 @@ class ExponentialFamily(Family):
         lam = _clamp_pos(values[..., 0])
         return (1.0 / lam**2)[..., None, None]
 
-    def max_uncertainty(self, lambda_min=1e-3, **_):
-        return np.array([lambda_min])
+    def max_uncertainty(self):
+        return np.array([1e-3])
 
 
 class DirichletFamily(Family):
@@ -532,7 +532,7 @@ class DirichletFamily(Family):
         out -= trigamma(s)[..., None, None]
         return out
 
-    def max_uncertainty(self, **_):
+    def max_uncertainty(self):
         return np.ones(self.k)
 
 
@@ -627,8 +627,8 @@ class VonMisesFisherS2Family(Family):
         out[..., 3, 3] = Kp
         return out
 
-    def max_uncertainty(self, kappa_min=1e-3, **_):
-        return np.array([0.0, 0.0, 1.0, kappa_min])
+    def max_uncertainty(self):
+        return np.array([0.0, 0.0, 1.0, 1e-3])
 
 
 def _rotation_to(mu):
@@ -723,21 +723,37 @@ def sample(eta: ParamPoint, rng: RngStream, n: int) -> np.ndarray:
     return eta.family.sample(eta.values, rng.generator, n)
 
 
+def log_ratios(fam: Family, v1, v2, gen: np.random.Generator, n: int) -> np.ndarray:
+    """log p(x | v1) - log p(x | v2) at n draws x from p(. | v1), one
+    feature's parameters each: their mean is the sampled KL(v1 || v2)."""
+    x = fam.sample(v1, gen, n)
+    return fam.log_pdf(v1, x) - fam.log_pdf(v2, x)
+
+
+def sampled_kls(fam: Family, params, mc: McKl) -> np.ndarray:
+    """Sampled KL, summed over features, between consecutive rows of params
+    (nt, D, p); every call draws from a fresh ``mc.rng.child(0)`` stream,
+    segment by segment and feature by feature."""
+    gen = mc.rng.child(0).generator
+    kls = np.zeros(len(params) - 1)
+    for i in range(len(params) - 1):
+        for f in range(params.shape[1]):
+            kls[i] += np.mean(log_ratios(fam, params[i, f], params[i + 1, f], gen, mc.n_samples))
+    return kls
+
+
 def kl(eta1: ParamPoint, eta2: ParamPoint, mc: McKl | None = None) -> float:
     """KL(p(.|eta1) || p(.|eta2)); Monte Carlo when ``mc`` is given."""
     fam = _same_family(eta1, eta2)
     if mc is not None:
-        x = fam.sample(eta1.values, mc.rng.generator, mc.n_samples)
-        diffs = fam.log_pdf(eta1.values, x) - fam.log_pdf(eta2.values, x)
-        return float(np.mean(diffs))
+        return kl_mc_stats(eta1, eta2, mc)[0]
     return float(fam.kl(eta1.values, eta2.values))
 
 
 def kl_mc_stats(eta1: ParamPoint, eta2: ParamPoint, mc: McKl) -> tuple[float, float]:
     """Monte Carlo KL estimate with its standard error."""
     fam = _same_family(eta1, eta2)
-    x = fam.sample(eta1.values, mc.rng.generator, mc.n_samples)
-    diffs = fam.log_pdf(eta1.values, x) - fam.log_pdf(eta2.values, x)
+    diffs = log_ratios(fam, eta1.values, eta2.values, mc.rng.generator, mc.n_samples)
     return float(np.mean(diffs)), float(np.std(diffs) / np.sqrt(mc.n_samples))
 
 
@@ -752,20 +768,10 @@ def mc_fisher_rao(eta: ParamPoint, rng: RngStream, n: int) -> np.ndarray:
     return 0.5 * (m + m.T)
 
 
-def max_uncertainty_params(
-    kind: FamilyKind | str,
-    p_dims: int | None = None,
-    *,
-    sigma_max: float = 1e3,
-    lambda_min: float = 1e-3,
-    kappa_min: float = 1e-3,
-) -> ParamPoint:
+def max_uncertainty_params(kind: FamilyKind | str, p_dims: int | None = None) -> ParamPoint:
     """Maximum-entropy ("extrapolation") parameters for a family.
 
     ``p_dims`` is the class count K for categorical/dirichlet families.
     """
     fam = get_family(kind, p_dims)
-    values = fam.max_uncertainty(
-        sigma_max=sigma_max, lambda_min=lambda_min, kappa_min=kappa_min
-    )
-    return ParamPoint(fam, values)
+    return ParamPoint(fam, fam.max_uncertainty())

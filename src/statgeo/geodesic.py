@@ -44,7 +44,7 @@ from .errors import (
     ShapeError,
     SingularMetric,
 )
-from .families import FamilyKind, McKl
+from .families import FamilyKind, McKl, sampled_kls
 from .metric import LatentMetric
 from .rng import RngStream
 
@@ -149,15 +149,14 @@ def curve_eval(c: SplineCurve, t: float):
 
 @dataclass
 class EnergyConfig:
-    """Discretization and optimizer settings for energy minimization."""
+    """Discretization and optimizer settings for energy minimization. The
+    descent's first step is 0.1; ``gradient_mode="fd"`` differences with step 1e-6."""
 
     n_disc: int = 128
     segments: int = 4
     max_iters: int = 200
     grad_tol: float = 1e-6
-    step_size: float = 0.1
     gradient_mode: str = "analytic"  # or "fd": central differences of the energy
-    fd_step: float = 1e-6
     jitter: float = 1e-4
     objective: str = "kl"  # "kl" or "categorical"; metric targets use quadrature
     mc_samples: int | None = None
@@ -181,18 +180,6 @@ def _spline_points(z0, chords, coeffs, ts, basis) -> np.ndarray:
     and coefficients (m, d, 2S), shape (m, nt, d)."""
     line = z0[None, None, :] + ts[None, :, None] * chords[:, None, :]
     return line + np.einsum("mdc,tc->mtd", coeffs, basis)
-
-
-def _sampled_kls(fam, params, mc: McKl) -> np.ndarray:
-    """Sampled KL, summed over features, between consecutive rows of params
-    (nt, D, p); every call draws from a fresh ``mc.rng.child(0)`` stream."""
-    gen = mc.rng.child(0).generator
-    kls = np.zeros(len(params) - 1)
-    for i in range(len(params) - 1):
-        for f in range(params.shape[1]):
-            x = fam.sample(params[i, f], gen, mc.n_samples)
-            kls[i] += np.mean(fam.log_pdf(params[i, f], x) - fam.log_pdf(params[i + 1, f], x))
-    return kls
 
 
 def _decoder_energy(dec: DecoderMap, z0, targets, cfg: EnergyConfig, mc: McKl | None, strict: bool):
@@ -232,7 +219,7 @@ def _decoder_energy(dec: DecoderMap, z0, targets, cfg: EnergyConfig, mc: McKl | 
         elif mc is None:
             vals = 2.0 * fam.kl(params[:, :-1], params[:, 1:]).sum(axis=-1)
         else:
-            vals = 2.0 * np.stack([_sampled_kls(fam, row, mc) for row in params])
+            vals = 2.0 * np.stack([sampled_kls(fam, row, mc) for row in params])
         if strict:
             _check_finite(ts, vals, "categorical energy term" if categorical else "segment KL")
         return vals
@@ -388,7 +375,7 @@ def _descend(coeffs, energy, grad, cfg: EnergyConfig):
     coeffs = coeffs.copy()
     e_cur = np.asarray(energy(coeffs, np.arange(m)), dtype=float)
     trace = [e_cur.copy()]
-    step = np.full(m, cfg.step_size)
+    step = np.full(m, 0.1)
     active = np.isfinite(e_cur)
     converged = np.zeros(m, dtype=bool)
     iterations = np.zeros(m, dtype=int)
@@ -466,7 +453,7 @@ def _fit_curves(target, z0, targets, cfg: EnergyConfig, rng: RngStream, warm, st
     else:
         energy, terms, grad = _graph_energy(target, z0, targets, cfg.segments, cfg.n_disc, strict)
     if cfg.gradient_mode != "analytic" or grad is None:
-        grad = _fd_gradient(energy, cfg.fd_step)
+        grad = _fd_gradient(energy, 1e-6)
     straight = energy(np.zeros(shape), np.arange(shape[0]))
     coeffs, e_cur, converged, iterations, trace = _descend(
         _start_coeffs(cfg, rng, shape, warm), energy, grad, cfg
@@ -567,18 +554,16 @@ def exp_map(
     v,
     steps: int = 100,
     fd_step: float = 1e-4,
-    rescale_velocity: bool = True,
     return_path: bool = False,
 ):
     """Shoot the geodesic IVP with RK4 over t in [0, 1].
 
-    With ``rescale_velocity`` the input tangent follows the convention of
-    ``log_map`` (Euclidean norm equals geodesic length); disable it to
-    integrate the raw velocity.
+    The input tangent follows the convention of ``log_map``: its Euclidean
+    norm is the geodesic length, so v is first rescaled to metric norm |v|.
+    A zero metric norm along a nonzero v raises SingularMetric.
     """
     z, v = np.asarray(z, dtype=float), np.asarray(v, dtype=float)
-    if rescale_velocity:
-        v = _rescale_initial_velocity(metric, z, v)
+    v = _rescale_initial_velocity(metric, z, v)
     ends, path = _rk4(metric, z[None], v[None], steps, fd_step, return_path)
     if not np.all(np.isfinite(ends)):
         raise NonFiniteEnergy("exponential map diverged")
@@ -587,19 +572,17 @@ def exp_map(
     return ends[0]
 
 
-def exp_map_batch(
-    metric: LatentMetric, zs, vs, steps: int = 50, fd_step: float = 1e-4,
-    rescale_velocity: bool = True,
-) -> np.ndarray:
-    """Vectorized exponential map across a batch of tangent vectors."""
+def exp_map_batch(metric: LatentMetric, zs, vs, steps: int = 50) -> np.ndarray:
+    """Vectorized exponential map across a batch of tangent vectors, with
+    ``exp_map``'s tangent convention: each row of vs is rescaled to metric
+    norm |v| (a zero metric norm scales by |v| / 1e-300 instead of raising).
+    """
     zs, vs = np.atleast_2d(np.asarray(zs, dtype=float)), np.atleast_2d(np.asarray(vs, dtype=float))
-    if rescale_velocity:
-        norm_e = np.linalg.norm(vs, axis=1)
-        m = metric.eval_batch(zs)
-        norm_m = np.sqrt(np.einsum("mi,mij,mj->m", vs, m, vs))
-        scale = np.where(norm_e > 0, norm_e / np.maximum(norm_m, 1e-300), 1.0)
-        vs = vs * scale[:, None]
-    return _rk4(metric, zs, vs, steps, fd_step, return_path=False)[0]
+    norm_e = np.linalg.norm(vs, axis=1)
+    m = metric.eval_batch(zs)
+    norm_m = np.sqrt(np.einsum("mi,mij,mj->m", vs, m, vs))
+    scale = np.where(norm_e > 0, norm_e / np.maximum(norm_m, 1e-300), 1.0)
+    return _rk4(metric, zs, vs * scale[:, None], steps, 1e-4, return_path=False)[0]
 
 
 def _log_maps(target, z0, targets, cfg: EnergyConfig, rng: RngStream, warm, strict: bool):

@@ -144,10 +144,9 @@ def load_codes(path) -> np.ndarray:
     header, data = rows[0], rows[1:]
     if not all(name == f"z{i}" for i, name in enumerate(header)):
         raise ShapeError(f"unexpected codes header {header}")
-    out = np.array([[float(v) for v in row] for row in data])
-    if data and out.shape[1] != len(header):
+    if any(len(row) != len(header) for row in data):
         raise ShapeError("codes file is not rectangular")
-    return out
+    return np.array([[float(v) for v in row] for row in data])
 
 
 def grid_to_dict(grid: MetricGrid, mode: str, extra: dict | None = None) -> dict:

@@ -82,7 +82,6 @@ def land_normalizer_stats(
     rng: RngStream,
     n: int,
     exp_steps: int = 25,
-    fd_step: float = 1e-4,
 ):
     """(C, standard error, effective sample size) of the MC normalizer.
 
@@ -99,7 +98,7 @@ def land_normalizer_stats(
     if np.any(np.linalg.eigvalsh(precision) <= 0):
         raise InvalidParam("precision matrix must be positive definite")
     vs = _tangent_proposal(precision, rng.generator, n)
-    ends = exp_map_batch(metric, np.tile(mean, (n, 1)), vs, steps=exp_steps, fd_step=fd_step)
+    ends = exp_map_batch(metric, np.tile(mean, (n, 1)), vs, steps=exp_steps)
     _, logdet_end = np.linalg.slogdet(metric.eval_batch(ends))
     _, logdet_mu = np.linalg.slogdet(metric.eval(mean))
     w = np.exp(0.5 * (logdet_end - logdet_mu))
@@ -127,10 +126,10 @@ def land_normalizer(mean, precision, metric, rng: RngStream, n: int, **kw) -> fl
 
 @dataclass
 class LandFitConfig:
+    """Settings of ``land_fit``, whose descent starts at step 0.25, takes
+    central differences of step 1e-4 and converges when max|grad| < 1e-4."""
+
     max_iters: int = 40
-    step_size: float = 0.25
-    grad_tol: float = 1e-4
-    fd_step: float = 1e-4
     mc_samples: int = 256
     exp_steps: int = 20
     logmap_cfg: EnergyConfig = field(default_factory=_default_logmap_cfg)
@@ -192,15 +191,14 @@ def land_fit(
     params = np.concatenate([mu0, theta0])
     n_theta = theta0.size
 
-    warm = {"coeffs": None}
+    coeffs_cur = None  # the accepted curves, which warm-start every log map
 
     def unpack(p):
         return p[:d], _log_cholesky_unpack(p[d:], d)
 
-    def log_maps(mu, warm_coeffs=None):
+    def log_maps(mu):
         vs, _, coeffs = log_map_batch(
-            metric, mu, pts, cfg.logmap_cfg, rng.child(1),
-            warm_coeffs=warm_coeffs if warm_coeffs is not None else warm["coeffs"],
+            metric, mu, pts, cfg.logmap_cfg, rng.child(1), warm_coeffs=coeffs_cur
         )
         return vs, coeffs
 
@@ -215,16 +213,16 @@ def land_fit(
         quad = np.einsum("mi,ij,mj->m", vs, gamma, vs)
         return float(-n_pts * np.log(c) + 0.5 * quad.sum())
 
-    vs_cur, warm["coeffs"] = log_maps(mu0)
+    vs_cur, coeffs_cur = log_maps(mu0)
     seed = 10_000
     e_cur = nll(params, seed, vs=vs_cur)
     trace = [e_cur]
-    step = cfg.step_size
+    step = 0.25
     converged = False
     for it in range(cfg.max_iters):
         seed = 10_000 + it
         grad = np.zeros_like(params)
-        h = cfg.fd_step
+        h = 1e-4
         try:
             e_cur = nll(params, seed, vs=vs_cur)
             for i in range(params.size):
@@ -238,7 +236,7 @@ def land_fit(
         except (DegenerateEstimate, InvalidParam, np.linalg.LinAlgError):
             break
         gnorm = float(np.max(np.abs(grad)))
-        if gnorm < cfg.grad_tol:
+        if gnorm < 1e-4:
             converged = True
             break
         gsq = float(grad @ grad)
@@ -253,7 +251,7 @@ def land_fit(
                 e_new = np.inf
             if np.isfinite(e_new) and e_new <= e_cur - 1e-4 * step * gsq:
                 params, e_cur = trial, e_new
-                vs_cur, warm["coeffs"] = vs_t, coeffs_t
+                vs_cur, coeffs_cur = vs_t, coeffs_t
                 trace.append(e_cur)
                 accepted = True
                 step = min(step * 1.5, 10.0)

@@ -12,10 +12,10 @@ Three sources for the d x d tensor at a latent point:
   axes and contracts the lattice one axis at a time. Far-field queries
   get the nearest node's tensor; NaN or infinite queries get NaN.
 
-All variants expose ``eval`` (single point), ``eval_batch`` and
-``eval_batch_and_grad``, which adds dM/dz: analytic for the constant and
-grid metrics, otherwise central differences from one ``eval_batch`` over
-the (2d+1)*m stacked points.
+A metric implements ``eval_batch``, the tensors at a batch of latent
+points; ``eval`` is its one-row view. ``eval_batch_and_grad`` adds dM/dz:
+analytic for the constant and grid metrics, otherwise central differences
+from one ``eval_batch`` over the (2d+1)*m stacked points.
 """
 
 from __future__ import annotations
@@ -28,20 +28,21 @@ import numpy as np
 from . import decoder as dec_mod
 from .decoder import DecoderMap
 from .errors import InvalidEpsilon, OffSimplex, ShapeError
-from .families import FamilyKind, McKl, ParamPoint, get_family
+from .families import FamilyKind, McKl, ParamPoint, get_family, sampled_kls
 
 
 class LatentMetric:
-    """Anything that yields a symmetric d x d tensor at a latent point."""
+    """Anything that yields a symmetric d x d tensor at each row of a batch
+    of latent points. Subclasses implement ``eval_batch``."""
 
     latent_dim: int
 
-    def eval(self, z) -> np.ndarray:
+    def eval_batch(self, zs) -> np.ndarray:
         raise NotImplementedError
 
-    def eval_batch(self, zs) -> np.ndarray:
-        zs = np.atleast_2d(np.asarray(zs, dtype=float))
-        return np.stack([self.eval(z) for z in zs])
+    def eval(self, z) -> np.ndarray:
+        """The tensor at one latent point: the one-row ``eval_batch``."""
+        return self.eval_batch(np.asarray(z, dtype=float)[None])[0]
 
     def eval_batch_and_grad(self, zs, fd_step: float = 1e-4):
         """(M, dM) at the rows of zs: M is (m, d, d) and dM[k] = dM/dz_k is
@@ -54,9 +55,6 @@ class LatentMetric:
         mm = self.eval_batch(stacked.reshape(-1, d)).reshape(2 * d + 1, m, d, d)
         return mm[0], (mm[1 : d + 1] - mm[d + 1 :]) / (2.0 * fd_step)
 
-    def __call__(self, z) -> np.ndarray:
-        return self.eval(z)
-
 
 class ConstantMetric(LatentMetric):
     def __init__(self, matrix):
@@ -64,9 +62,6 @@ class ConstantMetric(LatentMetric):
         if self.matrix.ndim != 2 or self.matrix.shape[0] != self.matrix.shape[1]:
             raise ShapeError("constant metric needs a square matrix")
         self.latent_dim = self.matrix.shape[0]
-
-    def eval(self, z):
-        return self.matrix.copy()
 
     def eval_batch(self, zs):
         zs = np.atleast_2d(np.asarray(zs, dtype=float))
@@ -84,8 +79,9 @@ class CallableMetric(LatentMetric):
         self.fn = fn
         self.latent_dim = latent_dim
 
-    def eval(self, z):
-        return np.asarray(self.fn(np.asarray(z, dtype=float)), dtype=float)
+    def eval_batch(self, zs):
+        zs = np.atleast_2d(np.asarray(zs, dtype=float))
+        return np.stack([np.asarray(self.fn(z), dtype=float) for z in zs])
 
 
 class PullbackMetric(LatentMetric):
@@ -95,8 +91,9 @@ class PullbackMetric(LatentMetric):
         self.decoder = decoder
         self.latent_dim = decoder.latent_dim
 
-    def eval(self, z):
-        return pullback(self.decoder, z)
+    # defined on this class, not inherited, so that a wrapper installed on
+    # PullbackMetric.eval (the benchmark's tracer) sees every single-point call
+    eval = LatentMetric.eval
 
     def eval_batch(self, zs):
         zs = np.atleast_2d(np.asarray(zs, dtype=float))
@@ -115,10 +112,10 @@ class KlProbeMetric(LatentMetric):
 
     ``eval`` decodes z, z + eps e_i and z + eps (e_i + e_j), i < j, in one
     ``forward_stacked`` call and takes their KLs from one ``kl`` call
-    (sampled KLs with ``mc`` are drawn per probe). ``eval_batch`` stays the
-    per-point loop of ``LatentMetric``. Negative eigenvalues from noisy
-    probes are clamped to 1e-8 * trace / d; ``clamp_count`` tallies how
-    often that fired.
+    (sampled KLs with ``mc`` are drawn per probe). ``eval_batch`` calls
+    ``eval`` once per row, so that clamping stays one ``eigh`` per point.
+    Negative eigenvalues from noisy probes are clamped to 1e-8 * trace / d;
+    ``clamp_count`` tallies how often that fired.
     """
 
     def __init__(self, decoder: DecoderMap, eps: float = 1e-2, mc: McKl | None = None):
@@ -131,9 +128,27 @@ class KlProbeMetric(LatentMetric):
         self.clamp_count = 0
 
     def eval(self, z):
-        m, clamped = _kl_probe_impl(self.decoder, np.asarray(z, dtype=float), self.eps, self.mc)
+        z = np.asarray(z, dtype=float)
+        d, eps = self.latent_dim, self.eps
+        eye = np.eye(d)
+        iu, ju = np.triu_indices(d, 1)
+        # the d axis probes, then one probe along e_i + e_j for each pair i < j
+        probes = z + eps * np.concatenate([eye, eye[iu] + eye[ju]])
+        if self.mc is None:
+            kls = _decoded_kls(self.decoder, z[None], probes[None])[0]
+        else:
+            kls = np.array([_decoded_kl(self.decoder, z, p, self.mc) for p in probes])
+        kl_single, pair = kls[:d], kls[d:]
+        m = np.zeros((d, d))
+        np.fill_diagonal(m, 2.0 * kl_single / eps**2)
+        m[iu, ju] = m[ju, iu] = (pair - kl_single[iu] - kl_single[ju]) / eps**2
+        m, clamped = clamp_spd(m)
         self.clamp_count += clamped
         return m
+
+    def eval_batch(self, zs):
+        zs = np.atleast_2d(np.asarray(zs, dtype=float))
+        return np.stack([self.eval(z) for z in zs])
 
 
 @dataclass
@@ -188,9 +203,6 @@ class GridMetric(LatentMetric):
         ]
         self._lattice = grid.tensors.reshape(grid.resolution[0], -1)
 
-    def eval(self, z):
-        return self.eval_batch(np.asarray(z, dtype=float)[None])[0]
-
     def _axis_weights(self, x: np.ndarray, nodes: np.ndarray) -> np.ndarray:
         """Normalized 1-D kernel weights, (m, r), of nodes for coordinates x."""
         # nearest node to x clipped into the box, so that |x| >> |node| still resolves
@@ -239,29 +251,18 @@ class GridMetric(LatentMetric):
 
 
 def pullback(dec: DecoderMap, z) -> np.ndarray:
-    """J^T I_H(h(z)) J, symmetrized."""
-    z = np.asarray(z, dtype=float)
-    jac = dec_mod.jacobian(dec, z)
-    stacked = dec_mod.forward_stacked(dec, z)
-    blocks = dec_mod.product_fisher_stacked(dec.family, stacked)
-    jb = jac.reshape(dec.feature_count, dec.family.param_dim, dec.latent_dim)
-    m = np.einsum("fpi,fpq,fqj->ij", jb, blocks, jb)
-    return 0.5 * (m + m.T)
+    """J^T I_H(h(z)) J, symmetrized, at one latent point."""
+    return PullbackMetric(dec).eval(z)
 
 
 def _decoded_kl(dec: DecoderMap, z1, z2, mc: McKl | None) -> float:
-    """Sum of per-feature divergences between two decoded points."""
-    fam = dec.family
-    p1 = dec_mod.forward_stacked(dec, z1).reshape(dec.feature_count, fam.param_dim)
-    p2 = dec_mod.forward_stacked(dec, z2).reshape(dec.feature_count, fam.param_dim)
+    """Sum of per-feature divergences between two decoded points: exact from
+    one decoder call, or sampled with ``mc`` (each point decoded on its own)."""
+    z1, z2 = np.asarray(z1, dtype=float), np.asarray(z2, dtype=float)
     if mc is None:
-        return float(np.sum(fam.kl(p1, p2)))
-    gen = mc.rng.child(0).generator
-    total = 0.0
-    for f in range(dec.feature_count):
-        x = fam.sample(p1[f], gen, mc.n_samples)
-        total += float(np.mean(fam.log_pdf(p1[f], x) - fam.log_pdf(p2[f], x)))
-    return total
+        return float(_decoded_kls(dec, z1[None], z2[None, None])[0, 0])
+    params = np.stack([dec_mod.forward_stacked(dec, z) for z in (z1, z2)])
+    return float(sampled_kls(dec.family, params.reshape(2, dec.feature_count, -1), mc)[0])
 
 
 def _decoded_kls(dec: DecoderMap, zs, probes) -> np.ndarray:
@@ -276,38 +277,18 @@ def _decoded_kls(dec: DecoderMap, zs, probes) -> np.ndarray:
     return dec.family.kl(params[:, :1], params[:, 1:]).sum(axis=-1)
 
 
-def _kl_probe_impl(dec: DecoderMap, z, eps: float, mc: McKl | None):
-    d = dec.latent_dim
-    eye = np.eye(d)
-    iu, ju = np.triu_indices(d, 1)
-    # the d axis probes, then one probe along e_i + e_j for each pair i < j
-    probes = z + eps * np.concatenate([eye, eye[iu] + eye[ju]])
-    if mc is None:
-        kls = _decoded_kls(dec, z[None], probes[None])[0]
-    else:
-        kls = np.array([_decoded_kl(dec, z, p, mc) for p in probes])
-    kl_single, pair = kls[:d], kls[d:]
-    m = np.zeros((d, d))
-    np.fill_diagonal(m, 2.0 * kl_single / eps**2)
-    m[iu, ju] = m[ju, iu] = (pair - kl_single[iu] - kl_single[ju]) / eps**2
-    return clamp_spd(m)
-
-
 def kl_probe(dec: DecoderMap, z, eps: float = 1e-2, mc: McKl | None = None) -> np.ndarray:
     """Metric estimate from forward KL probes; symmetric by construction."""
-    if eps <= 0:
-        raise InvalidEpsilon("probe step must be > 0")
-    m, _ = _kl_probe_impl(dec, np.asarray(z, dtype=float), eps, mc)
-    return m
+    return KlProbeMetric(dec, eps, mc).eval(z)
 
 
-def clamp_spd(m: np.ndarray, rel_floor: float = 1e-8):
-    """Clamp non-positive eigenvalues to rel_floor * trace / d.
+def clamp_spd(m: np.ndarray):
+    """Clamp eigenvalues below 1e-8 * trace / d up to that floor.
 
     Returns (matrix, n_clamped). No-op for already-PD tensors.
     """
     vals, vecs = np.linalg.eigh(m)
-    floor = rel_floor * max(np.trace(m), np.finfo(float).tiny) / m.shape[0]
+    floor = 1e-8 * max(np.trace(m), np.finfo(float).tiny) / m.shape[0]
     bad = vals < floor
     if not np.any(bad):
         return m, 0

@@ -246,3 +246,34 @@ def test_log_decoder_is_the_batched_log_map(decoder_path, capsys):
     dec = io.load_decoder(decoder_path)
     want = G.log_map_batch(dec, [0.5, -1.0], [[-0.2, 0.3]], cfg, RngStream(1))[0][0]
     assert v == [float(x) for x in want]
+
+
+@pytest.mark.parametrize("argv", [
+    ["exp", "--decoder", "{dec}", "--z=0,0", "--v=0.1,0", "--steps", "0"],
+    ["land", "--decoder", "{dec}", "--codes", "{codes}", "--seed", "1",
+     "--out-model", "{model}", "--exp-steps", "0"],
+    ["land", "--decoder", "{dec}", "--codes", "{codes}", "--seed", "1",
+     "--out-model", "{model}", "--mc-samples", "0"],
+    ["geodesic", "--decoder", "{dec}", "--z0=0,0", "--z1=1,1", "--seed", "1", "--segments", "0"],
+    ["geodesic", "--decoder", "{dec}", "--z0=0,0", "--z1=1,1", "--seed", "1", "--mc-samples", "-2"],
+    ["geodesic", "--decoder", "{dec}", "--z0=0,0", "--z1=1,1", "--seed", "1", "--mc-samples", "0"],
+    ["geodesic", "--decoder", "{dec}", "--z0=0,0", "--z1=1,1", "--seed", "1", "--samples", "-1"],
+    ["geodesic", "--decoder", "{dec}", "--codes", "{codes}", "--i0", "0", "--i1", "99",
+     "--seed", "1"],
+    ["geodesic", "--decoder", "{dec}", "--codes", "{codes}", "--i0", "-1", "--i1", "3",
+     "--seed", "1"],
+    ["toygen", "--n", "-3", "--seed", "1", "--out", "{model}"],
+    ["kl", "--decoder", "{dec}", "--z1=0,0", "--z2=1,1", "--mc-samples", "-4", "--seed", "1"],
+    ["kl", "--decoder", "{dec}", "--z1=0,0", "--z2=1,1", "--mc-samples", "0", "--seed", "1"],
+])
+def test_counts_and_code_indices_out_of_range_are_usage_errors(argv, decoder_path, tmp_path,
+                                                               capsys):
+    codes, model = tmp_path / "codes.csv", tmp_path / "model.json"
+    assert cli.main(["toygen", "--n", "12", "--seed", "1", "--out", str(codes)]) == 0
+    capsys.readouterr()
+    paths = {"dec": decoder_path, "codes": codes, "model": model}
+    assert cli.main([a.format(**paths) for a in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err.splitlines()[-1])["error"] == "usage"
+    assert not model.exists()

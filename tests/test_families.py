@@ -21,6 +21,18 @@ def point(kind, values):
     return ParamPoint(get_family(kind, k_for(FamilyKind(kind))), np.asarray(values, float))
 
 
+def sampled_kls_reference(fam, params, mc):
+    """Per segment and feature, one draw and one mean, all from one fresh
+    ``mc.rng.child(0)`` stream."""
+    gen = mc.rng.child(0).generator
+    kls = np.zeros(len(params) - 1)
+    for i in range(len(params) - 1):
+        for f in range(params.shape[1]):
+            x = fam.sample(params[i, f], gen, mc.n_samples)
+            kls[i] += np.mean(fam.log_pdf(params[i, f], x) - fam.log_pdf(params[i + 1, f], x))
+    return kls
+
+
 class TestLogPdf:
     def test_standard_normal_at_zero(self):
         eta = point("normal", [0.0, 1.0])
@@ -141,6 +153,24 @@ class TestKl:
             closed = F.kl(e1, e2)
             mc, se = F.kl_mc_stats(e1, e2, McKl(RngStream(11), 400_000))
             assert abs(closed - mc) < 4 * se + 1e-12
+
+    def test_sampled_kl_is_the_mean_log_ratio(self, gen):
+        for kind in ALL_KINDS:
+            e1, e2 = random_interior(kind, gen), random_interior(kind, gen)
+            fam = e1.family
+            x = fam.sample(e1.values, RngStream(4).generator, 64)
+            diffs = fam.log_pdf(e1.values, x) - fam.log_pdf(e2.values, x)
+            want = float(np.mean(diffs))
+            assert F.kl(e1, e2, McKl(RngStream(4), 64)) == want
+            assert F.kl_mc_stats(e1, e2, McKl(RngStream(4), 64)) == (want, float(np.std(diffs) / 8))
+
+    def test_sampled_kls_match_per_feature_reference(self, gen):
+        for kind in ALL_KINDS:
+            fam = get_family(kind, k_for(kind))
+            params = np.array([[random_interior(kind, gen).values for _ in range(3)]
+                               for _ in range(5)])
+            got = F.sampled_kls(fam, params, McKl(RngStream(2), 16))
+            assert np.array_equal(got, sampled_kls_reference(fam, params, McKl(RngStream(2), 16)))
 
     def test_second_order_ratio_decreases(self, gen):
         for kind in ALL_KINDS:

@@ -172,6 +172,56 @@ class TestKlProbe:
         assert np.linalg.eigvalsh(tensor).min() >= 0
 
 
+def decoded_kl_reference(dec, z1, z2, mc):
+    """The per-feature sampled KL: two decoder calls, then one draw and one
+    mean per feature from a fresh ``mc.rng.child(0)`` stream."""
+    fam = dec.family
+    p1 = D.forward_stacked(dec, z1).reshape(dec.feature_count, fam.param_dim)
+    p2 = D.forward_stacked(dec, z2).reshape(dec.feature_count, fam.param_dim)
+    gen = mc.rng.child(0).generator
+    total = 0.0
+    for f in range(dec.feature_count):
+        x = fam.sample(p1[f], gen, mc.n_samples)
+        total += float(np.mean(fam.log_pdf(p1[f], x) - fam.log_pdf(p2[f], x)))
+    return total
+
+
+class TestOneRowViews:
+    def test_a_metric_needs_only_eval_batch(self):
+        class Scaled(M.LatentMetric):
+            latent_dim = 2
+
+            def eval_batch(self, zs):
+                zs = np.atleast_2d(zs)
+                return (1.0 + zs[:, 0])[:, None, None] * np.eye(2)
+
+        assert np.array_equal(Scaled().eval([0.5, -1.0]), 1.5 * np.eye(2))
+
+    @pytest.mark.parametrize("regularized", [True, False])
+    @pytest.mark.parametrize("kind", list(FamilyKind))
+    def test_single_point_tensors_are_rows_of_eval_batch(self, kind, regularized, gen):
+        # a batch of m rows may round the decoder's matrix products
+        # differently from m = 1, hence the one-row batch for the pullback
+        dec = toy_decoder(kind.value, seed=5, regularized=regularized)
+        zs = gen.uniform(-2, 2, size=(6, 2))
+        pb = M.PullbackMetric(dec)
+        rows, probe_rows = pb.eval_batch(zs), M.KlProbeMetric(dec).eval_batch(zs)
+        for z, row, probe_row in zip(zs, rows, probe_rows):
+            one_row = pb.eval_batch(z[None])[0]
+            assert np.array_equal(M.pullback(dec, z), one_row)
+            assert np.array_equal(pb.eval(z), one_row)
+            assert np.max(np.abs(one_row - row)) <= 1e-14 * np.max(np.abs(rows))
+            assert np.array_equal(M.kl_probe(dec, z), probe_row)
+
+    @pytest.mark.parametrize("kind", list(FamilyKind))
+    def test_sampled_decoded_kl_matches_per_feature_reference(self, kind, gen):
+        dec = toy_decoder(kind.value, seed=5)
+        for seed in range(4):
+            z1, z2 = gen.uniform(-2, 2, size=(2, 2))
+            want = decoded_kl_reference(dec, z1, z2, McKl(RngStream(seed), 32))
+            assert M._decoded_kl(dec, z1, z2, McKl(RngStream(seed), 32)) == want
+
+
 class TestSimplexChart:
     def test_binary_complement(self):
         pt, _ = M.simplex_chart(np.array([0.3]))
