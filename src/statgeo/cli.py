@@ -22,7 +22,7 @@ from . import decoder as dec_mod
 from . import geodesic as geo
 from . import land as land_mod
 from . import metric as met
-from .errors import NonConvergence, StatGeoError
+from .errors import NonConvergence, ShapeError, StatGeoError
 from .families import McKl
 from .metric import GridMetric, KlProbeMetric, PullbackMetric
 from .rng import RngStream
@@ -44,11 +44,15 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _vector(text: str) -> np.ndarray:
+def _vector(text: str, dim: int | None = None) -> np.ndarray:
+    """The comma-separated floats of ``text``; with ``dim``, exactly that many."""
     try:
-        return np.array([float(v) for v in text.split(",")])
+        vec = np.array([float(v) for v in text.split(",")])
     except ValueError as exc:
         raise _UsageError(f"cannot parse vector {text!r}") from exc
+    if dim is not None and vec.size != dim:
+        raise _UsageError(f"{text!r} has {vec.size} coordinates, expected {dim}")
+    return vec
 
 
 def _positive_int(text: str) -> int:
@@ -58,30 +62,41 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _ints(text: str) -> tuple[int, ...]:
+def _lattice(bounds_text: str, resolution_text: str, dim: int):
+    """(bounds (dim, 2), resolution) of a lattice given as "lo,hi,lo,hi,..."
+    and "n0,n1,...": one lo,hi pair and one count >= 2 per latent axis."""
+    bounds = _vector(bounds_text, 2 * dim).reshape(dim, 2)
     try:
-        return tuple(int(v) for v in text.split(","))
+        resolution = tuple(int(v) for v in resolution_text.split(","))
     except ValueError as exc:
-        raise _UsageError(f"cannot parse integers {text!r}") from exc
+        raise _UsageError(f"cannot parse integers {resolution_text!r}") from exc
+    if len(resolution) != dim or min(resolution) < 2:
+        raise _UsageError(
+            f"resolution {resolution_text!r} needs {dim} counts >= 2, one per latent axis"
+        )
+    return bounds, resolution
 
 
 def _energy_config(args) -> geo.EnergyConfig:
-    return geo.EnergyConfig(
-        n_disc=args.n_disc,
-        segments=args.segments,
-        max_iters=args.max_iters,
-        grad_tol=args.grad_tol,
-        gradient_mode=args.gradient_mode,
-        jitter=args.jitter,
-        objective=args.objective,
-        mc_samples=args.mc_samples,
-    )
+    try:
+        return geo.EnergyConfig(
+            n_disc=args.n_disc,
+            segments=args.segments,
+            max_iters=args.max_iters,
+            grad_tol=args.grad_tol,
+            gradient_mode=args.gradient_mode,
+            jitter=args.jitter,
+            objective=args.objective,
+            mc_samples=args.mc_samples,
+        )
+    except ShapeError as exc:  # settings the optimizer rejects, such as --n-disc 1
+        raise _UsageError(str(exc)) from exc
 
 
 def _add_optimizer_args(p):
     p.add_argument("--n-disc", type=int, default=200, help="energy discretization N")
     p.add_argument("--segments", type=_positive_int, default=4, help="spline segments")
-    p.add_argument("--max-iters", type=int, default=200)
+    p.add_argument("--max-iters", type=_positive_int, default=200)
     p.add_argument("--grad-tol", type=float, default=1e-6)
     p.add_argument("--gradient-mode", choices=["fd", "analytic"], default="analytic")
     p.add_argument("--jitter", type=float, default=1e-4)
@@ -128,9 +143,9 @@ def _cmd_toygen(args) -> int:
     return 0
 
 
-def _resolve_endpoints(args):
+def _resolve_endpoints(args, dim: int):
     if args.z0 is not None and args.z1 is not None:
-        return _vector(args.z0), _vector(args.z1)
+        return _vector(args.z0, dim), _vector(args.z1, dim)
     if args.codes is not None and args.i0 is not None and args.i1 is not None:
         codes = io.load_codes(args.codes)
         for i in (args.i0, args.i1):
@@ -144,7 +159,7 @@ def _cmd_geodesic(args) -> int:
     timings = {}
     t0 = time.perf_counter()
     dec = io.load_decoder(args.decoder)
-    z0, z1 = _resolve_endpoints(args)
+    z0, z1 = _resolve_endpoints(args, dec.latent_dim)
     timings["load"] = time.perf_counter() - t0
 
     cfg = _energy_config(args)
@@ -213,8 +228,7 @@ def _cmd_metric_grid(args) -> int:
     timings = {}
     t0 = time.perf_counter()
     dec = io.load_decoder(args.decoder)
-    bounds = np.asarray(_vector(args.bounds)).reshape(-1, 2)
-    resolution = _ints(args.resolution)
+    bounds, resolution = _lattice(args.bounds, args.resolution, dec.latent_dim)
     timings["load"] = time.perf_counter() - t0
 
     if args.mode == "pullback":
@@ -253,6 +267,8 @@ def _cmd_land(args) -> int:
     rng = RngStream(args.seed)
     metric = _load_metric(args)
     codes = io.load_codes(args.codes)
+    if args.out_density:
+        bounds, res = _lattice(args.density_bounds, args.density_resolution, metric.latent_dim)
     cfg = land_mod.LandFitConfig(
         max_iters=args.max_iters, mc_samples=args.mc_samples, exp_steps=args.exp_steps
     )
@@ -269,8 +285,6 @@ def _cmd_land(args) -> int:
     io.save_json(io.land_to_dict(model, metric_ref=metric_ref), args.out_model)
 
     if args.out_density:
-        bounds = np.asarray(_vector(args.density_bounds)).reshape(-1, 2)
-        res = _ints(args.density_resolution)
         pts = met.lattice_points(bounds, res)
         logpdf = land_mod.land_logpdf_batch(model, pts, rng.child(5))
         tensors = model.metric.eval_batch(pts)
@@ -295,7 +309,7 @@ def _cmd_land(args) -> int:
 
 def _cmd_kl(args) -> int:
     dec = io.load_decoder(args.decoder)
-    z1, z2 = _vector(args.z1), _vector(args.z2)
+    z1, z2 = _vector(args.z1, dec.latent_dim), _vector(args.z2, dec.latent_dim)
     mc = None
     if args.mc_samples is not None:
         if args.seed is None:
@@ -318,7 +332,7 @@ def _cmd_kl(args) -> int:
 
 def _cmd_exp(args) -> int:
     metric = _load_metric(args)
-    z, v = _vector(args.z), _vector(args.v)
+    z, v = _vector(args.z, metric.latent_dim), _vector(args.v, metric.latent_dim)
     endpoint, ts, path = geo.exp_map(
         metric, z, v, steps=args.steps, return_path=True
     )
@@ -330,8 +344,9 @@ def _cmd_exp(args) -> int:
 
 
 def _cmd_log(args) -> int:
-    z, y = _vector(args.z), _vector(args.y)
-    v = geo.log_map(_load_target(args), z, y, _energy_config(args), RngStream(args.seed))
+    target = _load_target(args)
+    z, y = _vector(args.z, target.latent_dim), _vector(args.y, target.latent_dim)
+    v = geo.log_map(target, z, y, _energy_config(args), RngStream(args.seed))
     _print_json(
         {"version": __version__, "v": [float(x) for x in v],
          "length": float(np.linalg.norm(v))}

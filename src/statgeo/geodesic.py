@@ -17,12 +17,12 @@ objective keeps its own energy scale; see ``_decoder_energy``.)
 
 Every solver works on a batch of m rows; a single curve or shot is m = 1.
 One fitter serves ``minimize_energy_detailed`` and both log maps, on
-decoders and metric fields alike: one Barzilai-Borwein + Armijo descent
-over coefficient arrays of shape (m, d, 2S), with a step and a stopping
-rule per curve. Its gradient is analytic for the KL objective (one
-decoder pass over the nodes that returns both the parameters and their
-Jacobians) and the graph energy (one
-``eval_batch_and_grad`` call over the midpoints); for the categorical
+decoders and metric fields alike: one BFGS descent with Armijo
+backtracking over coefficient arrays of shape (m, d, 2S), with an
+inverse-Hessian estimate, a step and a stopping rule per curve. Its
+gradient is analytic for the KL objective (one decoder pass over the nodes
+that returns both the parameters and their Jacobians) and the graph energy
+(one ``eval_batch_and_grad`` call over the midpoints); for the categorical
 objective, and with ``gradient_mode="fd"``, it is one central-difference
 routine that makes one energy call over the rows per probe. One RK4 loop
 shoots both exponential maps; its right-hand side gets M and dM/dz from
@@ -150,7 +150,8 @@ def curve_eval(c: SplineCurve, t: float):
 @dataclass
 class EnergyConfig:
     """Discretization and optimizer settings for energy minimization. The
-    descent's first step is 0.1; ``gradient_mode="fd"`` differences with step 1e-6."""
+    descent's first step, and its step wherever the BFGS direction does not
+    descend, is -0.1 g; ``gradient_mode="fd"`` differences with step 1e-6."""
 
     n_disc: int = 128
     segments: int = 4
@@ -359,69 +360,92 @@ def _start_coeffs(cfg: EnergyConfig, rng: RngStream, shape, warm=None) -> np.nda
     return np.zeros(shape)
 
 
+def _bfgs_update(h_inv, rows, s, y):
+    """BFGS update of the inverse-Hessian estimates h_inv[rows] (n, n) with
+    the steps s and gradient changes y (rows, n). A row whose curvature
+    s^T y is not above 1e-12 |s| |y| keeps its estimate; a row's first
+    update starts from (s^T y / y^T y) I."""
+    sy = np.einsum("ki,ki->k", s, y)
+    ok = sy > 1e-12 * np.linalg.norm(s, axis=1) * np.linalg.norm(y, axis=1)
+    rows, s, y, sy = rows[ok], s[ok], y[ok], sy[ok]
+    h = h_inv[rows]
+    fresh = np.isnan(h[:, 0, 0])
+    h[fresh] = (sy / np.einsum("ki,ki->k", y, y))[fresh, None, None] * np.eye(s.shape[1])
+    hy = np.einsum("kij,kj->ki", h, y)
+    rho = 1.0 / sy
+    outer = np.einsum("ki,kj->kij", s, hy)
+    h -= rho[:, None, None] * (outer + np.swapaxes(outer, 1, 2))
+    coef = rho * (1.0 + rho * np.einsum("ki,ki->k", y, hy))
+    h += coef[:, None, None] * np.einsum("ki,kj->kij", s, s)
+    h_inv[rows] = h
+
+
 def _descend(coeffs, energy, grad, cfg: EnergyConfig):
-    """Barzilai-Borwein descent with Armijo backtracking, one step per curve.
+    """BFGS descent with Armijo backtracking, one inverse-Hessian estimate
+    per curve.
 
     ``coeffs`` (m, d, 2S) is the start; ``energy(c, rows)`` gives the energies
     of curves ``rows`` with coefficients c, and ``grad(c, rows)`` their
-    gradients. A curve whose start energy is not finite never moves; the
-    others stop when max|g| < grad_tol (converged) or when 40 halvings find
-    no Armijo step. A non-finite trial energy, or a NonFiniteEnergy raised
-    by a trial, rejects the trial. Returns
+    gradients. Each curve searches along p = -H g from t = 1, halving t
+    until e(x + t p) <= e(x) + 1e-4 t g^T p, with H its own dense
+    inverse-Hessian estimate of the n = d 2S coefficients. Before its first
+    update, or when -H g is not a descent direction, p = -0.1 g. A curve
+    whose start energy is not finite never moves; the others stop when
+    max|g| < grad_tol (converged), when g is not finite, or when 40 trials
+    find no Armijo step. A non-finite trial energy, or a NonFiniteEnergy
+    raised by a trial, rejects the trial. State is per curve, so a curve
+    fitted in a batch equals the same curve fitted alone. Returns
     (coeffs, energies, converged, iterations, trace), where the trace holds
     the energies at the start and after every iteration that accepted a step.
     """
-    m = coeffs.shape[0]
+    m, n = coeffs.shape[0], coeffs[0].size
     coeffs = coeffs.copy()
     e_cur = np.asarray(energy(coeffs, np.arange(m)), dtype=float)
     trace = [e_cur.copy()]
-    step = np.full(m, 0.1)
     active = np.isfinite(e_cur)
     converged = np.zeros(m, dtype=bool)
     iterations = np.zeros(m, dtype=int)
-    prev_coeffs = np.full_like(coeffs, np.nan)
-    prev_grad = np.full_like(coeffs, np.nan)
+    h_inv = np.full((m, n, n), np.nan)  # NaN until a curve's first update
+    prev_x = np.full((m, n), np.nan)
+    prev_g = np.full((m, n), np.nan)
     for _ in range(cfg.max_iters):
         idx = np.nonzero(active)[0]
         if idx.size == 0:
             break
         iterations[idx] += 1
         sub = coeffs[idx]
-        g = grad(sub, idx)
-        done = np.abs(g).reshape(idx.size, -1).max(axis=1) < cfg.grad_tol
+        x, g = sub.reshape(idx.size, n), grad(sub, idx).reshape(idx.size, n)
+        done = np.abs(g).max(axis=1) < cfg.grad_tol
         converged[idx[done]] = True
-        active[idx[done]] = False
-        idx, g, sub = idx[~done], g[~done], sub[~done]
+        keep = ~done & np.all(np.isfinite(g), axis=1)
+        active[idx[~keep]] = False
+        idx, x, g = idx[keep], x[keep], g[keep]
         if idx.size == 0:
             break
-        # the BB step is only a proposal; the Armijo test keeps each
-        # curve's energy decreasing
-        dpsi = sub - prev_coeffs[idx]
-        dg = g - prev_grad[idx]
-        denom = np.sum(dg * dg, axis=(1, 2))
-        bb = np.abs(np.sum(dpsi * dg, axis=(1, 2))) / np.where(denom > 0, denom, 1.0)
-        usable = np.isfinite(bb) & (bb > 0) & (denom > 0)
-        step[idx[usable]] = np.clip(bb[usable], 1e-12, 1e3)
-        prev_coeffs[idx] = sub
-        prev_grad[idx] = g
-        gsq = np.sum(g * g, axis=(1, 2))
+        _bfgs_update(h_inv, idx, x - prev_x[idx], g - prev_g[idx])
+        prev_x[idx], prev_g[idx] = x, g
+        p = -np.einsum("kij,kj->ki", h_inv[idx], g)
+        steepest = ~(np.einsum("ki,ki->k", g, p) < 0)  # also no estimate yet (NaN)
+        p[steepest] = -0.1 * g[steepest]
+        slope = np.einsum("ki,ki->k", g, p)
+        t = np.ones(idx.size)
         pending = np.arange(idx.size)  # positions in idx still searching
         for _ in range(40):
             rows = idx[pending]
-            trial = sub[pending] - step[rows, None, None] * g[pending]
+            trial = (x[pending] + t[pending, None] * p[pending]).reshape(-1, *coeffs.shape[1:])
             try:
                 e_trial = energy(trial, rows)
             except NonFiniteEnergy:
                 e_trial = np.full(rows.size, np.inf)
             ok = np.isfinite(e_trial) & (
-                e_trial <= e_cur[rows] - 1e-4 * step[rows] * gsq[pending]
+                e_trial <= e_cur[rows] + 1e-4 * t[pending] * slope[pending]
             )
             coeffs[rows[ok]] = trial[ok]
             e_cur[rows[ok]] = e_trial[ok]
             pending = pending[~ok]
             if pending.size == 0:
                 break
-            step[idx[pending]] *= 0.5
+            t[pending] *= 0.5
         active[idx[pending]] = False  # line search failed
         if pending.size < idx.size:
             trace.append(e_cur.copy())
@@ -466,7 +490,7 @@ def _fit_curves(target, z0, targets, cfg: EnergyConfig, rng: RngStream, warm, st
 def minimize_energy_detailed(
     z0, z1, target, cfg: EnergyConfig | None = None, rng: RngStream | None = None
 ) -> GeodesicResult:
-    """Gradient descent with backtracking over spline coefficients.
+    """BFGS descent with backtracking over spline coefficients.
 
     ``target`` is a DecoderMap (KL or categorical energy) or a
     LatentMetric (graph energy). The returned curve never has more

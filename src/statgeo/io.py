@@ -146,7 +146,10 @@ def load_codes(path) -> np.ndarray:
         raise ShapeError(f"unexpected codes header {header}")
     if any(len(row) != len(header) for row in data):
         raise ShapeError("codes file is not rectangular")
-    return np.array([[float(v) for v in row] for row in data])
+    try:
+        return np.array([[float(v) for v in row] for row in data])
+    except ValueError as exc:
+        raise ShapeError(f"codes file has a value that is not a number: {exc}") from exc
 
 
 def grid_to_dict(grid: MetricGrid, mode: str, extra: dict | None = None) -> dict:

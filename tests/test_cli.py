@@ -265,6 +265,18 @@ def test_log_decoder_is_the_batched_log_map(decoder_path, capsys):
     ["toygen", "--n", "-3", "--seed", "1", "--out", "{model}"],
     ["kl", "--decoder", "{dec}", "--z1=0,0", "--z2=1,1", "--mc-samples", "-4", "--seed", "1"],
     ["kl", "--decoder", "{dec}", "--z1=0,0", "--z2=1,1", "--mc-samples", "0", "--seed", "1"],
+    ["geodesic", "--decoder", "{dec}", "--z0=0,0", "--z1=1,1", "--seed", "1", "--n-disc", "1"],
+    ["geodesic", "--decoder", "{dec}", "--z0=0,0", "--z1=1,1", "--seed", "1", "--max-iters", "-3"],
+    ["geodesic", "--decoder", "{dec}", "--z0=0,0,0", "--z1=1,1", "--seed", "1"],
+    ["metric-grid", "--decoder", "{dec}", "--bounds=-2,2,-2,2", "--resolution", "0,3",
+     "--out", "{model}"],
+    ["metric-grid", "--decoder", "{dec}", "--bounds=-2,2,-2", "--resolution", "3,3",
+     "--out", "{model}"],
+    ["land", "--decoder", "{dec}", "--codes", "{codes}", "--seed", "1",
+     "--out-model", "{model}", "--out-density", "{codes}", "--density-resolution", "4"],
+    ["exp", "--decoder", "{dec}", "--z=0,0,0", "--v=0.1,0"],
+    ["log", "--decoder", "{dec}", "--z=0,0", "--y=1,1,1", "--seed", "1"],
+    ["kl", "--decoder", "{dec}", "--z1=0,0,0", "--z2=1,1"],
 ])
 def test_counts_and_code_indices_out_of_range_are_usage_errors(argv, decoder_path, tmp_path,
                                                                capsys):

@@ -479,3 +479,82 @@ def test_descend_drops_rows_that_start_non_finite(gen):
     alone = G._descend(start[1:], energy1, grad1, cfg)
     assert np.array_equal(coeffs[1], alone[0][0]) and e[1] == alone[1][0]
     assert iterations[1] == alone[3][0] and converged[1] == alone[2][0]
+
+
+def test_descend_stops_rows_whose_gradient_is_not_finite(gen):
+    # row 0's gradient is NaN: it stops before its line search, costing no
+    # trial energy, and keeps its start; row 1 fits as it does alone
+    metric = M.CallableMetric(lambda z: np.diag(1.0 + z**2), 2)
+    cfg = EnergyConfig(n_disc=16, segments=1, max_iters=20, jitter=0.0)
+    z0, targets = np.zeros(2), np.array([[1.0, 0.0], [0.3, 0.2]])
+    energy, _, grad = G._graph_energy(metric, z0, targets, 1, 16, strict=False)
+    calls = []
+
+    def counted(coeffs, rows):
+        calls.append(rows.copy())
+        return energy(coeffs, rows)
+
+    def nan_row0(coeffs, rows):
+        g = grad(coeffs, rows)
+        g[rows == 0] = np.nan
+        return g
+
+    start = 0.05 * gen.normal(size=(2, 2, 2))
+    coeffs, e, converged, iterations, _ = G._descend(start, counted, nan_row0, cfg)
+    assert all(0 not in rows for rows in calls[1:])
+    assert np.array_equal(coeffs[0], start[0]) and e[0] == energy(start[:1], np.arange(1))[0]
+    assert not converged[0] and iterations[0] == 1
+    energy1, _, grad1 = G._graph_energy(metric, z0, targets[1:], 1, 16, strict=False)
+    alone = G._descend(start[1:], energy1, grad1, cfg)
+    assert np.array_equal(coeffs[1], alone[0][0]) and e[1] == alone[1][0]
+
+
+def test_descend_solves_a_quadratic_energy_in_few_iterations(gen):
+    # on a constant metric the graph energy is quadratic in the n = d 2S
+    # coefficients; at the log-map settings of density fitting (S=1, N=16)
+    # the quasi-Newton fit converges within 2n + 2 iterations
+    metric = M.ConstantMetric(np.diag([2.0, 0.5]))
+    cfg = EnergyConfig(n_disc=16, segments=1)
+    z0, targets = np.array([0.1, -0.2]), gen.uniform(-1.5, 1.5, size=(20, 2))
+    _, _, _, converged, iterations, _, _ = G._fit_curves(
+        metric, z0, targets, cfg, RngStream(1), None, strict=False
+    )
+    n = 2 * 2 * cfg.segments
+    assert np.all(converged) and iterations.max() <= 2 * n + 2
+
+
+def test_bfgs_update_satisfies_the_secant_equation(gen):
+    # rows 0 and 1 update (row 1 for the first time, from the scaled
+    # identity), row 2 has no curvature along its step and keeps its estimate
+    n = 4
+    a = gen.normal(size=(n, n))
+    h_inv = np.stack([np.eye(n) + 0.1 * a @ a.T, np.full((n, n), np.nan), 2.0 * np.eye(n)])
+    s = gen.normal(size=(3, n))
+    y = np.stack([s[0] @ (a @ a.T + np.eye(n)), 3.0 * s[1], s[2]])
+    y[2] -= (y[2] @ s[2]) / (s[2] @ s[2]) * s[2]  # s^T y = 0
+    before = h_inv.copy()
+    G._bfgs_update(h_inv, np.arange(3), s, y)
+    for k in (0, 1):
+        assert np.allclose(h_inv[k] @ y[k], s[k], rtol=1e-12, atol=1e-12)
+        assert np.allclose(h_inv[k], h_inv[k].T, atol=1e-14)
+        assert np.all(np.linalg.eigvalsh(h_inv[k]) > 0)
+    assert np.allclose(h_inv[1], np.eye(n) / 3.0)  # s^T y / y^T y = 1/3, exact for y = 3 s
+    assert np.array_equal(h_inv[2], before[2])
+
+
+def test_normal_chart_geodesics_converge_to_the_fisher_rao_distance(gen):
+    # N(mu, var) in its (mu, var) chart at the CLI settings: the fit stops on
+    # grad_tol, and its length is the closed-form Fisher-Rao distance
+    # sqrt(2) arccosh(1 + ((mu1 - mu2)^2 / 2 + (s1 - s2)^2) / (2 s1 s2)), s = sqrt(var)
+    dec = identity_parameter_decoder("normal")
+    cfg = EnergyConfig(n_disc=200, segments=4, max_iters=200)
+    for k in range(4):
+        a = np.array([gen.uniform(-1.0, 1.0), gen.uniform(0.5, 2.0)])
+        b = np.array([gen.uniform(-1.0, 1.0), gen.uniform(0.5, 2.0)])
+        res = G.minimize_energy_detailed(a, b, dec, cfg, RngStream(k))
+        assert res.converged and res.iterations < 200
+        s1, s2 = np.sqrt(a[1]), np.sqrt(b[1])
+        exact = np.sqrt(2.0) * np.arccosh(
+            1.0 + ((a[0] - b[0]) ** 2 / 2.0 + (s1 - s2) ** 2) / (2.0 * s1 * s2)
+        )
+        assert abs(G.curve_length(res.curve, dec, cfg.n_disc) - exact) / exact < 1e-3

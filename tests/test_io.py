@@ -22,6 +22,7 @@ def test_codes_round_trip_bit_exactly(gen, tmp_path):
     "z0,z1\n0.5,1.0\n2.0\n",  # a short row
     "z0,z1\n0.5,1.0,3.0\n0.5,1.0\n",  # a long row
     "z0,z1\n0.5,1.0,3.0\n0.5,1.0,3.0\n",  # every row wider than the header
+    "z0,z1\n0.5,1.0\n0.5,abc\n",  # a value that is not a number
 ])
 def test_codes_with_a_wrong_header_or_ragged_rows_are_shape_errors(body, tmp_path):
     path = tmp_path / "codes.csv"

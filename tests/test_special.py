@@ -17,6 +17,14 @@ def test_trigamma_matches_scipy(x):
     assert trigamma(x) == pytest.approx(float(polygamma(1, x)), rel=1e-12)
 
 
+def test_trigamma_matches_scipy_on_a_dense_grid():
+    # [4, 6.3] is where an upward shift that stops at 6 leaves the series'
+    # truncation error above 1e-12
+    xs = np.concatenate([np.geomspace(1e-4, 1e6, 20001), np.linspace(4.0, 6.3, 2301)])
+    want = polygamma(1, xs)
+    assert np.max(np.abs(trigamma(xs) - want) / want) < 1e-13
+
+
 def test_trigamma_known_values():
     assert trigamma(1.0) == pytest.approx(np.pi**2 / 6, rel=1e-13)
     assert trigamma(2.0) == pytest.approx(np.pi**2 / 6 - 1.0, rel=1e-13)
