@@ -9,7 +9,6 @@ payload stays byte-reproducible.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import re
 import sys
@@ -123,15 +122,6 @@ def _print_json(doc: dict) -> None:
     sys.stdout.write(json.dumps(doc, indent=1) + "\n")
 
 
-def _write_csv(path, header_cols, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(io.CSV_HEADER + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(header_cols)
-        for row in rows:
-            writer.writerow([repr(float(v)) for v in row])
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -185,7 +175,7 @@ def _cmd_geodesic(args) -> int:
             + ["segment_kl"]
         )
         rows = np.column_stack([ts, zs, params, seg_kl])
-        _write_csv(args.out, header, rows)
+        io.save_csv(args.out, header, rows)
     timings["write"] = time.perf_counter() - t0
 
     length = geo.curve_length(result.curve, dec, cfg.n_disc)
@@ -293,7 +283,7 @@ def _cmd_land(args) -> int:
         # density against Lebesgue via the relative volume element
         dens = np.exp(logpdf + 0.5 * (logdet - logdet_mu))
         header = [f"z{i}" for i in range(pts.shape[1])] + ["density"]
-        _write_csv(args.out_density, header, np.column_stack([pts, dens]))
+        io.save_csv(args.out_density, header, np.column_stack([pts, dens]))
 
     _print_json(
         {
@@ -338,7 +328,7 @@ def _cmd_exp(args) -> int:
     )
     if args.out:
         header = ["t"] + [f"z{i}" for i in range(z.size)]
-        _write_csv(args.out, header, np.column_stack([ts, path]))
+        io.save_csv(args.out, header, np.column_stack([ts, path]))
     _print_json({"version": __version__, "endpoint": [float(x) for x in endpoint]})
     return 0
 

@@ -11,11 +11,16 @@ blends decoded parameters toward maximum-entropy values via a translated
 sigmoid of the squared distance to the nearest KMeans center, and its
 gradient term is included in the Jacobian (nearest center held fixed at
 the non-differentiable min).
+
+Every decoder output comes from one walk over the layers, ``_decode``:
+``forward_stacked``, ``jacobian_stacked``, ``forward_and_jacobian_stacked``
+and ``raw_forward_stacked`` are views of it that differ only in whether the
+Jacobian is carried and whether the blend applies.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -220,78 +225,66 @@ def _as_batch(z, latent_dim):
     return zb, single
 
 
-def _head_forward(head: Head, z: np.ndarray, block: int) -> np.ndarray:
-    x = z
-    for layer in head.layers:
-        name, scale = _parse_activation(layer.activation)
-        x = _apply_activation(name, scale, x @ layer.weight.T + layer.bias, block)
-    return x
+def _decode(dec: DecoderMap, z, with_jac: bool):
+    """(h, jac): the decoded stacked parameters, (m, D*p) or (D*p,), and with
+    ``with_jac`` their exact Jacobian, (m, D*p, d) or (D*p, d), else None.
 
-
-def _head_forward_jac(head: Head, z: np.ndarray, block: int):
-    m, d = z.shape
-    x = z
-    jac = np.broadcast_to(np.eye(d), (m, d, d)).copy()
-    for layer in head.layers:
-        name, scale = _parse_activation(layer.activation)
-        pre = x @ layer.weight.T + layer.bias
-        jac = np.einsum("oi,mid->mod", layer.weight, jac)
-        post = _apply_activation(name, scale, pre, block)
-        jac = _activation_jacobian(name, scale, pre, post, jac, block)
-        x = post
-    return x, jac
-
-
-def _interleave(dec: DecoderMap, per_head: list[np.ndarray]) -> np.ndarray:
-    """Reorder head-major outputs (m, D*q_j) into feature-major (m, D*p)."""
-    m = per_head[0].shape[0]
-    parts = [
-        h.reshape(m, dec.feature_count, -1) for h in per_head
-    ]
-    return np.concatenate(parts, axis=2).reshape(m, dec.param_dim)
-
-
-def _pre(dec: DecoderMap, zb: np.ndarray) -> np.ndarray:
-    if dec.pre_transform is None:
-        return zb
-    a, b = dec.pre_transform
-    return zb @ a.T + b
-
-
-def _heads_forward(dec: DecoderMap, u: np.ndarray) -> np.ndarray:
-    schema = dec.family.head_schema()
-    outs = [
-        _head_forward(head, u, width)
-        for head, (_, width, _) in zip(dec.heads, schema)
-    ]
-    return _interleave(dec, outs)
-
-
-def _checked_batch(dec: DecoderMap, z):
-    """(u, single): the pre-transformed latent batch and whether z was one
-    point; non-finite points raise ShapeError."""
+    One walk over the heads. The Jacobian is carried through the layers, the
+    uncertainty blend and ``pre_transform`` only when asked for; the
+    parameters do not depend on whether it is. Non-finite points raise
+    ShapeError.
+    """
     zb, single = _as_batch(z, dec.latent_dim)
     if not np.all(np.isfinite(zb)):
         raise ShapeError("latent point must be finite")
-    return _pre(dec, zb), single
+    u = zb if dec.pre_transform is None else zb @ dec.pre_transform[0].T + dec.pre_transform[1]
+    m, d = u.shape
+    outs, jacs = [], []
+    for head, (_, width, _) in zip(dec.heads, dec.family.head_schema()):
+        x = u
+        jac = np.broadcast_to(np.eye(d), (m, d, d)).copy() if with_jac else None
+        for layer in head.layers:
+            name, scale = _parse_activation(layer.activation)
+            pre = x @ layer.weight.T + layer.bias
+            x = _apply_activation(name, scale, pre, width)
+            if with_jac:
+                jac = np.einsum("oi,mid->mod", layer.weight, jac)
+                jac = _activation_jacobian(name, scale, pre, x, jac, width)
+        # head-major (m, D*q_j) -> feature-major blocks (m, D, q_j)
+        outs.append(x.reshape(m, dec.feature_count, -1))
+        if with_jac:
+            jacs.append(jac.reshape(m, dec.feature_count, -1, d))
+    h = np.concatenate(outs, axis=2).reshape(m, dec.param_dim)
+    if with_jac:
+        jac = np.concatenate(jacs, axis=2).reshape(m, dec.param_dim, d)
+    reg = dec.regularization
+    if reg is not None:
+        dist, nearest = _support_distance_argmin(reg, u)
+        s = translated_sigmoid(reg, dist)
+        mask = dec.blend_mask_stacked().astype(float)
+        gap = dec._extrap - h
+        if with_jac:
+            sp = s * (1.0 - s) / softplus(reg.beta)
+            grad_s = sp[:, None] * (2.0 * (u - reg.centers[nearest]))  # (m, d) wrt u
+            jac = (1.0 - s[:, None] * mask)[..., None] * jac + (
+                mask * gap
+            )[..., None] * grad_s[:, None, :]
+        h = h + s[:, None] * mask * gap
+    if with_jac and dec.pre_transform is not None:
+        jac = jac @ dec.pre_transform[0]
+    if single:
+        return h[0], None if jac is None else jac[0]
+    return h, jac
 
 
 def raw_forward_stacked(dec: DecoderMap, z) -> np.ndarray:
     """Head outputs without uncertainty reweighting, feature-major."""
-    u, single = _checked_batch(dec, z)
-    out = _heads_forward(dec, u)
-    return out[0] if single else out
+    return _decode(replace(dec, regularization=None), z, with_jac=False)[0]
 
 
 def forward_stacked(dec: DecoderMap, z) -> np.ndarray:
     """Decoded stacked parameters, reweighted when regularization is present."""
-    u, single = _checked_batch(dec, z)
-    h = _heads_forward(dec, u)
-    if dec.regularization is not None:
-        s = translated_sigmoid(dec.regularization, support_distance(dec.regularization, u))
-        mask = dec.blend_mask_stacked().astype(float)
-        h = h + s[:, None] * mask * (dec._extrap - h)
-    return h[0] if single else h
+    return _decode(dec, z, with_jac=False)[0]
 
 
 def forward(dec: DecoderMap, z) -> list[ParamPoint]:
@@ -302,45 +295,17 @@ def forward(dec: DecoderMap, z) -> list[ParamPoint]:
 
 
 def forward_and_jacobian_stacked(dec: DecoderMap, z):
-    """(forward_stacked, jacobian_stacked) from one pass over the heads.
+    """(forward_stacked, jacobian_stacked) from one walk over the heads.
 
     The parameters are bit-identical to ``forward_stacked``'s, shape
     (m, D*p) or (D*p,); the Jacobian has shape (m, D*p, d) or (D*p, d).
     """
-    u, single = _checked_batch(dec, z)
-    schema = dec.family.head_schema()
-    outs, jacs = [], []
-    for head, (_, width, _) in zip(dec.heads, schema):
-        o, j = _head_forward_jac(head, u, width)
-        outs.append(o)
-        jacs.append(j)
-    h = _interleave(dec, outs)
-    m = u.shape[0]
-    jparts = [
-        j.reshape(m, dec.feature_count, -1, dec.latent_dim) for j in jacs
-    ]
-    jac = np.concatenate(jparts, axis=2).reshape(m, dec.param_dim, dec.latent_dim)
-    if dec.regularization is not None:
-        reg = dec.regularization
-        dist, nearest = _support_distance_argmin(reg, u)
-        s = translated_sigmoid(reg, dist)
-        sp = s * (1.0 - s) / softplus(reg.beta)
-        grad_dist = 2.0 * (u - reg.centers[nearest])  # (m, d) wrt u
-        grad_s = sp[:, None] * grad_dist
-        mask = dec.blend_mask_stacked().astype(float)
-        gap = dec._extrap - h
-        jac = (1.0 - s[:, None] * mask)[..., None] * jac + (
-            mask * gap
-        )[..., None] * grad_s[:, None, :]
-        h = h + s[:, None] * mask * gap
-    if dec.pre_transform is not None:
-        jac = jac @ dec.pre_transform[0]
-    return (h[0], jac[0]) if single else (h, jac)
+    return _decode(dec, z, with_jac=True)
 
 
 def jacobian_stacked(dec: DecoderMap, z) -> np.ndarray:
     """Exact Jacobian of forward_stacked, shape (m, D*p, d) or (D*p, d)."""
-    return forward_and_jacobian_stacked(dec, z)[1]
+    return _decode(dec, z, with_jac=True)[1]
 
 
 def jacobian(dec: DecoderMap, z) -> np.ndarray:

@@ -68,48 +68,51 @@ def decoder_to_dict(dec: DecoderMap) -> dict:
 
 
 def decoder_from_dict(doc: dict) -> DecoderMap:
-    family_kind = FamilyKind(doc["family"])
-    feature_count = int(doc["feature_count"])
-    heads = []
-    for head_doc in doc["heads"]:
-        layers = []
-        for ldoc in head_doc["layers"]:
-            rows, cols = int(ldoc["rows"]), int(ldoc["cols"])
-            weight = np.asarray(ldoc["weight"], dtype=float)
-            if weight.size != rows * cols:
-                raise ShapeError(
-                    f"layer weight length {weight.size} != rows*cols {rows * cols}"
+    try:
+        family_kind = FamilyKind(doc["family"])
+        feature_count = int(doc["feature_count"])
+        heads = []
+        for head_doc in doc["heads"]:
+            layers = []
+            for ldoc in head_doc["layers"]:
+                rows, cols = int(ldoc["rows"]), int(ldoc["cols"])
+                weight = np.asarray(ldoc["weight"], dtype=float)
+                if weight.size != rows * cols:
+                    raise ShapeError(
+                        f"layer weight length {weight.size} != rows*cols {rows * cols}"
+                    )
+                layers.append(
+                    LayerSpec(
+                        weight.reshape(rows, cols),
+                        np.asarray(ldoc["bias"], dtype=float),
+                        ldoc.get("activation", "identity"),
+                    )
                 )
-            layers.append(
-                LayerSpec(
-                    weight.reshape(rows, cols),
-                    np.asarray(ldoc["bias"], dtype=float),
-                    ldoc.get("activation", "identity"),
-                )
+            heads.append(Head(head_doc["name"], tuple(layers)))
+        if family_kind in (FamilyKind.CATEGORICAL, FamilyKind.DIRICHLET):
+            k = heads[0].out_dim // feature_count
+            family = get_family(family_kind, k)
+        else:
+            family = get_family(family_kind)
+        reg = None
+        if "regularization" in doc and doc["regularization"] is not None:
+            rdoc = doc["regularization"]
+            extrap = rdoc.get("extrapolation")
+            reg = UncertaintyReg(
+                centers=np.asarray(rdoc["centers"], dtype=float),
+                beta=float(rdoc["beta"]),
+                c=float(rdoc.get("c", 7.0)),
+                extrapolation=None if extrap is None else np.asarray(extrap, dtype=float),
             )
-        heads.append(Head(head_doc["name"], tuple(layers)))
-    if family_kind in (FamilyKind.CATEGORICAL, FamilyKind.DIRICHLET):
-        k = heads[0].out_dim // feature_count
-        family = get_family(family_kind, k)
-    else:
-        family = get_family(family_kind)
-    reg = None
-    if "regularization" in doc and doc["regularization"] is not None:
-        rdoc = doc["regularization"]
-        extrap = rdoc.get("extrapolation")
-        reg = UncertaintyReg(
-            centers=np.asarray(rdoc["centers"], dtype=float),
-            beta=float(rdoc["beta"]),
-            c=float(rdoc.get("c", 7.0)),
-            extrapolation=None if extrap is None else np.asarray(extrap, dtype=float),
+        return DecoderMap(
+            latent_dim=int(doc["latent_dim"]),
+            feature_count=feature_count,
+            family=family,
+            heads=tuple(heads),
+            regularization=reg,
         )
-    return DecoderMap(
-        latent_dim=int(doc["latent_dim"]),
-        feature_count=feature_count,
-        family=family,
-        heads=tuple(heads),
-        regularization=reg,
-    )
+    except (ValueError, TypeError) as exc:
+        raise ShapeError(f"malformed decoder file: {exc}") from exc
 
 
 def save_json(doc: dict, path) -> None:
@@ -128,14 +131,19 @@ def load_decoder(path) -> DecoderMap:
     return decoder_from_dict(load_json(path))
 
 
-def save_codes(codes: np.ndarray, path) -> None:
-    codes = np.atleast_2d(np.asarray(codes, dtype=float))
+def save_csv(path, header, rows) -> None:
+    """The version line, one header row, then ``rows`` as repr floats."""
     with open(path, "w", newline="") as fh:
         fh.write(CSV_HEADER + "\n")
         writer = csv.writer(fh)
-        writer.writerow([f"z{i}" for i in range(codes.shape[1])])
-        for row in codes:
+        writer.writerow(header)
+        for row in rows:
             writer.writerow([repr(float(v)) for v in row])
+
+
+def save_codes(codes: np.ndarray, path) -> None:
+    codes = np.atleast_2d(np.asarray(codes, dtype=float))
+    save_csv(path, [f"z{i}" for i in range(codes.shape[1])], codes)
 
 
 def load_codes(path) -> np.ndarray:
@@ -153,16 +161,17 @@ def load_codes(path) -> np.ndarray:
 
 
 def grid_to_dict(grid: MetricGrid, mode: str, extra: dict | None = None) -> dict:
+    """The grid's lattice (bounds, resolution), bandwidth and tensors; the
+    points are not written, since the lattice defines them."""
     doc = {
         "version": __version__,
         "kind": "metric_grid",
         "mode": mode,
-        "latent_dim": int(grid.points.shape[1]),
+        "latent_dim": int(grid.bounds.shape[0]),
         "bounds": _floats(grid.bounds),
         "resolution": [int(r) for r in grid.resolution],
         "bandwidth": float(grid.bandwidth),
-        "points": _floats(grid.points),
-        "tensors": [_floats(t.reshape(-1)) for t in grid.tensors],
+        "tensors": grid.tensors.reshape(len(grid.tensors), -1).tolist(),
     }
     if extra:
         doc.update(extra)
@@ -170,18 +179,18 @@ def grid_to_dict(grid: MetricGrid, mode: str, extra: dict | None = None) -> dict
 
 
 def grid_from_dict(doc: dict) -> MetricGrid:
-    d = int(doc["latent_dim"])
-    points = np.asarray(doc["points"], dtype=float)
-    tensors = np.stack(
-        [np.asarray(t, dtype=float).reshape(d, d) for t in doc["tensors"]]
-    )
-    return MetricGrid(
-        points=points,
-        tensors=tensors,
-        bandwidth=float(doc["bandwidth"]),
-        bounds=np.asarray(doc["bounds"], dtype=float),
-        resolution=tuple(int(r) for r in doc["resolution"]),
-    )
+    """The grid of a ``grid_to_dict`` document; a ``points`` key, which
+    older files carry, is ignored."""
+    try:
+        d = int(doc["latent_dim"])
+        return MetricGrid(
+            tensors=np.asarray(doc["tensors"], dtype=float).reshape(-1, d, d),
+            bandwidth=float(doc["bandwidth"]),
+            bounds=np.asarray(doc["bounds"], dtype=float),
+            resolution=tuple(int(r) for r in doc["resolution"]),
+        )
+    except (ValueError, TypeError) as exc:
+        raise ShapeError(f"malformed grid file: {exc}") from exc
 
 
 def save_grid(grid: MetricGrid, path, mode: str = "pullback", extra=None) -> None:

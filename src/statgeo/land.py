@@ -136,23 +136,20 @@ class LandFitConfig:
 
 
 def _log_cholesky_pack(precision):
+    """theta: the Cholesky factor's row-major lower triangle, log on the diagonal."""
     chol = np.linalg.cholesky(precision)
-    d = chol.shape[0]
-    theta = []
-    for i in range(d):
-        for j in range(i + 1):
-            theta.append(np.log(chol[i, i]) if i == j else chol[i, j])
-    return np.array(theta)
+    rows, cols = np.tril_indices(chol.shape[0])
+    theta = chol[rows, cols]
+    diag = rows == cols
+    theta[diag] = np.log(theta[diag])
+    return theta
 
 
 def _log_cholesky_unpack(theta, d):
+    rows, cols = np.tril_indices(d)
     chol = np.zeros((d, d))
-    idx = 0
-    for i in range(d):
-        for j in range(i + 1):
-            # clip so a wild line-search probe cannot overflow the factor
-            chol[i, j] = np.exp(np.clip(theta[idx], -30.0, 30.0)) if i == j else theta[idx]
-            idx += 1
+    # clip so a wild line-search probe cannot overflow the factor
+    chol[rows, cols] = np.where(rows == cols, np.exp(np.clip(theta, -30.0, 30.0)), theta)
     return chol @ chol.T
 
 

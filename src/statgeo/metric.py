@@ -7,10 +7,11 @@ Three sources for the d x d tensor at a latent point:
   perturbations (no Jacobian access): per point, one decoder call over the
   point and its d + d(d-1)/2 probes and one ``kl`` call over the pairs,
 * a lattice of precomputed tensors blended with a normalized Gaussian
-  kernel. ``MetricGrid`` checks that its points are the bounds x
-  resolution lattice; ``GridMetric`` uses that the kernel factors across
-  axes and contracts the lattice one axis at a time. Far-field queries
-  get the nearest node's tensor; NaN or infinite queries get NaN.
+  kernel. ``MetricGrid`` stores only the tensors, the bandwidth and the
+  bounds x resolution that define the lattice; its points are derived.
+  ``GridMetric`` uses that the kernel factors across axes and contracts
+  the lattice one axis at a time. Far-field queries get the nearest
+  node's tensor; NaN or infinite queries get NaN.
 
 A metric implements ``eval_batch``, the tensors at a batch of latent
 points; ``eval`` is its one-row view. ``eval_batch_and_grad`` adds dM/dz:
@@ -155,32 +156,33 @@ class KlProbeMetric(LatentMetric):
 class MetricGrid:
     """Tensors on the bounds x resolution lattice, with a Gaussian bandwidth.
 
-    ``points`` must equal ``lattice_points(bounds, resolution)`` (axis 0
-    outermost) and ``tensors`` hold one d x d tensor per point; anything
-    else raises ``ShapeError``.
+    ``tensors`` hold one d x d tensor per lattice point, in the order of
+    ``lattice_points(bounds, resolution)`` (axis 0 outermost); anything
+    else raises ``ShapeError``. The points are not stored: ``points`` is
+    that lattice.
     """
 
-    points: np.ndarray  # (S, d)
     tensors: np.ndarray  # (S, d, d)
     bandwidth: float
     bounds: np.ndarray  # (d, 2)
     resolution: tuple[int, ...]
 
     def __post_init__(self):
-        self.points = np.asarray(self.points, dtype=float)
         self.tensors = np.asarray(self.tensors, dtype=float)
         self.bounds = np.asarray(self.bounds, dtype=float).reshape(-1, 2)
         self.resolution = tuple(int(r) for r in np.atleast_1d(self.resolution))
-        if self.bandwidth <= 0:
+        if not self.bandwidth > 0:  # written so that a NaN bandwidth fails too
             raise ShapeError("grid bandwidth must be > 0")
         d = self.bounds.shape[0]
         if len(self.resolution) != d or min(self.resolution, default=0) < 1:
             raise ShapeError("resolution must give one count >= 1 per axis")
         if self.tensors.shape != (math.prod(self.resolution), d, d):
             raise ShapeError("grid needs one d x d tensor per lattice point")
-        lattice = lattice_points(self.bounds, self.resolution)
-        if self.points.shape != lattice.shape or not np.allclose(self.points, lattice):
-            raise ShapeError("grid points are not the bounds x resolution lattice")
+
+    @property
+    def points(self) -> np.ndarray:
+        """The (S, d) lattice points, axis 0 outermost."""
+        return lattice_points(self.bounds, self.resolution)
 
 
 class GridMetric(LatentMetric):
@@ -195,12 +197,10 @@ class GridMetric(LatentMetric):
 
     def __init__(self, grid: MetricGrid):
         self.grid = grid
-        self.latent_dim = grid.points.shape[1]
+        self.latent_dim = grid.bounds.shape[0]
         # always 0: no query needs a fallback; kept for callers that read it
         self.fallback_count = 0
-        self._nodes = [
-            np.linspace(lo, hi, r) for (lo, hi), r in zip(grid.bounds, grid.resolution)
-        ]
+        self._nodes = _axis_nodes(grid.bounds, grid.resolution)
         self._lattice = grid.tensors.reshape(grid.resolution[0], -1)
 
     def _axis_weights(self, x: np.ndarray, nodes: np.ndarray) -> np.ndarray:
@@ -327,10 +327,14 @@ def simplex_chart_decoder(k: int) -> DecoderMap:
     )
 
 
+def _axis_nodes(bounds, resolution) -> list[np.ndarray]:
+    """Each axis's lattice nodes: ``resolution[k]`` evenly spaced over ``bounds[k]``."""
+    return [np.linspace(lo, hi, r) for (lo, hi), r in zip(bounds, resolution)]
+
+
 def lattice_points(bounds, resolution) -> np.ndarray:
     """The (prod(resolution), d) bounds x resolution lattice, axis 0 outermost."""
-    axes = [np.linspace(lo, hi, r) for (lo, hi), r in zip(bounds, resolution)]
-    mesh = np.meshgrid(*axes, indexing="ij")
+    mesh = np.meshgrid(*_axis_nodes(bounds, resolution), indexing="ij")
     return np.stack([m.reshape(-1) for m in mesh], axis=1)
 
 
@@ -351,13 +355,10 @@ def grid_build(
         raise ShapeError("resolution must give one count per axis")
     if any(r < 2 for r in resolution):
         raise ShapeError("grid resolution must be >= 2 per axis")
-    if sigma <= 0:
+    if not sigma > 0:
         raise ShapeError("grid bandwidth must be > 0")
-    points = lattice_points(bounds, resolution)
-    tensors = metric.eval_batch(points)
     return MetricGrid(
-        points=points,
-        tensors=tensors,
+        tensors=metric.eval_batch(lattice_points(bounds, resolution)),
         bandwidth=float(sigma),
         bounds=bounds,
         resolution=resolution,

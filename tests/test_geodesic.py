@@ -360,7 +360,7 @@ class TestGraphGradient:
         lattice = M.lattice_points([[-2.0, 2.0], [-2.0, 2.0]], (12, 12))
         a = gen.normal(size=(len(lattice), 2, 2))
         tensors = a @ np.swapaxes(a, 1, 2) + 0.5 * np.eye(2)
-        grid = M.MetricGrid(lattice, tensors, 0.4, [[-2.0, 2.0], [-2.0, 2.0]], (12, 12))
+        grid = M.MetricGrid(tensors, 0.4, [[-2.0, 2.0], [-2.0, 2.0]], (12, 12))
         return M.GridMetric(grid)
 
     @pytest.mark.parametrize("segments", [1, 4])

@@ -1,10 +1,13 @@
+import json
+
 import numpy as np
 import pytest
 
-from statgeo import io
+from statgeo import cli, io
 from statgeo.errors import ShapeError
 from statgeo.land import LandModel
-from statgeo.metric import ConstantMetric
+from statgeo.metric import ConstantMetric, grid_build
+from statgeo.toy import toy_decoder
 
 
 def test_codes_round_trip_bit_exactly(gen, tmp_path):
@@ -47,3 +50,34 @@ def test_land_model_round_trips_through_its_file(tmp_path):
     assert back.norm_const == model.norm_const
     assert (back.seed, back.mc_samples, back.converged) == (9, 77, False)
     assert back.metric is metric
+
+
+def _set_weight(doc, value):
+    doc["heads"][0]["layers"][0]["weight"][0] = value
+
+
+@pytest.mark.parametrize("kind,corrupt", [
+    ("grid", lambda doc: doc["tensors"].__setitem__(0, [1.0, 0.0, 1.0])),
+    ("grid", lambda doc: doc.update(bandwidth="abc")),
+    ("grid", lambda doc: doc.update(bandwidth=None)),
+    ("grid", lambda doc: doc.update(bandwidth=float("nan"))),
+    ("grid", lambda doc: doc["tensors"][0].__setitem__(1, "x")),
+    ("decoder", lambda doc: _set_weight(doc, "x")),
+    ("decoder", lambda doc: doc.update(family="poisson")),
+], ids=[
+    "three-value-tensor", "text-bandwidth", "null-bandwidth", "nan-bandwidth", "text-tensor-entry",
+    "text-layer-weight", "unknown-family",
+])
+def test_malformed_grid_or_decoder_file_is_a_shape_error(kind, corrupt, tmp_path, capsys):
+    if kind == "grid":
+        grid = grid_build(ConstantMetric(np.eye(2)), [[-1, 1], [-1, 1]], (3, 3), 0.5)
+        doc, load = io.grid_to_dict(grid, "pullback"), io.load_grid
+    else:
+        doc, load = io.decoder_to_dict(toy_decoder("beta", seed=5)), io.load_decoder
+    corrupt(doc)
+    path = tmp_path / f"{kind}.json"
+    io.save_json(doc, path)
+    with pytest.raises(ShapeError):
+        load(path)
+    assert cli.main(["exp", f"--{kind}", str(path), "--z", "0,0", "--v", "0.1,0"]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "ShapeError"

@@ -65,9 +65,7 @@ def random_spd_grid(gen, bounds, resolution, sigma):
     a = gen.normal(size=(int(np.prod(resolution)), d, d))
     tensors = a @ np.swapaxes(a, 1, 2) + 0.1 * np.eye(d)
     bounds = np.asarray(bounds, dtype=float)
-    return M.MetricGrid(
-        M.lattice_points(bounds, resolution), tensors, sigma, bounds, resolution
-    )
+    return M.MetricGrid(tensors, sigma, bounds, resolution)
 
 
 class TestPullback:
@@ -277,7 +275,6 @@ class TestGrid:
     def test_kernel_concentration(self, gen):
         tensors = np.stack([np.diag([1.0 + i, 2.0 + i]) for i in range(4)])
         grid = M.MetricGrid(
-            points=np.array([[0.0, 0], [0, 1], [1, 0], [1, 1]]),
             tensors=tensors,
             bandwidth=1e-3,  # ~ 1e-3 * unit spacing
             bounds=np.array([[0, 1], [0, 1]]),
@@ -290,7 +287,6 @@ class TestGrid:
     def test_equidistant_mean_of_two(self):
         tensors = np.stack([np.diag([1.0, 1.0]), np.diag([3.0, 5.0])])
         grid = M.MetricGrid(
-            points=np.array([[0.0, 0.0], [1.0, 0.0]]),
             tensors=tensors,
             bandwidth=0.7,
             bounds=np.array([[0, 1], [0, 0]]),
@@ -311,7 +307,6 @@ class TestGrid:
     def test_far_field_returns_nearest(self):
         tensors = np.stack([np.diag([1.0, 1.0]), np.diag([9.0, 9.0])])
         grid = M.MetricGrid(
-            points=np.array([[0.0, 0.0], [1.0, 0.0]]),
             tensors=tensors,
             bandwidth=0.05,
             bounds=np.array([[0, 1], [0, 0]]),
@@ -386,21 +381,22 @@ class TestGrid:
         assert np.array_equal(mm, np.broadcast_to(mat, (4, 2, 2)))
         assert dm.shape == (2, 4, 2, 2) and not np.any(dm)
 
-    def test_points_must_be_the_lattice(self, gen, tmp_path):
+    def test_points_are_derived_and_an_old_file_with_points_loads(self, gen, tmp_path):
+        # the file keeps no points, and a file written with them still loads
         grid = random_spd_grid(gen, [[-1.0, 1.0], [0.0, 2.0]], (3, 4), 0.5)
-        permuted = grid.points[gen.permutation(len(grid.points))]
-        shifted = grid.points.copy()
-        shifted[5, 1] += 0.1
-        for pts in (permuted, shifted):
-            with pytest.raises(ShapeError):
-                M.MetricGrid(pts, grid.tensors, 0.5, grid.bounds, grid.resolution)
-        path = tmp_path / "grid.json"
+        assert np.array_equal(grid.points, M.lattice_points(grid.bounds, grid.resolution))
+        path, old = tmp_path / "grid.json", tmp_path / "old.json"
         io.save_grid(grid, path)
         doc = io.load_json(path)
-        doc["points"][7][0] += 0.25
-        io.save_json(doc, path)
-        with pytest.raises(ShapeError):
-            io.load_grid(path)
+        assert list(doc) == [
+            "version", "kind", "mode", "latent_dim", "bounds", "resolution", "bandwidth",
+            "tensors",
+        ]
+        io.save_json(dict(doc, points=grid.points.tolist()), old)
+        got = io.load_grid(old)
+        assert np.array_equal(got.tensors, grid.tensors)
+        assert np.array_equal(got.bounds, grid.bounds)
+        assert got.resolution == grid.resolution and got.bandwidth == grid.bandwidth
 
     def test_grid_file_round_trip(self, gen, tmp_path):
         # the file keeps no log_sqrt_det, and a file written with one still loads
@@ -420,9 +416,7 @@ class TestGrid:
         # convex combinations of diagonal tensors stay inside the eigenvalue box
         diags = gen.uniform(0.5, 4.0, size=(9, 2))
         tensors = np.stack([np.diag(d) for d in diags])
-        xs = np.linspace(0, 1, 3)
-        pts = np.stack(np.meshgrid(xs, xs, indexing="ij"), axis=-1).reshape(-1, 2)
-        grid = M.MetricGrid(pts, tensors, 0.5, np.array([[0, 1], [0, 1]]), (3, 3))
+        grid = M.MetricGrid(tensors, 0.5, np.array([[0, 1], [0, 1]]), (3, 3))
         gm = M.GridMetric(grid)
         lo, hi = diags.min(), diags.max()
         for _ in range(25):
