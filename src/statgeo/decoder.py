@@ -15,7 +15,10 @@ the non-differentiable min).
 Every decoder output comes from one walk over the layers, ``_decode``:
 ``forward_stacked``, ``jacobian_stacked``, ``forward_and_jacobian_stacked``
 and ``raw_forward_stacked`` are views of it that differ only in whether the
-Jacobian is carried and whether the blend applies.
+Jacobian is carried and whether the blend applies. The walk does no work
+that is fixed per layer or per decoder: a ``LayerSpec`` keeps its parsed
+activation, and a ``DecoderMap`` its blend mask and extrapolation target.
+The Jacobian starts from the first layer's weight, since d(W u)/du = W.
 """
 
 from __future__ import annotations
@@ -52,6 +55,8 @@ class LayerSpec:
     weight: np.ndarray  # (out, in)
     bias: np.ndarray  # (out,)
     activation: str = "identity"
+    # the parsed activation (name, scale) that ``_decode`` applies
+    _act: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         w = np.asarray(self.weight, dtype=float)
@@ -60,7 +65,7 @@ class LayerSpec:
             raise ShapeError(
                 f"layer weight {w.shape} and bias {b.shape} are inconsistent"
             )
-        _parse_activation(self.activation)
+        object.__setattr__(self, "_act", _parse_activation(self.activation))
         object.__setattr__(self, "weight", w)
         object.__setattr__(self, "bias", b)
 
@@ -116,6 +121,7 @@ class DecoderMap:
     # forward(z) evaluates the heads at A z + b (see compose_linear)
     pre_transform: tuple[np.ndarray, np.ndarray] | None = None
     _extrap: np.ndarray = field(init=False, repr=False)
+    _mask: np.ndarray = field(init=False, repr=False)  # float blend_mask_stacked
 
     def __post_init__(self):
         self.heads = tuple(self.heads)
@@ -140,6 +146,7 @@ class DecoderMap:
             a, b = self.pre_transform
             self.pre_transform = (np.asarray(a, float), np.asarray(b, float))
         self._extrap = self._build_extrapolation()
+        self._mask = self.blend_mask_stacked().astype(float)
 
     @property
     def param_dim(self) -> int:
@@ -241,14 +248,15 @@ def _decode(dec: DecoderMap, z, with_jac: bool):
     m, d = u.shape
     outs, jacs = [], []
     for head, (_, width, _) in zip(dec.heads, dec.family.head_schema()):
-        x = u
-        jac = np.broadcast_to(np.eye(d), (m, d, d)).copy() if with_jac else None
+        x, jac = u, None
         for layer in head.layers:
-            name, scale = _parse_activation(layer.activation)
+            name, scale = layer._act
             pre = x @ layer.weight.T + layer.bias
             x = _apply_activation(name, scale, pre, width)
             if with_jac:
-                jac = np.einsum("oi,mid->mod", layer.weight, jac)
+                # d(W u)/du = W: the first layer seeds the running Jacobian
+                jac = (np.broadcast_to(layer.weight, (m,) + layer.weight.shape)
+                       if jac is None else np.matmul(layer.weight, jac))
                 jac = _activation_jacobian(name, scale, pre, x, jac, width)
         # head-major (m, D*q_j) -> feature-major blocks (m, D, q_j)
         outs.append(x.reshape(m, dec.feature_count, -1))
@@ -261,7 +269,7 @@ def _decode(dec: DecoderMap, z, with_jac: bool):
     if reg is not None:
         dist, nearest = _support_distance_argmin(reg, u)
         s = translated_sigmoid(reg, dist)
-        mask = dec.blend_mask_stacked().astype(float)
+        mask = dec._mask
         gap = dec._extrap - h
         if with_jac:
             sp = s * (1.0 - s) / softplus(reg.beta)
@@ -340,8 +348,7 @@ def product_fisher_stacked(family: Family, stacked: np.ndarray) -> np.ndarray:
 
 def _support_distance_argmin(reg: UncertaintyReg, zb: np.ndarray):
     d2 = np.sum((zb[:, None, :] - reg.centers[None, :, :]) ** 2, axis=-1)
-    nearest = np.argmin(d2, axis=1)
-    return d2[np.arange(zb.shape[0]), nearest], nearest
+    return d2.min(axis=1), np.argmin(d2, axis=1)
 
 
 def support_distance(reg: UncertaintyReg, z):

@@ -350,7 +350,14 @@ class GammaFamily(Family):
 
 
 class BetaFamily(Family):
-    """Beta, parameters (alpha, beta), support (0, 1)."""
+    """Beta, parameters (alpha, beta), support (0, 1).
+
+    ``kl_grad`` and ``fisher`` call each special function once per
+    argument, on that argument's stack (alpha, beta, alpha + beta): the
+    Python-level ``trigamma`` costs more per call than the stack does.
+    ``kl`` calls scipy's ``gammaln`` and ``digamma`` on each array, since
+    building the two stacks costs more than the calls they save.
+    """
 
     kind = FamilyKind.BETA
     param_dim = 2
@@ -387,6 +394,16 @@ class BetaFamily(Family):
     def sample(self, values, gen, n):
         return gen.beta(values[0], values[1], size=n)
 
+    @staticmethod
+    def _shape_stack(values):
+        """(a, b, a + b) of one argument, stacked on a new leading axis.
+
+        Never stack both arguments: ``v1`` and ``v2`` may broadcast against
+        each other, e.g. (n, 1, p) against (n, k, p).
+        """
+        a, b = _clamp_pos(values[..., 0]), _clamp_pos(values[..., 1])
+        return np.stack([a, b, a + b])
+
     def kl(self, v1, v2):
         a1, b1 = _clamp_pos(v1[..., 0]), _clamp_pos(v1[..., 1])
         a2, b2 = _clamp_pos(v2[..., 0]), _clamp_pos(v2[..., 1])
@@ -400,23 +417,21 @@ class BetaFamily(Family):
         )
 
     def kl_grad(self, v1, v2):
-        a1, b1 = _clamp_pos(v1[..., 0]), _clamp_pos(v1[..., 1])
-        a2, b2 = _clamp_pos(v2[..., 0]), _clamp_pos(v2[..., 1])
-        s1, s2 = a1 + b1, a2 + b2
-        t1s = trigamma(s1)
-        g1a = (a1 - a2) * trigamma(a1) + (s2 - s1) * t1s
-        g1b = (b1 - b2) * trigamma(b1) + (s2 - s1) * t1s
-        g2a = digamma(a2) - digamma(s2) - digamma(a1) + digamma(s1)
-        g2b = digamma(b2) - digamma(s2) - digamma(b1) + digamma(s1)
+        x1, x2 = self._shape_stack(v1), self._shape_stack(v2)
+        (a1, b1, s1), (a2, b2, s2) = x1, x2
+        tg1, dg1, dg2 = trigamma(x1), digamma(x1), digamma(x2)
+        g1a = (a1 - a2) * tg1[0] + (s2 - s1) * tg1[2]
+        g1b = (b1 - b2) * tg1[1] + (s2 - s1) * tg1[2]
+        g2a = dg2[0] - dg2[2] - dg1[0] + dg1[2]
+        g2b = dg2[1] - dg2[2] - dg1[1] + dg1[2]
         return np.stack([g1a, g1b], axis=-1), np.stack([g2a, g2b], axis=-1)
 
     def fisher(self, values):
-        a, b = _clamp_pos(values[..., 0]), _clamp_pos(values[..., 1])
-        tab = trigamma(a + b)
+        ta, tb, tab = trigamma(self._shape_stack(values))
         out = np.empty(values.shape[:-1] + (2, 2))
-        out[..., 0, 0] = trigamma(a) - tab
+        out[..., 0, 0] = ta - tab
         out[..., 0, 1] = out[..., 1, 0] = -tab
-        out[..., 1, 1] = trigamma(b) - tab
+        out[..., 1, 1] = tb - tab
         return out
 
     def max_uncertainty(self):

@@ -180,13 +180,19 @@ def grid_to_dict(grid: MetricGrid, mode: str, extra: dict | None = None) -> dict
 
 def grid_from_dict(doc: dict) -> MetricGrid:
     """The grid of a ``grid_to_dict`` document; a ``points`` key, which
-    older files carry, is ignored."""
+    older files carry, is ignored. The latent dimension is the row count
+    of ``bounds``; a ``latent_dim`` key, when present, must agree with it."""
     try:
-        d = int(doc["latent_dim"])
+        bounds = np.asarray(doc["bounds"], dtype=float).reshape(-1, 2)
+        d = len(bounds)
+        if "latent_dim" in doc and int(doc["latent_dim"]) != d:
+            raise ShapeError(
+                f"grid file gives latent_dim {doc['latent_dim']}, but its bounds have {d} rows"
+            )
         return MetricGrid(
             tensors=np.asarray(doc["tensors"], dtype=float).reshape(-1, d, d),
             bandwidth=float(doc["bandwidth"]),
-            bounds=np.asarray(doc["bounds"], dtype=float),
+            bounds=bounds,
             resolution=tuple(int(r) for r in doc["resolution"]),
         )
     except (ValueError, TypeError) as exc:

@@ -18,10 +18,13 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import DegenerateEstimate, InvalidParam, NonConvergence
+from .errors import DegenerateEstimate, InvalidParam, NonConvergence, SingularMetric
 from .geodesic import EnergyConfig, exp_map_batch, log_map, log_map_batch
 from .metric import LatentMetric
 from .rng import RngStream
+
+# errors that end land_fit's iterations, or reject one line-search trial
+_STEP_ERRORS = (DegenerateEstimate, InvalidParam, SingularMetric, np.linalg.LinAlgError)
 
 
 def _default_logmap_cfg() -> EnergyConfig:
@@ -165,9 +168,12 @@ def land_fit(
     Log maps are recomputed whenever the mean moves (warm-started from the
     previous curves); the normalizer reuses one seed per outer iteration so
     finite differences see common random numbers. A DegenerateEstimate,
-    InvalidParam or LinAlgError in an iteration's NLL or gradient probes
-    ends the iterations, and in a line-search trial rejects the trial; with
-    no accepted step the fit raises NonConvergence carrying the model.
+    InvalidParam, SingularMetric (a normalizer shot that meets a singular
+    metric) or LinAlgError in an iteration's NLL or gradient probes ends
+    the iterations, and in a line-search trial rejects the trial; with no
+    accepted step the fit raises NonConvergence carrying the model. The
+    opening NLL and the final normalizer are not guarded: an error there
+    propagates.
     """
     cfg = cfg or LandFitConfig()
     rng = rng or RngStream(0)
@@ -230,7 +236,7 @@ def land_fit(
                 probe[i] -= 2.0 * h
                 e_minus = nll(probe, seed, vs=vs_p)
                 grad[i] = (e_plus - e_minus) / (2.0 * h)
-        except (DegenerateEstimate, InvalidParam, np.linalg.LinAlgError):
+        except _STEP_ERRORS:
             break
         gnorm = float(np.max(np.abs(grad)))
         if gnorm < 1e-4:
@@ -244,7 +250,7 @@ def land_fit(
             vs_t, coeffs_t = log_maps(mu_t)
             try:
                 e_new = nll(trial, seed, vs=vs_t)
-            except (DegenerateEstimate, InvalidParam, np.linalg.LinAlgError):
+            except _STEP_ERRORS:
                 e_new = np.inf
             if np.isfinite(e_new) and e_new <= e_cur - 1e-4 * step * gsq:
                 params, e_cur = trial, e_new

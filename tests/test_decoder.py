@@ -134,6 +134,63 @@ class TestSharedPass:
             D.forward_and_jacobian_stacked(dec, np.array([[0.0, 0.0], [bad, 1.0]]))
 
 
+def first_activation_decoder(activation, regularized, gen):
+    """Two-feature decoder whose heads start with ``activation`` and end
+    with a dense softplus layer, so both the seeded first layer and a later
+    layer's product enter the Jacobian."""
+    if activation == "softmax":
+        fam, schema = get_family("categorical", 3), [("probs", 3, activation)]
+    elif activation == "unit_normalize":
+        fam, schema = get_family("vmf_s2"), [("mean_dir", 3, activation), ("conc", 1, "softplus")]
+    else:
+        fam, schema = get_family("normal"), [("mean", 1, activation), ("var", 1, activation)]
+    heads = []
+    for name, width, first in schema:
+        out = 2 * width
+        heads.append(Head(name, (
+            LayerSpec(gen.normal(size=(out, 2)), 0.1 * gen.normal(size=out), first),
+            LayerSpec(gen.normal(size=(out, out)) / np.sqrt(out), np.zeros(out), "softplus"),
+        )))
+    reg = None
+    if regularized:
+        reg = UncertaintyReg(centers=gen.uniform(-1.0, 1.0, size=(4, 2)), beta=-1.0, c=1.0)
+    return DecoderMap(2, 2, fam, tuple(heads), regularization=reg)
+
+
+class TestDecoderWalk:
+    """The Jacobian is seeded with the first layer's weight."""
+
+    @pytest.mark.parametrize("activation", [
+        "identity", "scale:2.5", "tanh", "sigmoid", "softplus", "softmax", "unit_normalize",
+    ])
+    @pytest.mark.parametrize("regularized", [False, True])
+    @pytest.mark.parametrize("composed", [False, True])
+    def test_first_layer_activation(self, activation, regularized, composed, gen):
+        dec = first_activation_decoder(activation, regularized, gen)
+        if composed:
+            dec = D.compose_linear(dec, np.array([[0.8, -0.5], [0.4, 1.1]]), np.array([0.2, -0.1]))
+        zs = gen.uniform(-1.5, 1.5, size=(6, 2))
+        params, jac = D.forward_and_jacobian_stacked(dec, zs)
+        assert np.array_equal(params, D.forward_stacked(dec, zs))
+        assert np.array_equal(jac, D.jacobian_stacked(dec, zs))
+        for z, one_jac in zip(zs, jac):
+            assert np.array_equal(D.forward_and_jacobian_stacked(dec, z)[0], D.forward_stacked(dec, z))
+            fd = fd_jacobian(dec, z)
+            assert np.max(np.abs(one_jac - fd) / (1.0 + np.abs(one_jac))) < 1e-5
+
+    def test_one_layer_identity_head_returns_its_own_writable_jacobian(self, gen):
+        weight = gen.normal(size=(3, 2))
+        layer = LayerSpec(weight, 5.0 * np.ones(3), "identity")
+        dec = DecoderMap(2, 3, get_family("exponential"), (Head("rate", (layer,)),))
+        for z in (gen.normal(size=2), gen.normal(size=(4, 2))):
+            for jac in (D.jacobian_stacked(dec, z), D.forward_and_jacobian_stacked(dec, z)[1]):
+                assert jac.flags.writeable and not np.shares_memory(jac, layer.weight)
+                assert np.array_equal(jac, np.broadcast_to(weight, jac.shape))
+                jac[...] = 0.0
+            assert np.array_equal(layer.weight, weight)
+            assert np.array_equal(D.jacobian_stacked(dec, z), np.broadcast_to(weight, jac.shape))
+
+
 class TestKMeans:
     def test_single_cluster_is_mean(self, gen):
         pts = gen.normal(size=(40, 2))

@@ -186,6 +186,26 @@ class TestKl:
             assert ratios[0] >= ratios[1] - 1e-9 >= ratios[2] - 2e-9, (kind, ratios)
 
 
+@pytest.mark.parametrize("kind", ALL_KINDS, ids=[k.value for k in ALL_KINDS])
+def test_kernels_broadcast_like_one_pair_at_a_time(kind, gen):
+    # the metric code passes v1 as (n, 1, p) against v2 as (n, k, p): each
+    # kernel must give exactly what it gives on the pairs one at a time
+    fam = get_family(kind, k_for(kind))
+    n, k = 4, 3
+    v1 = np.array([[random_interior(kind, gen).values] for _ in range(n)])
+    v2 = np.array([[random_interior(kind, gen).values for _ in range(k)] for _ in range(n)])
+    kl = fam.kl(v1, v2)
+    g1, g2 = fam.kl_grad(v1, v2)
+    assert kl.shape == (n, k) and g1.shape == g2.shape == (n, k, fam.param_dim)
+    for i in range(n):
+        assert np.array_equal(fam.fisher(v1)[i, 0], fam.fisher(v1[i, 0]))
+        for j in range(k):
+            assert np.array_equal(kl[i, j], fam.kl(v1[i, 0], v2[i, j]))
+            one_g1, one_g2 = fam.kl_grad(v1[i, 0], v2[i, j])
+            assert np.array_equal(g1[i, j], one_g1) and np.array_equal(g2[i, j], one_g2)
+            assert np.array_equal(fam.fisher(v2)[i, j], fam.fisher(v2[i, j]))
+
+
 class TestSampling:
     def test_deterministic_replay(self, gen):
         for kind in ALL_KINDS:

@@ -81,3 +81,25 @@ def test_malformed_grid_or_decoder_file_is_a_shape_error(kind, corrupt, tmp_path
         load(path)
     assert cli.main(["exp", f"--{kind}", str(path), "--z", "0,0", "--v", "0.1,0"]) == 2
     assert json.loads(capsys.readouterr().err)["error"] == "ShapeError"
+
+
+@pytest.mark.parametrize("latent_dim", [3, 1])
+def test_grid_file_whose_latent_dim_disagrees_with_its_bounds_names_both(latent_dim, tmp_path):
+    grid = grid_build(ConstantMetric(np.eye(2)), [[-1, 1], [-1, 1]], (3, 3), 0.5)
+    doc = io.grid_to_dict(grid, "pullback")
+    doc["latent_dim"] = latent_dim
+    path = tmp_path / "grid.json"
+    io.save_json(doc, path)
+    with pytest.raises(ShapeError, match=f"latent_dim {latent_dim}.*bounds have 2 rows"):
+        io.load_grid(path)
+
+
+def test_grid_file_keeps_latent_dim_and_loads_without_it(tmp_path):
+    grid = grid_build(ConstantMetric(np.diag([1.0, 2.0, 3.0])), [[-1, 1], [0, 2], [1, 3]],
+                      (2, 3, 2), 0.5)
+    doc = io.grid_to_dict(grid, "pullback")
+    assert doc["latent_dim"] == 3
+    del doc["latent_dim"]
+    back = io.grid_from_dict(doc)
+    assert np.array_equal(back.tensors, grid.tensors) and np.array_equal(back.bounds, grid.bounds)
+    assert (back.resolution, back.bandwidth) == (grid.resolution, grid.bandwidth)

@@ -3,7 +3,7 @@ import pytest
 
 import statgeo.land as L
 import statgeo.metric as M
-from statgeo.errors import DegenerateEstimate, InvalidParam, NonConvergence
+from statgeo.errors import DegenerateEstimate, InvalidParam, NonConvergence, SingularMetric
 from statgeo.geodesic import EnergyConfig
 from statgeo.metric import ConstantMetric, GridMetric, PullbackMetric, grid_build
 from statgeo.rng import RngStream
@@ -183,3 +183,27 @@ def test_failing_iteration_nll_ends_the_fit(monkeypatch, seed, skip):
         model = err.value.last
         assert len(model.nll_trace) == 1
     assert not model.converged and model.norm_const > 0
+
+
+def test_line_search_trial_with_a_singular_normalizer_is_rejected(monkeypatch):
+    # a normalizer shot that meets a singular metric raises SingularMetric
+    # from the exp map; in a line-search trial that rejects the trial (the
+    # step halves and the next trial is tried) instead of ending the fit
+    gen = np.random.default_rng(11)
+    pts = gen.normal(size=(60, 2))
+    init = L.LandModel(pts.mean(axis=0), 4.0 * np.eye(2), 1.0, IDENTITY)
+    cfg = L.LandFitConfig(max_iters=3, mc_samples=128)
+    real, raised = L.land_normalizer_stats, []
+
+    def stub(mean, precision, metric, rng, n, **kw):
+        # gradient probes move the precision by ~1e-3; the first trial moves it further
+        if not raised and np.max(np.abs(precision - init.precision)) > 0.05:
+            raised.append(precision)
+            raise SingularMetric("stub")
+        return real(mean, precision, metric, rng, n, **kw)
+
+    monkeypatch.setattr(L, "land_normalizer_stats", stub)
+    model = L.land_fit(pts, IDENTITY, init=init, cfg=cfg, rng=RngStream(2))
+    assert len(raised) == 1
+    assert len(model.nll_trace) >= 2 and model.nll_trace[-1] < model.nll_trace[0]
+    assert not np.array_equal(model.precision, raised[0])
