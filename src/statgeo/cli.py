@@ -96,7 +96,8 @@ def _add_optimizer_args(p):
     p.add_argument("--n-disc", type=int, default=200, help="energy discretization N")
     p.add_argument("--segments", type=_positive_int, default=4, help="spline segments")
     p.add_argument("--max-iters", type=_positive_int, default=200)
-    p.add_argument("--grad-tol", type=float, default=1e-6)
+    p.add_argument("--grad-tol", type=float, default=1e-6,
+                   help="stop when max|g| < tol*(1 + energy)")
     p.add_argument("--gradient-mode", choices=["fd", "analytic"], default="analytic")
     p.add_argument("--jitter", type=float, default=1e-4)
     p.add_argument("--objective", choices=["kl", "categorical"], default="kl")
@@ -190,8 +191,10 @@ def _cmd_geodesic(args) -> int:
         }
     )
     if args.profile:
+        grad_norm = result.grad_norm if np.isfinite(result.grad_norm) else None
         sys.stderr.write(
-            json.dumps({"profile": timings, "iterations": result.iterations}) + "\n"
+            json.dumps({"profile": timings, "iterations": result.iterations,
+                        "stop_reason": result.stop_reason, "grad_norm": grad_norm}) + "\n"
         )
     return 0
 

@@ -347,7 +347,12 @@ def product_fisher_stacked(family: Family, stacked: np.ndarray) -> np.ndarray:
 
 
 def _support_distance_argmin(reg: UncertaintyReg, zb: np.ndarray):
-    d2 = np.sum((zb[:, None, :] - reg.centers[None, :, :]) ** 2, axis=-1)
+    # one (m, k) term per axis, added in axis order: the sum over the last
+    # axis of the (m, k, d) differences, without building them
+    c = reg.centers
+    d2 = (zb[:, 0, None] - c[:, 0]) ** 2
+    for j in range(1, c.shape[1]):
+        d2 += (zb[:, j, None] - c[:, j]) ** 2
     return d2.min(axis=1), np.argmin(d2, axis=1)
 
 

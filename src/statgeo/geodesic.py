@@ -19,7 +19,8 @@ Every solver works on a batch of m rows; a single curve or shot is m = 1.
 One fitter serves ``minimize_energy_detailed`` and both log maps, on
 decoders and metric fields alike: one BFGS descent with Armijo
 backtracking over coefficient arrays of shape (m, d, 2S), with an
-inverse-Hessian estimate, a step and a stopping rule per curve. Its
+inverse-Hessian estimate, a step and a stopping rule per curve: max|g| below
+``grad_tol`` times (1 + energy), and a stop reason for each curve. Its
 gradient is analytic for the KL objective (one decoder pass over the nodes
 that returns both the parameters and their Jacobians) and the graph energy
 (one ``eval_batch_and_grad`` call over the midpoints); for the categorical
@@ -151,7 +152,9 @@ def curve_eval(c: SplineCurve, t: float):
 class EnergyConfig:
     """Discretization and optimizer settings for energy minimization. The
     descent's first step, and its step wherever the BFGS direction does not
-    descend, is -0.1 g; ``gradient_mode="fd"`` differences with step 1e-6."""
+    descend, is -0.1 g; ``gradient_mode="fd"`` differences with step 1e-6.
+    A curve has converged when max|g| < grad_tol (1 + E) at its energy E:
+    relative for E >> 1, absolute for E << 1."""
 
     n_disc: int = 128
     segments: int = 4
@@ -165,6 +168,8 @@ class EnergyConfig:
     def __post_init__(self):
         if self.n_disc < 2:
             raise ShapeError("energy discretization needs N >= 2")
+        if not (np.isfinite(self.grad_tol) and self.grad_tol >= 0):
+            raise ShapeError(f"gradient tolerance must be finite and >= 0, got {self.grad_tol}")
 
 
 def _check_finite(ts, values, what: str):
@@ -333,6 +338,8 @@ class GeodesicResult:
     energy_trace: list[float] = field(default_factory=list)
     converged: bool = False
     iterations: int = 0
+    stop_reason: str = ""  # see ``_descend``
+    grad_norm: float = float("nan")  # max|g| of the last gradient evaluated
 
 
 def _fd_gradient(energy, h: float):
@@ -391,20 +398,28 @@ def _descend(coeffs, energy, grad, cfg: EnergyConfig):
     inverse-Hessian estimate of the n = d 2S coefficients. Before its first
     update, or when -H g is not a descent direction, p = -0.1 g. A curve
     whose start energy is not finite never moves; the others stop when
-    max|g| < grad_tol (converged), when g is not finite, or when 40 trials
-    find no Armijo step. A non-finite trial energy, or a NonFiniteEnergy
-    raised by a trial, rejects the trial. State is per curve, so a curve
-    fitted in a batch equals the same curve fitted alone. Returns
-    (coeffs, energies, converged, iterations, trace), where the trace holds
-    the energies at the start and after every iteration that accepted a step.
+    max|g| < grad_tol (1 + |E|), E its current energy (converged), when g is
+    not finite, or when 40 trials find no Armijo step. The test is relative
+    for KL energies of 1-100, whose gradients cannot reach an absolute 1e-6
+    at rounding precision, and absolute for E << 1. A non-finite trial
+    energy, or a NonFiniteEnergy raised by a trial, rejects the trial. State
+    is per curve, so a curve fitted in a batch equals the same curve fitted
+    alone. Returns (coeffs, energies, converged, iterations, trace, stop),
+    where the trace holds the energies at the start and after every
+    iteration that accepted a step, and ``stop`` is a record per curve: its
+    ``reason`` ("converged", "line_search", "max_iters" for a curve still
+    descending at the cap, or "non_finite" for a start energy or a gradient)
+    and the ``grad_norm`` max|g| of its last gradient (NaN if it had none).
     """
     m, n = coeffs.shape[0], coeffs[0].size
     coeffs = coeffs.copy()
     e_cur = np.asarray(energy(coeffs, np.arange(m)), dtype=float)
     trace = [e_cur.copy()]
     active = np.isfinite(e_cur)
-    converged = np.zeros(m, dtype=bool)
     iterations = np.zeros(m, dtype=int)
+    stop = np.zeros(m, dtype=[("reason", "U11"), ("grad_norm", float)])
+    stop["reason"] = np.where(active, "max_iters", "non_finite")
+    stop["grad_norm"] = np.nan
     h_inv = np.full((m, n, n), np.nan)  # NaN until a curve's first update
     prev_x = np.full((m, n), np.nan)
     prev_g = np.full((m, n), np.nan)
@@ -415,9 +430,12 @@ def _descend(coeffs, energy, grad, cfg: EnergyConfig):
         iterations[idx] += 1
         sub = coeffs[idx]
         x, g = sub.reshape(idx.size, n), grad(sub, idx).reshape(idx.size, n)
-        done = np.abs(g).max(axis=1) < cfg.grad_tol
-        converged[idx[done]] = True
+        g_max = np.abs(g).max(axis=1)
+        stop["grad_norm"][idx] = g_max
+        done = g_max < cfg.grad_tol * (1.0 + np.abs(e_cur[idx]))
         keep = ~done & np.all(np.isfinite(g), axis=1)
+        stop["reason"][idx[done]] = "converged"
+        stop["reason"][idx[~done & ~keep]] = "non_finite"
         active[idx[~keep]] = False
         idx, x, g = idx[keep], x[keep], g[keep]
         if idx.size == 0:
@@ -447,9 +465,10 @@ def _descend(coeffs, energy, grad, cfg: EnergyConfig):
                 break
             t[pending] *= 0.5
         active[idx[pending]] = False  # line search failed
+        stop["reason"][idx[pending]] = "line_search"
         if pending.size < idx.size:
             trace.append(e_cur.copy())
-    return coeffs, e_cur, converged, iterations, trace
+    return coeffs, e_cur, stop["reason"] == "converged", iterations, trace, stop
 
 
 def _finite_endpoints(z0, z1):
@@ -465,8 +484,9 @@ def _fit_curves(target, z0, targets, cfg: EnergyConfig, rng: RngStream, warm, st
     ``target`` is a DecoderMap (``_decoder_energy``) or a LatentMetric
     (``_graph_energy``). A curve that ends above its straight chord is reset
     to the chord. Returns (coeffs, energies, straight energies, converged,
-    iterations, trace, terms), with ``terms`` the per-segment squared
-    lengths: on a decoder the exact KL ones, whatever the objective.
+    iterations, trace, stop, terms), with ``stop`` as ``_descend`` gives it
+    and ``terms`` the per-segment squared lengths: on a decoder the exact KL
+    ones, whatever the objective.
     """
     shape = (targets.shape[0], z0.size, 2 * cfg.segments)
     if isinstance(target, DecoderMap):
@@ -479,12 +499,12 @@ def _fit_curves(target, z0, targets, cfg: EnergyConfig, rng: RngStream, warm, st
     if cfg.gradient_mode != "analytic" or grad is None:
         grad = _fd_gradient(energy, 1e-6)
     straight = energy(np.zeros(shape), np.arange(shape[0]))
-    coeffs, e_cur, converged, iterations, trace = _descend(
+    coeffs, e_cur, converged, iterations, trace, stop = _descend(
         _start_coeffs(cfg, rng, shape, warm), energy, grad, cfg
     )
     worse = e_cur > straight
     coeffs[worse], e_cur[worse] = 0.0, straight[worse]
-    return coeffs, e_cur, straight, converged, iterations, trace, terms
+    return coeffs, e_cur, straight, converged, iterations, trace, stop, terms
 
 
 def minimize_energy_detailed(
@@ -498,7 +518,7 @@ def minimize_energy_detailed(
     """
     cfg = cfg or EnergyConfig()
     z0, z1 = _finite_endpoints(z0, z1)
-    coeffs, energies, straight, converged, iterations, trace, _ = _fit_curves(
+    coeffs, energies, straight, converged, iterations, trace, stop, _ = _fit_curves(
         target, z0, z1[None, :], cfg, rng or RngStream(0), None, strict=True
     )
     return GeodesicResult(
@@ -508,6 +528,8 @@ def minimize_energy_detailed(
         energy_trace=[float(e[0]) for e in trace],
         converged=bool(converged[0]),
         iterations=int(iterations[0]),
+        stop_reason=str(stop["reason"][0]),
+        grad_norm=float(stop["grad_norm"][0]),
     )
 
 

@@ -63,3 +63,35 @@ def test_runs_pair_by_workload_and_seed(tool, tmp_path):
     assert run["operations"]["parent"] == {"failed": 0, "attempted": 4, "by_type": {}}
     assert run["operations"]["change"] == {
         "failed": 1, "attempted": 5, "by_type": {"exp_map:SingularMetric": 1}}
+
+
+def write_traced(checkout, seed, values, workload="geodesic-pullback"):
+    out = checkout / ".bench_out"
+    out.mkdir(parents=True, exist_ok=True)
+    doc = {"env": {"nproc": 2}, "metrics": {
+        name: {"value": value, "unit": "count"} for name, value in values.items()}}
+    (out / f"{workload}-seed{seed}-trace1.json").write_text(json.dumps(doc))
+
+
+def test_traced_runs_give_per_layer_values_per_seed(tool, tmp_path):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    write_traced(parent, 5, {"families.kl.calls": 500.0, "geodesic.iterations": 120.0})
+    write_traced(change, 5, {"families.kl.calls": 240.0, "geodesic.iterations": 100.0})
+    write_traced(parent, 6, {"families.kl.calls": 520.0, "geodesic.iterations": 130.0})
+    write_traced(change, 6, {"families.kl.calls": 260.0, "geodesic.iterations": 104.0})
+    write_traced(parent, 7, {"families.kl.calls": 1.0, "geodesic.iterations": 1.0})  # no partner
+    benchmark = {**BENCHMARK, "per_layer": [
+        {"name": "families.kl.calls", "unit": "count", "better": "lower"},
+        {"name": "geodesic.iterations", "unit": "count", "better": "lower"},
+    ]}
+
+    summary = tool.summarize(parent, change, benchmark)
+
+    run = summary["workloads"]["geodesic-pullback"]
+    assert run["seeds"] == [] and run["traced_seeds"] == [5, 6]
+    kl = run["per_layer"]["families.kl.calls"]
+    assert kl["unit"] == "count" and kl["better"] == "lower"
+    assert kl["parent"]["values"] == [500.0, 520.0] and kl["parent"]["median"] == 510.0
+    assert kl["change"]["values"] == [240.0, 260.0] and kl["change"]["median"] == 250.0
+    assert run["per_layer"]["geodesic.iterations"]["change"]["median"] == 102.0
+    assert summary["env"] == {"nproc": 2}

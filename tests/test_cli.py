@@ -114,6 +114,22 @@ def test_profile_leaves_stdout_unchanged(command, decoder_path, tmp_path, capsys
     assert all(v >= 0 for v in profile.values())
 
 
+def test_geodesic_profile_reports_why_the_fit_stopped(decoder_path, capsys):
+    argv = ["geodesic", "--decoder", str(decoder_path), "--z0=1,0", "--z1=0,1",
+            "--seed", "1", "--n-disc", "16", "--segments", "2"]
+    for cap, reason in (("200", "converged"), ("2", "max_iters")):
+        assert cli.main([*argv, "--max-iters", cap]) == 0
+        plain = capsys.readouterr()
+        assert cli.main([*argv, "--max-iters", cap, "--profile"]) == 0
+        profiled = capsys.readouterr()
+        assert profiled.out == plain.out
+        doc, out = json.loads(profiled.err.splitlines()[-1]), json.loads(plain.out)
+        assert doc["stop_reason"] == reason and out["converged"] == (reason == "converged")
+        assert doc["iterations"] == out["iterations"] and doc["grad_norm"] > 0
+        if reason == "converged":
+            assert doc["grad_norm"] < 1e-6 * (1.0 + out["energy"])
+
+
 def test_threads_option_is_a_usage_error(decoder_path, tmp_path, capsys):
     code = cli.main([
         "--threads", "2", "metric-grid", "--decoder", str(decoder_path),
@@ -277,6 +293,9 @@ def test_log_decoder_is_the_batched_log_map(decoder_path, capsys):
     ["exp", "--decoder", "{dec}", "--z=0,0,0", "--v=0.1,0"],
     ["log", "--decoder", "{dec}", "--z=0,0", "--y=1,1,1", "--seed", "1"],
     ["kl", "--decoder", "{dec}", "--z1=0,0,0", "--z2=1,1"],
+    ["geodesic", "--decoder", "{dec}", "--z0=0,0", "--z1=1,1", "--seed", "1", "--grad-tol", "-1"],
+    ["log", "--decoder", "{dec}", "--z=0,0", "--y=1,1", "--seed", "1", "--grad-tol", "nan"],
+    ["geodesic", "--decoder", "{dec}", "--z0=0,0", "--z1=1,1", "--seed", "1", "--grad-tol", "inf"],
 ])
 def test_counts_and_code_indices_out_of_range_are_usage_errors(argv, decoder_path, tmp_path,
                                                                capsys):

@@ -247,6 +247,18 @@ class TestUncertainty:
         assert got == pytest.approx(each.min(), rel=1e-12)
         assert np.all(got <= each + 1e-12)
 
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("m", [1, 5, 201, 1000])
+    @pytest.mark.parametrize("k", [1, 12])
+    def test_distance_equals_the_broadcast_sum(self, d, m, k, gen):
+        # per-axis accumulation gives the sum over the last axis of the
+        # (m, k, d) differences bit for bit, and the same nearest centers
+        centers, z = gen.normal(size=(k, d)), 3.0 * gen.normal(size=(m, d))
+        d2 = np.sum((z[:, None, :] - centers[None, :, :]) ** 2, axis=-1)
+        dist, nearest = D._support_distance_argmin(self.reg(centers), z)
+        assert np.array_equal(dist, d2.min(axis=1))
+        assert np.array_equal(nearest, np.argmin(d2, axis=1))
+
     def test_translated_sigmoid_midpoint(self):
         reg = self.reg(beta=0.3, c=7.0)
         d_mid = 7.0 * softplus(0.3)

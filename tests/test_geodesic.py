@@ -1,12 +1,14 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import statgeo.geodesic as G
 import statgeo.metric as M
-from statgeo.errors import FamilyMismatch, NonFiniteEnergy, OutOfRange
+from statgeo.errors import FamilyMismatch, NonFiniteEnergy, OutOfRange, ShapeError
 from statgeo.geodesic import EnergyConfig, SplineCurve, straight_line
 from statgeo.rng import RngStream
-from statgeo.toy import identity_parameter_decoder, toy_decoder
+from statgeo.toy import identity_parameter_decoder, toy_circle_codes, toy_decoder
 
 from conftest import rel_frob
 
@@ -472,7 +474,7 @@ def test_descend_drops_rows_that_start_non_finite(gen):
 
     start = 0.05 * gen.normal(size=(2, 2, 2))
     with np.errstate(invalid="ignore"):
-        coeffs, e, converged, iterations, _ = G._descend(start, counted, grad, cfg)
+        coeffs, e, converged, iterations, _, _ = G._descend(start, counted, grad, cfg)
     assert len(calls) > 1 and all(0 not in rows for rows in calls[1:])
     assert e[0] == np.inf and not converged[0] and iterations[0] == 0
     energy1, _, grad1 = G._graph_energy(metric, z0, targets[1:], 1, 16, strict=False)
@@ -500,7 +502,7 @@ def test_descend_stops_rows_whose_gradient_is_not_finite(gen):
         return g
 
     start = 0.05 * gen.normal(size=(2, 2, 2))
-    coeffs, e, converged, iterations, _ = G._descend(start, counted, nan_row0, cfg)
+    coeffs, e, converged, iterations, _, _ = G._descend(start, counted, nan_row0, cfg)
     assert all(0 not in rows for rows in calls[1:])
     assert np.array_equal(coeffs[0], start[0]) and e[0] == energy(start[:1], np.arange(1))[0]
     assert not converged[0] and iterations[0] == 1
@@ -516,11 +518,126 @@ def test_descend_solves_a_quadratic_energy_in_few_iterations(gen):
     metric = M.ConstantMetric(np.diag([2.0, 0.5]))
     cfg = EnergyConfig(n_disc=16, segments=1)
     z0, targets = np.array([0.1, -0.2]), gen.uniform(-1.5, 1.5, size=(20, 2))
-    _, _, _, converged, iterations, _, _ = G._fit_curves(
+    _, _, _, converged, iterations, _, _, _ = G._fit_curves(
         metric, z0, targets, cfg, RngStream(1), None, strict=False
     )
     n = 2 * 2 * cfg.segments
     assert np.all(converged) and iterations.max() <= 2 * n + 2
+
+
+@pytest.mark.parametrize("scale", [1e6, 1e12])
+def test_descend_converges_on_a_scaled_quadratic_energy(scale, gen):
+    # energies of 1e6-1e13 cannot bring max|g| under an absolute 1e-6 at
+    # rounding precision; relative to the energy the fit converges as fast
+    # as on the unscaled metric
+    metric = M.ConstantMetric(scale * np.diag([2.0, 0.5]))
+    cfg = EnergyConfig(n_disc=16, segments=1)
+    z0, targets = np.array([0.1, -0.2]), gen.uniform(-1.5, 1.5, size=(20, 2))
+    _, e, _, converged, iterations, _, stop, _ = G._fit_curves(
+        metric, z0, targets, cfg, RngStream(1), None, strict=False
+    )
+    n = 2 * 2 * cfg.segments
+    assert np.all(converged) and iterations.max() <= 2 * n + 2
+    assert np.all(stop["reason"] == "converged")
+    assert np.all(stop["grad_norm"] < cfg.grad_tol * (1.0 + e))
+
+
+def test_kl_fit_stops_where_it_has_converged(monkeypatch):
+    # pair 11 -> 157 of the toy workflow at the CLI settings: with an
+    # absolute max|g| < 1e-6 it ran all 200 iterations and ~3,000 energy
+    # calls, the last ~75 iterations changing only the last digits
+    codes = toy_circle_codes(200, 0.1, RngStream(1))
+    dec = toy_decoder("beta", seed=5)
+    cfg = EnergyConfig(n_disc=200, segments=4, max_iters=200, grad_tol=1e-6)
+    calls = []
+    fam_kl = dec.family.kl
+
+    def counted(p, q):
+        calls.append(1)
+        return fam_kl(p, q)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(dec.family, "kl", counted)
+        res = G.minimize_energy_detailed(codes[11], codes[157], dec, cfg, RngStream(100))
+    assert res.converged and res.stop_reason == "converged" and res.iterations < 200
+    assert 0 < len(calls) < 300
+    full = G.minimize_energy_detailed(
+        codes[11], codes[157], dec, replace(cfg, grad_tol=0.0), RngStream(100)
+    )
+    assert not full.converged
+    assert abs(res.energy - full.energy) <= 1e-9 * full.energy
+
+
+class TestStopReason:
+    def quadratic(self, targets, metric=None):
+        metric = metric or M.ConstantMetric(np.diag([2.0, 0.5]))
+        energy, _, grad = G._graph_energy(metric, np.zeros(2), targets, 1, 16, strict=False)
+        return energy, grad
+
+    def test_converged(self, gen):
+        energy, grad = self.quadratic(np.array([[1.0, 0.5], [-0.3, 0.8]]))
+        cfg = EnergyConfig(n_disc=16, segments=1)
+        _, e, converged, _, _, stop = G._descend(0.1 * gen.normal(size=(2, 2, 2)), energy, grad, cfg)
+        assert np.all(converged) and list(stop["reason"]) == ["converged"] * 2
+        assert np.all(stop["grad_norm"] < cfg.grad_tol * (1.0 + e))
+
+    def test_line_search(self, gen):
+        # an ascent direction: 40 halvings find no Armijo step
+        energy, grad = self.quadratic(np.array([[1.0, 0.5]]))
+        cfg = EnergyConfig(n_disc=16, segments=1)
+        start = 0.1 * gen.normal(size=(1, 2, 2))
+        coeffs, _, converged, iterations, _, stop = G._descend(
+            start, energy, lambda c, rows: -grad(c, rows), cfg
+        )
+        assert stop["reason"][0] == "line_search" and not converged[0] and iterations[0] == 1
+        assert stop["grad_norm"][0] == np.abs(grad(start, np.arange(1))).max()
+        assert np.array_equal(coeffs, start)
+
+    def test_max_iters(self, gen):
+        energy, grad = self.quadratic(np.array([[1.0, 0.5]]))
+        cfg = EnergyConfig(n_disc=16, segments=1, max_iters=2)
+        _, e, converged, iterations, _, stop = G._descend(
+            0.1 * gen.normal(size=(1, 2, 2)), energy, grad, cfg
+        )
+        assert stop["reason"][0] == "max_iters" and not converged[0] and iterations[0] == 2
+        assert stop["grad_norm"][0] >= cfg.grad_tol * (1.0 + e[0])
+
+    def test_non_finite_start_and_gradient(self, gen):
+        # row 0 starts at an infinite energy and is never differentiated;
+        # row 1's gradient is NaN; row 2 fits
+        energy, grad = self.quadratic(np.array([[1.0, 0.5], [0.3, 0.2], [-0.3, 0.8]]))
+
+        def inf_row0(coeffs, rows):
+            e = energy(coeffs, rows)
+            return np.where(rows == 0, np.inf, e)
+
+        def nan_row1(coeffs, rows):
+            g = grad(coeffs, rows)
+            g[rows == 1] = np.nan
+            return g
+
+        cfg = EnergyConfig(n_disc=16, segments=1)
+        _, _, converged, iterations, _, stop = G._descend(
+            0.1 * gen.normal(size=(3, 2, 2)), inf_row0, nan_row1, cfg
+        )
+        assert list(stop["reason"]) == ["non_finite", "non_finite", "converged"]
+        assert np.isnan(stop["grad_norm"][:2]).all() and iterations[:2].tolist() == [0, 1]
+
+    def test_result_carries_the_reason(self):
+        metric = M.ConstantMetric(np.diag([2.0, 0.5]))
+        res = G.minimize_energy_detailed([0.0, 0.0], [1.0, 0.5], metric, EnergyConfig(n_disc=16))
+        assert res.converged and res.stop_reason == "converged"
+        assert res.grad_norm < 1e-6 * (1.0 + res.energy)
+        capped = G.minimize_energy_detailed(
+            [0.0, 0.0], [1.0, 0.5], metric, EnergyConfig(n_disc=16, max_iters=1)
+        )
+        assert capped.stop_reason == "max_iters" and capped.grad_norm > 0
+
+
+@pytest.mark.parametrize("grad_tol", [-1.0, np.nan, np.inf])
+def test_grad_tol_must_be_finite_and_non_negative(grad_tol):
+    with pytest.raises(ShapeError):
+        EnergyConfig(grad_tol=grad_tol)
 
 
 def test_bfgs_update_satisfies_the_secant_equation(gen):

@@ -3,14 +3,16 @@
     python3 tools/bench_summary.py PARENT_DIR CHANGE_DIR [--out BENCH_<n>.json]
 
 Each directory is a source checkout in which ``bench/run.py`` has written
-its untraced detail files, ``.bench_out/<workload>-seed<n>-trace0.json``.
-Runs are paired by workload and seed; a run without a partner is left out.
-For every end-to-end metric that ``BENCHMARK.json`` (next to this script's
-parent directory) lists, and for every workload, the summary gives each
-side's values, median and quartiles, and the pairs the change won, lost
-and tied (lower or higher is better as the metric says). It also gives each
-side's failed and attempted operation counts and failures by type. The
-summary is printed as JSON, and written to ``--out`` when given.
+its detail files, ``.bench_out/<workload>-seed<n>-trace<t>.json``. Runs are
+paired by workload, seed and trace flag; a run without a partner is left
+out. For every end-to-end metric that ``BENCHMARK.json`` (next to this
+script's parent directory) lists, and for every workload, the summary gives
+each side's untraced values, median and quartiles, and the pairs the change
+won, lost and tied (lower or higher is better as the metric says). It also
+gives each side's failed and attempted operation counts and failures by
+type. From the traced runs (``--trace 1``) it gives, for every per-layer
+metric, each side's value per seed and median. The summary is printed as
+JSON, and written to ``--out`` when given.
 """
 
 from __future__ import annotations
@@ -23,13 +25,14 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-DETAIL = re.compile(r"(?P<workload>.+)-seed(?P<seed>-?\d+)-trace0\.json")
+DETAIL = re.compile(r"(?P<workload>.+)-seed(?P<seed>-?\d+)-trace[01]\.json")
 
 
-def load_runs(checkout) -> dict:
-    """{(workload, seed): detail document} of a checkout's untraced runs."""
+def load_runs(checkout, trace: int = 0) -> dict:
+    """{(workload, seed): detail document} of a checkout's runs with this
+    trace flag."""
     runs = {}
-    for path in sorted((Path(checkout) / ".bench_out").glob("*-trace0.json")):
+    for path in sorted((Path(checkout) / ".bench_out").glob(f"*-trace{trace}.json")):
         match = DETAIL.fullmatch(path.name)
         if match:
             runs[match["workload"], int(match["seed"])] = json.loads(path.read_text())
@@ -59,13 +62,27 @@ def failures(docs: list[dict]) -> dict:
     }
 
 
+def per_layer(parent: list[dict], change: list[dict], benchmark: dict) -> dict:
+    """Each side's value per traced run and median, per per-layer metric."""
+    out = {}
+    for spec in benchmark.get("per_layer", []):
+        metric = spec["name"]
+        out[metric] = {"unit": spec["unit"], "better": spec["better"]}
+        for side, docs in (("parent", parent), ("change", change)):
+            out[metric][side] = spread([doc["metrics"][metric]["value"] for doc in docs])
+    return out
+
+
 def summarize(parent_dir, change_dir, benchmark: dict) -> dict:
     parent, change = load_runs(parent_dir), load_runs(change_dir)
     pairs = sorted(parent.keys() & change.keys())
+    parent_t, change_t = load_runs(parent_dir, 1), load_runs(change_dir, 1)
+    traced_pairs = sorted(parent_t.keys() & change_t.keys())
     workloads = {}
     for name in [w["name"] for w in benchmark["workloads"]]:
         seeds = [seed for workload, seed in pairs if workload == name]
-        if not seeds:
+        traced = [seed for workload, seed in traced_pairs if workload == name]
+        if not seeds and not traced:
             continue
         sides = {"parent": [parent[name, s] for s in seeds],
                  "change": [change[name, s] for s in seeds]}
@@ -96,7 +113,13 @@ def summarize(parent_dir, change_dir, benchmark: dict) -> dict:
             "metrics": metrics,
             "operations": {side: failures(docs) for side, docs in sides.items()},
         }
-    env = next(iter(change.values()))["env"] if change else None
+        if traced:
+            workloads[name]["traced_seeds"] = traced
+            workloads[name]["per_layer"] = per_layer(
+                [parent_t[name, s] for s in traced], [change_t[name, s] for s in traced],
+                benchmark)
+    docs = [*change.values(), *change_t.values()]
+    env = docs[0]["env"] if docs else None
     return {"env": env, "workloads": workloads}
 
 
