@@ -391,7 +391,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--grid")
     p.add_argument("--codes", required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--max-iters", type=int, default=40)
+    p.add_argument("--max-iters", type=_positive_int, default=40)
     p.add_argument("--mc-samples", type=_positive_int, default=256)
     p.add_argument("--exp-steps", type=_positive_int, default=20)
     p.add_argument("--out-model", required=True)

@@ -100,7 +100,6 @@ class UncertaintyReg:
     centers: np.ndarray  # (k, d)
     beta: float
     c: float = 7.0
-    extrapolation: np.ndarray | None = None  # (D, p) override
 
     def __post_init__(self):
         self.centers = np.atleast_2d(np.asarray(self.centers, dtype=float))
@@ -145,25 +144,13 @@ class DecoderMap:
         if self.pre_transform is not None:
             a, b = self.pre_transform
             self.pre_transform = (np.asarray(a, float), np.asarray(b, float))
-        self._extrap = self._build_extrapolation()
+        self._extrap = np.tile(self.family.max_uncertainty(), self.feature_count)
         self._mask = self.blend_mask_stacked().astype(float)
 
     @property
     def param_dim(self) -> int:
         """Total stacked parameter count D * p."""
         return self.feature_count * self.family.param_dim
-
-    def _build_extrapolation(self) -> np.ndarray:
-        if self.regularization is not None and self.regularization.extrapolation is not None:
-            ex = np.asarray(self.regularization.extrapolation, dtype=float)
-            if ex.shape != (self.feature_count, self.family.param_dim):
-                raise ShapeError(
-                    f"extrapolation override has shape {ex.shape}, expected "
-                    f"({self.feature_count}, {self.family.param_dim})"
-                )
-            return ex.reshape(-1)
-        one = self.family.max_uncertainty()
-        return np.tile(one, self.feature_count)
 
     def blend_mask_stacked(self) -> np.ndarray:
         return np.tile(self.family.blend_mask(), self.feature_count)

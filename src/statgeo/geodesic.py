@@ -25,9 +25,10 @@ gradient is analytic for the KL objective (one decoder pass over the nodes
 that returns both the parameters and their Jacobians) and the graph energy
 (one ``eval_batch_and_grad`` call over the midpoints); for the categorical
 objective, and with ``gradient_mode="fd"``, it is one central-difference
-routine that makes one energy call over the rows per probe. One RK4 loop
-shoots both exponential maps; its right-hand side gets M and dM/dz from
-one ``eval_batch_and_grad`` call per stage.
+routine that makes one energy call over the rows per probe. One routine,
+``_shoot``, serves both exponential maps: one rescale to metric norm |v|,
+one SingularMetric rule and one RK4 loop, whose right-hand side gets M and
+dM/dz from one ``eval_batch_and_grad`` call per stage.
 """
 
 from __future__ import annotations
@@ -537,14 +538,13 @@ def minimize_energy_detailed(
 # geodesic ODE, exponential and logarithmic maps
 
 
-def _ode_rhs_batch(metric: LatentMetric, zs, vs, fd_step: float) -> np.ndarray:
+def _ode_rhs_batch(metric: LatentMetric, zs, vs) -> np.ndarray:
     """Geodesic accelerations at the rows of (zs, vs).
 
-    M and dM/dz come from one ``eval_batch_and_grad`` call (``fd_step`` is
-    its difference step where the metric has no analytic derivative); the
-    linear systems are solved directly rather than inverting the tensors.
+    M and dM/dz come from one ``eval_batch_and_grad`` call; the linear
+    systems are solved directly rather than inverting the tensors.
     """
-    mm, dm = metric.eval_batch_and_grad(zs, fd_step)
+    mm, dm = metric.eval_batch_and_grad(zs)
     mdot = np.einsum("mk,kmij->mij", vs, dm)
     term_a = 2.0 * np.einsum("mij,mj->mi", mdot, vs)
     term_b = np.einsum("kmij,mi,mj->mk", dm, vs, vs)
@@ -554,26 +554,37 @@ def _ode_rhs_batch(metric: LatentMetric, zs, vs, fd_step: float) -> np.ndarray:
         raise SingularMetric("metric not invertible along the geodesic") from exc
 
 
-def ode_rhs(metric: LatentMetric, z, zdot, fd_step: float = 1e-4) -> np.ndarray:
+def ode_rhs(metric: LatentMetric, z, zdot) -> np.ndarray:
     """Geodesic acceleration for the metric field at (z, zdot); see
     ``LatentMetric.eval_batch_and_grad`` for the metric derivatives."""
     z, zdot = np.asarray(z, dtype=float), np.asarray(zdot, dtype=float)
-    return _ode_rhs_batch(metric, z[None], zdot[None], fd_step)[0]
+    return _ode_rhs_batch(metric, z[None], zdot[None])[0]
 
 
-def _rk4(metric: LatentMetric, zs, vs, steps: int, fd_step: float, return_path: bool):
-    """RK4 over t in [0, 1] for rows (zs, vs): the endpoints, and the
-    (steps + 1, m, d) path when ``return_path`` is set."""
+def _shoot(metric: LatentMetric, zs, vs, start_tensors, steps: int, return_path: bool):
+    """RK4 over t in [0, 1] from the rows of (zs, vs), each nonzero v first
+    scaled to metric norm |v| under its start tensor: ``log_map``'s
+    convention, where |v| is the geodesic length. A nonzero v whose squared
+    metric norm is not > 0 (zero, negative or NaN) raises SingularMetric.
+    Returns the endpoints and, with ``return_path``, the (steps + 1, m, d) path.
+    """
+    norm_e = np.linalg.norm(vs, axis=1)
+    moving = norm_e > 0
+    sq = np.einsum("mi,mij,mj->m", vs, start_tensors, vs)[moving]
+    if not np.all(sq > 0):
+        raise SingularMetric("metric degenerate along the shooting direction")
+    vs = vs.copy()
+    vs[moving] *= (norm_e[moving] / np.sqrt(sq))[:, None]
     h = 1.0 / steps
     path = [zs]
     for _ in range(steps):
-        k1v = _ode_rhs_batch(metric, zs, vs, fd_step)
+        k1v = _ode_rhs_batch(metric, zs, vs)
         k1z = vs
-        k2v = _ode_rhs_batch(metric, zs + 0.5 * h * k1z, vs + 0.5 * h * k1v, fd_step)
+        k2v = _ode_rhs_batch(metric, zs + 0.5 * h * k1z, vs + 0.5 * h * k1v)
         k2z = vs + 0.5 * h * k1v
-        k3v = _ode_rhs_batch(metric, zs + 0.5 * h * k2z, vs + 0.5 * h * k2v, fd_step)
+        k3v = _ode_rhs_batch(metric, zs + 0.5 * h * k2z, vs + 0.5 * h * k2v)
         k3z = vs + 0.5 * h * k2v
-        k4v = _ode_rhs_batch(metric, zs + h * k3z, vs + h * k3v, fd_step)
+        k4v = _ode_rhs_batch(metric, zs + h * k3z, vs + h * k3v)
         k4z = vs + h * k3v
         zs = zs + (h / 6.0) * (k1z + 2 * k2z + 2 * k3z + k4z)
         vs = vs + (h / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
@@ -582,35 +593,13 @@ def _rk4(metric: LatentMetric, zs, vs, steps: int, fd_step: float, return_path: 
     return zs, (np.stack(path) if return_path else None)
 
 
-def _rescale_initial_velocity(metric: LatentMetric, z, v) -> np.ndarray:
-    """Match the tangent convention where the Euclidean norm of v is the
-    target geodesic length: scale v so its metric norm equals |v|."""
-    norm_e = float(np.linalg.norm(v))
-    if norm_e == 0.0:
-        return v
-    norm_m = float(np.sqrt(v @ metric.eval(z) @ v))
-    if norm_m <= 0.0:
-        raise SingularMetric("metric degenerate along the shooting direction")
-    return v * (norm_e / norm_m)
-
-
-def exp_map(
-    metric: LatentMetric,
-    z,
-    v,
-    steps: int = 100,
-    fd_step: float = 1e-4,
-    return_path: bool = False,
-):
-    """Shoot the geodesic IVP with RK4 over t in [0, 1].
-
-    The input tangent follows the convention of ``log_map``: its Euclidean
-    norm is the geodesic length, so v is first rescaled to metric norm |v|.
-    A zero metric norm along a nonzero v raises SingularMetric.
-    """
+def exp_map(metric: LatentMetric, z, v, steps: int = 100, return_path: bool = False):
+    """Geodesic endpoint from z along v, where |v| is the geodesic length:
+    ``_shoot`` on one row under ``metric.eval(z)``. A nonzero v whose squared
+    metric norm is not > 0 raises SingularMetric, and a non-finite endpoint
+    NonFiniteEnergy; ``return_path`` returns (endpoint, ts, path)."""
     z, v = np.asarray(z, dtype=float), np.asarray(v, dtype=float)
-    v = _rescale_initial_velocity(metric, z, v)
-    ends, path = _rk4(metric, z[None], v[None], steps, fd_step, return_path)
+    ends, path = _shoot(metric, z[None], v[None], metric.eval(z)[None], steps, return_path)
     if not np.all(np.isfinite(ends)):
         raise NonFiniteEnergy("exponential map diverged")
     if return_path:
@@ -619,16 +608,11 @@ def exp_map(
 
 
 def exp_map_batch(metric: LatentMetric, zs, vs, steps: int = 50) -> np.ndarray:
-    """Vectorized exponential map across a batch of tangent vectors, with
-    ``exp_map``'s tangent convention: each row of vs is rescaled to metric
-    norm |v| (a zero metric norm scales by |v| / 1e-300 instead of raising).
-    """
+    """``exp_map`` on each row of (zs, vs): ``_shoot`` under
+    ``metric.eval_batch(zs)``. A non-finite endpoint is not raised: its row
+    comes back non-finite, as in ``log_map_batch``."""
     zs, vs = np.atleast_2d(np.asarray(zs, dtype=float)), np.atleast_2d(np.asarray(vs, dtype=float))
-    norm_e = np.linalg.norm(vs, axis=1)
-    m = metric.eval_batch(zs)
-    norm_m = np.sqrt(np.einsum("mi,mij,mj->m", vs, m, vs))
-    scale = np.where(norm_e > 0, norm_e / np.maximum(norm_m, 1e-300), 1.0)
-    return _rk4(metric, zs, vs * scale[:, None], steps, 1e-4, return_path=False)[0]
+    return _shoot(metric, zs, vs, metric.eval_batch(zs), steps, return_path=False)[0]
 
 
 def _log_maps(target, z0, targets, cfg: EnergyConfig, rng: RngStream, warm, strict: bool):

@@ -56,14 +56,14 @@ def decoder_to_dict(dec: DecoderMap) -> dict:
     }
     if dec.regularization is not None:
         reg = dec.regularization
-        reg_doc = {
+        doc["regularization"] = {
             "centers": _floats(reg.centers),
             "beta": float(reg.beta),
             "c": float(reg.c),
         }
-        if reg.extrapolation is not None:
-            reg_doc["extrapolation"] = _floats(reg.extrapolation)
-        doc["regularization"] = reg_doc
+    if dec.pre_transform is not None:
+        a, b = dec.pre_transform
+        doc["pre_transform"] = {"a": _floats(a), "b": _floats(b)}
     return doc
 
 
@@ -94,22 +94,28 @@ def decoder_from_dict(doc: dict) -> DecoderMap:
             family = get_family(family_kind, k)
         else:
             family = get_family(family_kind)
+        d = int(doc["latent_dim"])
         reg = None
         if "regularization" in doc and doc["regularization"] is not None:
             rdoc = doc["regularization"]
-            extrap = rdoc.get("extrapolation")
+            if "extrapolation" in rdoc:
+                raise ShapeError("decoder file sets an extrapolation override; none is supported")
             reg = UncertaintyReg(
                 centers=np.asarray(rdoc["centers"], dtype=float),
                 beta=float(rdoc["beta"]),
                 c=float(rdoc.get("c", 7.0)),
-                extrapolation=None if extrap is None else np.asarray(extrap, dtype=float),
             )
+        pre = doc.get("pre_transform")
+        if pre is not None:
+            pre = (np.asarray(pre["a"], dtype=float).reshape(d, d),
+                   np.asarray(pre["b"], dtype=float).reshape(d))
         return DecoderMap(
-            latent_dim=int(doc["latent_dim"]),
+            latent_dim=d,
             feature_count=feature_count,
             family=family,
             heads=tuple(heads),
             regularization=reg,
+            pre_transform=pre,
         )
     except (ValueError, TypeError) as exc:
         raise ShapeError(f"malformed decoder file: {exc}") from exc

@@ -192,7 +192,6 @@ def land_fit(
 
     theta0 = _log_cholesky_pack(gamma0)
     params = np.concatenate([mu0, theta0])
-    n_theta = theta0.size
 
     coeffs_cur = None  # the accepted curves, which warm-start every log map
 

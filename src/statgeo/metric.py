@@ -16,7 +16,8 @@ Three sources for the d x d tensor at a latent point:
 A metric implements ``eval_batch``, the tensors at a batch of latent
 points; ``eval`` is its one-row view. ``eval_batch_and_grad`` adds dM/dz:
 analytic for the constant and grid metrics, otherwise central differences
-from one ``eval_batch`` over the (2d+1)*m stacked points.
+of step ``FD_STEP`` from one ``eval_batch`` over the (2d+1)*m stacked
+points.
 """
 
 from __future__ import annotations
@@ -30,6 +31,8 @@ from . import decoder as dec_mod
 from .decoder import DecoderMap
 from .errors import InvalidEpsilon, OffSimplex, ShapeError
 from .families import FamilyKind, McKl, ParamPoint, get_family, sampled_kls
+
+FD_STEP = 1e-4  # central-difference step of LatentMetric.eval_batch_and_grad
 
 
 class LatentMetric:
@@ -45,16 +48,16 @@ class LatentMetric:
         """The tensor at one latent point: the one-row ``eval_batch``."""
         return self.eval_batch(np.asarray(z, dtype=float)[None])[0]
 
-    def eval_batch_and_grad(self, zs, fd_step: float = 1e-4):
+    def eval_batch_and_grad(self, zs):
         """(M, dM) at the rows of zs: M is (m, d, d) and dM[k] = dM/dz_k is
         (d, m, d, d). This default takes central differences of step
-        ``fd_step`` from one ``eval_batch`` over the (2d+1)*m stacked points."""
+        ``FD_STEP`` from one ``eval_batch`` over the (2d+1)*m stacked points."""
         zs = np.atleast_2d(np.asarray(zs, dtype=float))
         m, d = zs.shape
-        shifts = fd_step * np.eye(d)[:, None, :]
+        shifts = FD_STEP * np.eye(d)[:, None, :]
         stacked = np.concatenate([zs[None], zs[None] + shifts, zs[None] - shifts])
         mm = self.eval_batch(stacked.reshape(-1, d)).reshape(2 * d + 1, m, d, d)
-        return mm[0], (mm[1 : d + 1] - mm[d + 1 :]) / (2.0 * fd_step)
+        return mm[0], (mm[1 : d + 1] - mm[d + 1 :]) / (2.0 * FD_STEP)
 
 
 class ConstantMetric(LatentMetric):
@@ -68,7 +71,7 @@ class ConstantMetric(LatentMetric):
         zs = np.atleast_2d(np.asarray(zs, dtype=float))
         return np.broadcast_to(self.matrix, (zs.shape[0],) + self.matrix.shape).copy()
 
-    def eval_batch_and_grad(self, zs, fd_step: float = 1e-4):
+    def eval_batch_and_grad(self, zs):
         mm = self.eval_batch(zs)
         return mm, np.zeros((self.latent_dim,) + mm.shape)
 
@@ -244,8 +247,8 @@ class GridMetric(LatentMetric):
     def eval_batch(self, zs):
         return self._contract(zs, grad=False)[0]
 
-    def eval_batch_and_grad(self, zs, fd_step: float = 1e-4):
-        """Exact M and dM/dz (``fd_step`` is unused)."""
+    def eval_batch_and_grad(self, zs):
+        """Exact M and dM/dz."""
         out = self._contract(zs, grad=True)
         return out[0], out[1:]
 

@@ -296,6 +296,10 @@ def test_log_decoder_is_the_batched_log_map(decoder_path, capsys):
     ["geodesic", "--decoder", "{dec}", "--z0=0,0", "--z1=1,1", "--seed", "1", "--grad-tol", "-1"],
     ["log", "--decoder", "{dec}", "--z=0,0", "--y=1,1", "--seed", "1", "--grad-tol", "nan"],
     ["geodesic", "--decoder", "{dec}", "--z0=0,0", "--z1=1,1", "--seed", "1", "--grad-tol", "inf"],
+    ["land", "--decoder", "{dec}", "--codes", "{codes}", "--seed", "1",
+     "--out-model", "{model}", "--max-iters", "0"],
+    ["land", "--decoder", "{dec}", "--codes", "{codes}", "--seed", "1",
+     "--out-model", "{model}", "--max-iters", "-3"],
 ])
 def test_counts_and_code_indices_out_of_range_are_usage_errors(argv, decoder_path, tmp_path,
                                                                capsys):

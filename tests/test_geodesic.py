@@ -5,7 +5,7 @@ import pytest
 
 import statgeo.geodesic as G
 import statgeo.metric as M
-from statgeo.errors import FamilyMismatch, NonFiniteEnergy, OutOfRange, ShapeError
+from statgeo.errors import FamilyMismatch, NonFiniteEnergy, OutOfRange, ShapeError, SingularMetric
 from statgeo.geodesic import EnergyConfig, SplineCurve, straight_line
 from statgeo.rng import RngStream
 from statgeo.toy import identity_parameter_decoder, toy_circle_codes, toy_decoder
@@ -252,15 +252,15 @@ class TestExpLog:
 
     def test_step_halving_endpoint_stability(self):
         z0, v0 = np.array([0.1, -0.2]), np.array([0.9, 0.5])
-        e1 = G.exp_map(self.smooth, z0, v0, steps=64, fd_step=1e-5)
-        e2 = G.exp_map(self.smooth, z0, v0, steps=128, fd_step=1e-5)
+        e1 = G.exp_map(self.smooth, z0, v0, steps=64)
+        e2 = G.exp_map(self.smooth, z0, v0, steps=128)
         assert np.linalg.norm(e1 - e2) < 1e-6
 
     def test_rk4_observed_order(self):
         z0, v0 = np.array([0.1, -0.2]), np.array([0.9, 0.5])
-        ref = G.exp_map(self.smooth, z0, v0, steps=256, fd_step=1e-5)
+        ref = G.exp_map(self.smooth, z0, v0, steps=256)
         errs = [
-            np.linalg.norm(G.exp_map(self.smooth, z0, v0, steps=s, fd_step=1e-5) - ref)
+            np.linalg.norm(G.exp_map(self.smooth, z0, v0, steps=s) - ref)
             for s in (8, 16, 32)
         ]
         orders = [np.log2(errs[i] / errs[i + 1]) for i in range(2)]
@@ -290,7 +290,7 @@ class TestExpLog:
         cfg = EnergyConfig(n_disc=96, segments=4, max_iters=500, grad_tol=1e-10, jitter=0.0)
         z, y = np.array([0.0, 0.3]), np.array([0.8, -0.4])
         v = G.log_map(self.smooth, z, y, cfg, RngStream(4))
-        end = G.exp_map(self.smooth, z, v, steps=128, fd_step=1e-5)
+        end = G.exp_map(self.smooth, z, v, steps=128)
         assert np.linalg.norm(end - y) < 1e-2
 
 
@@ -335,6 +335,30 @@ class TestBatchedSolvers:
         ends = G.exp_map_batch(self.smooth, zs, vs, steps=40)
         for z, v, end in zip(zs, vs, ends):
             assert np.max(np.abs(G.exp_map(self.smooth, z, v, steps=40) - end)) < 1e-12
+
+    @pytest.mark.parametrize("shoot", [
+        lambda metric, z, v: G.exp_map(metric, z, v),
+        lambda metric, z, v: G.exp_map_batch(metric, z[None], v[None]),
+    ], ids=["exp_map", "exp_map_batch"])
+    def test_indefinite_start_tensor_is_singular(self, shoot):
+        # v = (0, 1) has squared metric norm -1: both maps raise before any
+        # square root or division, so no floating-point warning fires
+        metric = M.ConstantMetric(np.diag([1.0, -1.0]))
+        with np.errstate(all="raise"), pytest.raises(SingularMetric):
+            shoot(metric, np.zeros(2), np.array([0.0, 1.0]))
+
+    def test_batch_row_moving_where_the_metric_vanishes_is_singular(self):
+        # M = 0 for z_0 >= 1: the second row's nonzero v has no metric norm
+        # to be scaled to, which the rescale reports before any RK4 stage
+        metric = M.CallableMetric(lambda z: np.eye(2) * (z[0] < 1), 2)
+        zs, vs = np.array([[0.0, 0.0], [2.0, 0.0]]), np.array([[0.0, 0.0], [0.1, 0.0]])
+        with np.errstate(all="raise"), pytest.raises(SingularMetric, match="shooting direction"):
+            G.exp_map_batch(metric, zs, vs)
+        # a zero-velocity row on a regular metric stays at its start point
+        zs, vs = np.array([[0.3, 0.4], [0.1, -0.2]]), np.array([[0.0, 0.0], [0.2, 0.1]])
+        ends = G.exp_map_batch(self.smooth, zs, vs)
+        assert np.array_equal(ends[0], zs[0])
+        assert np.all(np.isfinite(ends[1])) and not np.array_equal(ends[1], zs[1])
 
     def test_single_curve_calls_raise_nonfinite_energy(self):
         # the metric is infinite past x = 0.5: the straight chord's energy is

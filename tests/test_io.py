@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from statgeo import cli, io
+from statgeo import decoder as D
 from statgeo.errors import ShapeError
 from statgeo.land import LandModel
 from statgeo.metric import ConstantMetric, grid_build
@@ -64,9 +65,11 @@ def _set_weight(doc, value):
     ("grid", lambda doc: doc["tensors"][0].__setitem__(1, "x")),
     ("decoder", lambda doc: _set_weight(doc, "x")),
     ("decoder", lambda doc: doc.update(family="poisson")),
+    ("decoder", lambda doc: doc["regularization"].update(extrapolation=[[1.0, 1.0]] * 3)),
+    ("decoder", lambda doc: doc.update(pre_transform={"a": [1.0, 0.0, 0.0], "b": [0.0, 0.0]})),
 ], ids=[
     "three-value-tensor", "text-bandwidth", "null-bandwidth", "nan-bandwidth", "text-tensor-entry",
-    "text-layer-weight", "unknown-family",
+    "text-layer-weight", "unknown-family", "extrapolation-override", "three-value-pre-transform",
 ])
 def test_malformed_grid_or_decoder_file_is_a_shape_error(kind, corrupt, tmp_path, capsys):
     if kind == "grid":
@@ -81,6 +84,20 @@ def test_malformed_grid_or_decoder_file_is_a_shape_error(kind, corrupt, tmp_path
         load(path)
     assert cli.main(["exp", f"--{kind}", str(path), "--z", "0,0", "--v", "0.1,0"]) == 2
     assert json.loads(capsys.readouterr().err)["error"] == "ShapeError"
+
+
+def test_composed_decoder_round_trips_through_its_file(gen, tmp_path):
+    dec = toy_decoder("beta", seed=5)
+    composed = D.compose_linear(dec, np.diag([2.0, 1.0]), np.array([0.1, 0.0]))
+    path = tmp_path / "decoder.json"
+    io.save_decoder(composed, path)
+    back = io.load_decoder(path)
+    zs = gen.normal(size=(16, 2))
+    assert not np.array_equal(D.forward_stacked(back, zs), D.forward_stacked(dec, zs))
+    assert np.array_equal(D.forward_stacked(back, zs), D.forward_stacked(composed, zs))
+    assert np.array_equal(D.jacobian_stacked(back, zs), D.jacobian_stacked(composed, zs))
+    io.save_decoder(dec, path)
+    assert "pre_transform" not in io.load_json(path)
 
 
 @pytest.mark.parametrize("latent_dim", [3, 1])
