@@ -22,7 +22,8 @@ from . import geodesic as geo
 from . import land as land_mod
 from . import metric as met
 from .errors import NonConvergence, ShapeError, StatGeoError
-from .families import McKl
+from .decoder import DecoderMap
+from .families import FamilyKind, McKl
 from .metric import GridMetric, KlProbeMetric, PullbackMetric
 from .rng import RngStream
 from .toy import toy_circle_codes
@@ -76,17 +77,20 @@ def _lattice(bounds_text: str, resolution_text: str, dim: int):
     return bounds, resolution
 
 
-def _energy_config(args) -> geo.EnergyConfig:
+def _energy_config(args, target) -> geo.EnergyConfig:
+    """The optimizer flags as an EnergyConfig for fitting curves on ``target``."""
+    if args.objective == "categorical" and not (
+        isinstance(target, DecoderMap) and target.family.kind == FamilyKind.CATEGORICAL
+    ):
+        raise _UsageError("--objective categorical needs a categorical --decoder")
     try:
         return geo.EnergyConfig(
             n_disc=args.n_disc,
             segments=args.segments,
             max_iters=args.max_iters,
             grad_tol=args.grad_tol,
-            gradient_mode=args.gradient_mode,
             jitter=args.jitter,
             objective=args.objective,
-            mc_samples=args.mc_samples,
         )
     except ShapeError as exc:  # settings the optimizer rejects, such as --n-disc 1
         raise _UsageError(str(exc)) from exc
@@ -98,11 +102,8 @@ def _add_optimizer_args(p):
     p.add_argument("--max-iters", type=_positive_int, default=200)
     p.add_argument("--grad-tol", type=float, default=1e-6,
                    help="stop when max|g| < tol*(1 + energy)")
-    p.add_argument("--gradient-mode", choices=["fd", "analytic"], default="analytic")
     p.add_argument("--jitter", type=float, default=1e-4)
     p.add_argument("--objective", choices=["kl", "categorical"], default="kl")
-    p.add_argument("--mc-samples", type=_positive_int, default=None,
-                   help="sampled KL inside the optimizer (common random numbers)")
 
 
 def _load_target(args):
@@ -153,7 +154,7 @@ def _cmd_geodesic(args) -> int:
     z0, z1 = _resolve_endpoints(args, dec.latent_dim)
     timings["load"] = time.perf_counter() - t0
 
-    cfg = _energy_config(args)
+    cfg = _energy_config(args, dec)
     rng = RngStream(args.seed)
     t0 = time.perf_counter()
     result = geo.minimize_energy_detailed(z0, z1, dec, cfg, rng)
@@ -339,7 +340,7 @@ def _cmd_exp(args) -> int:
 def _cmd_log(args) -> int:
     target = _load_target(args)
     z, y = _vector(args.z, target.latent_dim), _vector(args.y, target.latent_dim)
-    v = geo.log_map(target, z, y, _energy_config(args), RngStream(args.seed))
+    v = geo.log_map(target, z, y, _energy_config(args, target), RngStream(args.seed))
     _print_json(
         {"version": __version__, "v": [float(x) for x in v],
          "length": float(np.linalg.norm(v))}

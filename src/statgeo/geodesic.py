@@ -20,12 +20,12 @@ One fitter serves ``minimize_energy_detailed`` and both log maps, on
 decoders and metric fields alike: one BFGS descent with Armijo
 backtracking over coefficient arrays of shape (m, d, 2S), with an
 inverse-Hessian estimate, a step and a stopping rule per curve: max|g| below
-``grad_tol`` times (1 + energy), and a stop reason for each curve. Its
-gradient is analytic for the KL objective (one decoder pass over the nodes
-that returns both the parameters and their Jacobians) and the graph energy
-(one ``eval_batch_and_grad`` call over the midpoints); for the categorical
-objective, and with ``gradient_mode="fd"``, it is one central-difference
-routine that makes one energy call over the rows per probe. One routine,
+``grad_tol`` times (1 + energy), and a stop reason for each curve. Each
+energy is exact (closed-form KLs, no sampling) and has one analytic
+gradient: on a decoder one pass over the nodes that returns both the
+parameters and their Jacobians, then a per-pair derivative (``kl_grad``, or
+the great-circle form's for the categorical objective); on a metric field
+one ``eval_batch_and_grad`` call over the midpoints. One routine,
 ``_shoot``, serves both exponential maps: one rescale to metric norm |v|,
 one SingularMetric rule and one RK4 loop, whose right-hand side gets M and
 dM/dz from one ``eval_batch_and_grad`` call per stage.
@@ -46,7 +46,7 @@ from .errors import (
     ShapeError,
     SingularMetric,
 )
-from .families import FamilyKind, McKl, sampled_kls
+from .families import FamilyKind
 from .metric import LatentMetric
 from .rng import RngStream
 
@@ -153,24 +153,29 @@ def curve_eval(c: SplineCurve, t: float):
 class EnergyConfig:
     """Discretization and optimizer settings for energy minimization. The
     descent's first step, and its step wherever the BFGS direction does not
-    descend, is -0.1 g; ``gradient_mode="fd"`` differences with step 1e-6.
-    A curve has converged when max|g| < grad_tol (1 + E) at its energy E:
-    relative for E >> 1, absolute for E << 1."""
+    descend, is -0.1 g. A curve has converged when max|g| < grad_tol (1 + E)
+    at its energy E: relative for E >> 1, absolute for E << 1. An objective
+    other than "kl" or "categorical" raises ShapeError."""
 
     n_disc: int = 128
     segments: int = 4
     max_iters: int = 200
     grad_tol: float = 1e-6
-    gradient_mode: str = "analytic"  # or "fd": central differences of the energy
+    # every gradient is analytic; the field remains because the benchmark's
+    # bench/workloads.py passes gradient_mode="analytic", the one accepted value
+    gradient_mode: str = "analytic"
     jitter: float = 1e-4
     objective: str = "kl"  # "kl" or "categorical"; metric targets use quadrature
-    mc_samples: int | None = None
 
     def __post_init__(self):
         if self.n_disc < 2:
             raise ShapeError("energy discretization needs N >= 2")
         if not (np.isfinite(self.grad_tol) and self.grad_tol >= 0):
             raise ShapeError(f"gradient tolerance must be finite and >= 0, got {self.grad_tol}")
+        if self.objective not in ("kl", "categorical"):
+            raise ShapeError(f"objective must be 'kl' or 'categorical', got {self.objective!r}")
+        if self.gradient_mode != "analytic":
+            raise ShapeError(f"gradient_mode must be 'analytic', got {self.gradient_mode!r}")
 
 
 def _check_finite(ts, values, what: str):
@@ -189,20 +194,22 @@ def _spline_points(z0, chords, coeffs, ts, basis) -> np.ndarray:
     return line + np.einsum("mdc,tc->mtd", coeffs, basis)
 
 
-def _decoder_energy(dec: DecoderMap, z0, targets, cfg: EnergyConfig, mc: McKl | None, strict: bool):
+def _decoder_energy(dec: DecoderMap, z0, targets, cfg: EnergyConfig, strict: bool):
     """Energy of the decoded curves z0 -> targets[rows], its terms and its
     gradient, in ``_graph_energy``'s form.
 
     The terms (rows, N) are the squared Fisher-Rao lengths of the segments
     between the nodes t = n/N, n = 0..N: 2 sum_f KL(p_n || p_{n+1}) for the
-    KL objective (sampled with ``mc``, from a fresh stream per row), and
-    4 sum_f (2 - 2 sqrt(h_n)^T sqrt(h_{n+1})) for the categorical one. The
-    KL energy is N sum_n terms; the categorical energy keeps its scale,
-    sum (2 - 2 sqrt(h_n)^T sqrt(h_{n+1})) = sum_n terms / 4. The KL gradient
-    is analytic: one ``forward_and_jacobian_stacked`` pass decodes the nodes
-    and gives their Jacobians, then one ``kl_grad`` call; the categorical
-    objective has none (None). With ``strict`` a non-finite term raises
-    NonFiniteEnergy at its t.
+    KL objective, and 4 sum_f (2 - 2 sqrt(h_n)^T sqrt(h_{n+1})) for the
+    categorical one, whose term is +inf where either node decodes to a
+    negative probability (an affine chart off the simplex). The KL energy is
+    N sum_n terms; the categorical energy keeps its scale,
+    sum (2 - 2 sqrt(h_n)^T sqrt(h_{n+1})) = sum_n terms / 4. Both gradients
+    are analytic: one ``forward_and_jacobian_stacked`` pass decodes the nodes
+    and gives their Jacobians, the per-pair derivative (2N ``kl_grad``, or
+    -sqrt(h')/sqrt(h) and -sqrt(h)/sqrt(h'), taken as 0 where h <= 0) is
+    pulled back through them and the Hermite basis. With ``strict`` a
+    non-finite term raises NonFiniteEnergy at its t.
     """
     fam, n = dec.family, cfg.n_disc
     categorical = cfg.objective == "categorical"
@@ -221,12 +228,12 @@ def _decoder_energy(dec: DecoderMap, z0, targets, cfg: EnergyConfig, mc: McKl | 
         params = decoded(_spline_points(z0, chords[rows], coeffs, ts, basis))
         if categorical:
             roots = np.sqrt(np.maximum(params, 0.0))
-            dots = np.sum(roots[:, :-1] * roots[:, 1:], axis=-1)
-            vals = 4.0 * (2.0 - 2.0 * dots).sum(axis=-1)
-        elif mc is None:
-            vals = 2.0 * fam.kl(params[:, :-1], params[:, 1:]).sum(axis=-1)
+            per_feature = 2.0 - 2.0 * np.sum(roots[:, :-1] * roots[:, 1:], axis=-1)
+            off = np.any(params < 0.0, axis=-1)
+            per_feature[off[:, :-1] | off[:, 1:]] = np.inf
+            vals = 4.0 * per_feature.sum(axis=-1)
         else:
-            vals = 2.0 * np.stack([sampled_kls(fam, row, mc) for row in params])
+            vals = 2.0 * fam.kl(params[:, :-1], params[:, 1:]).sum(axis=-1)
         if strict:
             _check_finite(ts, vals, "categorical energy term" if categorical else "segment KL")
         return vals
@@ -239,40 +246,45 @@ def _decoder_energy(dec: DecoderMap, z0, targets, cfg: EnergyConfig, mc: McKl | 
         flat = zs.reshape(-1, zs.shape[2])
         stacked, jac = dec_mod.forward_and_jacobian_stacked(dec, flat)
         params = stacked.reshape(*zs.shape[:2], dec.feature_count, fam.param_dim)
-        g1, g2 = fam.kl_grad(params[:, :-1], params[:, 1:])
+        if categorical:  # d/dh of 2 - 2 sqrt(h)^T sqrt(h'), 0 where h <= 0
+            roots = np.sqrt(np.maximum(params, 0.0))
+            inv = np.divide(1.0, roots, out=np.zeros_like(roots), where=roots > 0.0)
+            g1, g2, factor = -roots[:, 1:] * inv[:, :-1], -roots[:, :-1] * inv[:, 1:], 1.0
+        else:
+            (g1, g2), factor = fam.kl_grad(params[:, :-1], params[:, 1:]), 2.0 * n
         adj = np.zeros_like(params)
         adj[:, :-1] += g1
         adj[:, 1:] += g2
         pulled = np.einsum("npd,np->nd", jac, adj.reshape(flat.shape[0], -1))
-        return 2.0 * n * np.einsum("mtd,tc->mdc", pulled.reshape(zs.shape), basis)
+        return factor * np.einsum("mtd,tc->mdc", pulled.reshape(zs.shape), basis)
 
-    return energy, terms, (None if categorical else grad)
+    return energy, terms, grad
 
 
-def _one_curve(c: SplineCurve, dec: DecoderMap, n: int, objective: str, mc: McKl | None):
+def _one_curve(c: SplineCurve, dec: DecoderMap, n: int, objective: str):
     """The (energy, terms) of the single curve c under ``_decoder_energy``,
     strict, each a function of no argument."""
     cfg = EnergyConfig(n_disc=n, segments=c.segments, objective=objective)
-    energy, terms, _ = _decoder_energy(dec, c.z0, c.z1[None], cfg, mc, True)
+    energy, terms, _ = _decoder_energy(dec, c.z0, c.z1[None], cfg, True)
     args = (c.coeffs[None], np.arange(1))
     return (lambda: energy(*args)[0]), (lambda: terms(*args)[0])
 
 
-def kl_energy(c: SplineCurve, dec: DecoderMap, n: int, mc: McKl | None = None) -> float:
+def kl_energy(c: SplineCurve, dec: DecoderMap, n: int) -> float:
     """(2/dt) sum_n KL(p(c(t_n)) || p(c(t_n+1))), t_n = n dt, dt = 1/N."""
-    energy, _ = _one_curve(c, dec, n, "kl", mc)
+    energy, _ = _one_curve(c, dec, n, "kl")
     return float(energy())
 
 
-def curve_length(c: SplineCurve, dec: DecoderMap, n: int, mc: McKl | None = None) -> float:
+def curve_length(c: SplineCurve, dec: DecoderMap, n: int) -> float:
     """sum_n sqrt(2 KL_n): the discrete Fisher-Rao length."""
-    _, terms = _one_curve(c, dec, n, "kl", mc)
+    _, terms = _one_curve(c, dec, n, "kl")
     return float(np.sqrt(np.maximum(terms(), 0.0)).sum())
 
 
 def categorical_energy(c: SplineCurve, dec: DecoderMap, n: int) -> float:
     """Great-circle small-angle energy sum(2 - 2 sqrt(h_n)^T sqrt(h_{n+1}))."""
-    energy, _ = _one_curve(c, dec, n, "categorical", None)
+    energy, _ = _one_curve(c, dec, n, "categorical")
     return float(energy())
 
 
@@ -341,23 +353,6 @@ class GeodesicResult:
     iterations: int = 0
     stop_reason: str = ""  # see ``_descend``
     grad_norm: float = float("nan")  # max|g| of the last gradient evaluated
-
-
-def _fd_gradient(energy, h: float):
-    """Central differences over every coefficient; each probe is one energy
-    call over the rows."""
-
-    def grad(coeffs, rows):
-        g = np.zeros_like(coeffs)
-        for i, j in np.ndindex(*coeffs.shape[1:]):
-            probe = coeffs.copy()
-            probe[:, i, j] += h
-            e_plus = energy(probe, rows)
-            probe[:, i, j] -= 2.0 * h
-            g[:, i, j] = (e_plus - energy(probe, rows)) / (2.0 * h)
-        return g
-
-    return grad
 
 
 def _start_coeffs(cfg: EnergyConfig, rng: RngStream, shape, warm=None) -> np.ndarray:
@@ -483,22 +478,19 @@ def _fit_curves(target, z0, targets, cfg: EnergyConfig, rng: RngStream, warm, st
     """Energy-minimizing curves z0 -> targets (m, d) in one batched descent.
 
     ``target`` is a DecoderMap (``_decoder_energy``) or a LatentMetric
-    (``_graph_energy``). A curve that ends above its straight chord is reset
-    to the chord. Returns (coeffs, energies, straight energies, converged,
-    iterations, trace, stop, terms), with ``stop`` as ``_descend`` gives it
-    and ``terms`` the per-segment squared lengths: on a decoder the exact KL
-    ones, whatever the objective.
+    (``_graph_energy``); either gives its exact energy and its analytic
+    gradient. A curve that ends above its straight chord, at infinite energy
+    included, is reset to the chord. Returns (coeffs, energies, straight
+    energies, converged, iterations, trace, stop, terms), with ``stop`` as
+    ``_descend`` gives it and ``terms`` the per-segment squared lengths: on a
+    decoder the exact KL ones, whatever the objective.
     """
     shape = (targets.shape[0], z0.size, 2 * cfg.segments)
     if isinstance(target, DecoderMap):
-        # sampled KLs draw from a fresh child stream per call: common random numbers
-        mc = None if cfg.mc_samples is None else McKl(rng.child(1000), cfg.mc_samples)
-        energy, _, grad = _decoder_energy(target, z0, targets, cfg, mc, strict)
-        terms = _decoder_energy(target, z0, targets, replace(cfg, objective="kl"), None, strict)[1]
+        energy, _, grad = _decoder_energy(target, z0, targets, cfg, strict)
+        terms = _decoder_energy(target, z0, targets, replace(cfg, objective="kl"), strict)[1]
     else:
         energy, terms, grad = _graph_energy(target, z0, targets, cfg.segments, cfg.n_disc, strict)
-    if cfg.gradient_mode != "analytic" or grad is None:
-        grad = _fd_gradient(energy, 1e-6)
     straight = energy(np.zeros(shape), np.arange(shape[0]))
     coeffs, e_cur, converged, iterations, trace, stop = _descend(
         _start_coeffs(cfg, rng, shape, warm), energy, grad, cfg

@@ -115,19 +115,18 @@ class KlProbeMetric(LatentMetric):
     """Numerical metric from KL divergences along coordinate probes.
 
     ``eval`` decodes z, z + eps e_i and z + eps (e_i + e_j), i < j, in one
-    ``forward_stacked`` call and takes their KLs from one ``kl`` call
-    (sampled KLs with ``mc`` are drawn per probe). ``eval_batch`` calls
-    ``eval`` once per row, so that clamping stays one ``eigh`` per point.
+    ``forward_stacked`` call and takes their exact KLs from one ``kl`` call.
+    ``eval_batch`` calls ``eval`` once per row, so that clamping stays one
+    ``eigh`` per point.
     Negative eigenvalues from noisy probes are clamped to 1e-8 * trace / d;
     ``clamp_count`` tallies how often that fired.
     """
 
-    def __init__(self, decoder: DecoderMap, eps: float = 1e-2, mc: McKl | None = None):
+    def __init__(self, decoder: DecoderMap, eps: float = 1e-2):
         if eps <= 0:
             raise InvalidEpsilon("probe step must be > 0")
         self.decoder = decoder
         self.eps = float(eps)
-        self.mc = mc
         self.latent_dim = decoder.latent_dim
         self.clamp_count = 0
 
@@ -138,10 +137,7 @@ class KlProbeMetric(LatentMetric):
         iu, ju = np.triu_indices(d, 1)
         # the d axis probes, then one probe along e_i + e_j for each pair i < j
         probes = z + eps * np.concatenate([eye, eye[iu] + eye[ju]])
-        if self.mc is None:
-            kls = _decoded_kls(self.decoder, z[None], probes[None])[0]
-        else:
-            kls = np.array([_decoded_kl(self.decoder, z, p, self.mc) for p in probes])
+        kls = _decoded_kls(self.decoder, z[None], probes[None])[0]
         kl_single, pair = kls[:d], kls[d:]
         m = np.zeros((d, d))
         np.fill_diagonal(m, 2.0 * kl_single / eps**2)
@@ -280,9 +276,9 @@ def _decoded_kls(dec: DecoderMap, zs, probes) -> np.ndarray:
     return dec.family.kl(params[:, :1], params[:, 1:]).sum(axis=-1)
 
 
-def kl_probe(dec: DecoderMap, z, eps: float = 1e-2, mc: McKl | None = None) -> np.ndarray:
+def kl_probe(dec: DecoderMap, z, eps: float = 1e-2) -> np.ndarray:
     """Metric estimate from forward KL probes; symmetric by construction."""
-    return KlProbeMetric(dec, eps, mc).eval(z)
+    return KlProbeMetric(dec, eps).eval(z)
 
 
 def clamp_spd(m: np.ndarray):

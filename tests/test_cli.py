@@ -271,8 +271,9 @@ def test_log_decoder_is_the_batched_log_map(decoder_path, capsys):
     ["land", "--decoder", "{dec}", "--codes", "{codes}", "--seed", "1",
      "--out-model", "{model}", "--mc-samples", "0"],
     ["geodesic", "--decoder", "{dec}", "--z0=0,0", "--z1=1,1", "--seed", "1", "--segments", "0"],
-    ["geodesic", "--decoder", "{dec}", "--z0=0,0", "--z1=1,1", "--seed", "1", "--mc-samples", "-2"],
-    ["geodesic", "--decoder", "{dec}", "--z0=0,0", "--z1=1,1", "--seed", "1", "--mc-samples", "0"],
+    ["geodesic", "--decoder", "{dec}", "--z0=0,0", "--z1=1,1", "--seed", "1", "--mc-samples", "8"],
+    ["geodesic", "--decoder", "{dec}", "--z0=0,0", "--z1=1,1", "--seed", "1",
+     "--gradient-mode", "fd"],
     ["geodesic", "--decoder", "{dec}", "--z0=0,0", "--z1=1,1", "--seed", "1", "--samples", "-1"],
     ["geodesic", "--decoder", "{dec}", "--codes", "{codes}", "--i0", "0", "--i1", "99",
      "--seed", "1"],
@@ -300,13 +301,21 @@ def test_log_decoder_is_the_batched_log_map(decoder_path, capsys):
      "--out-model", "{model}", "--max-iters", "0"],
     ["land", "--decoder", "{dec}", "--codes", "{codes}", "--seed", "1",
      "--out-model", "{model}", "--max-iters", "-3"],
+    ["log", "--decoder", "{dec}", "--z=0,0", "--y=1,1", "--seed", "1", "--mc-samples", "8"],
+    ["log", "--decoder", "{dec}", "--z=0,0", "--y=1,1", "--seed", "1", "--gradient-mode", "fd"],
+    ["geodesic", "--decoder", "{dec}", "--z0=0,0", "--z1=1,1", "--seed", "1",
+     "--objective", "categorical"],
+    ["log", "--decoder", "{dec}", "--z=0,0", "--y=1,1", "--seed", "1",
+     "--objective", "categorical"],
+    ["log", "--grid", "{grid}", "--z=0,0", "--y=1,1", "--seed", "1",
+     "--objective", "categorical"],
 ])
-def test_counts_and_code_indices_out_of_range_are_usage_errors(argv, decoder_path, tmp_path,
-                                                               capsys):
+def test_counts_and_code_indices_out_of_range_are_usage_errors(argv, decoder_path, grid_path,
+                                                               tmp_path, capsys):
     codes, model = tmp_path / "codes.csv", tmp_path / "model.json"
     assert cli.main(["toygen", "--n", "12", "--seed", "1", "--out", str(codes)]) == 0
     capsys.readouterr()
-    paths = {"dec": decoder_path, "codes": codes, "model": model}
+    paths = {"dec": decoder_path, "grid": grid_path, "codes": codes, "model": model}
     assert cli.main([a.format(**paths) for a in argv]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -31,16 +31,16 @@ def gram_kernel_reference(grid, zs):
     return (w @ grid.tensors.reshape(-1, d * d)).reshape(-1, d, d)
 
 
-def kl_probe_reference(dec, z, eps, mc=None):
+def kl_probe_reference(dec, z, eps):
     """The per-probe estimator: two decoder calls and one KL per probe."""
     d = dec.latent_dim
     eye = np.eye(d)
-    kl_single = np.array([M._decoded_kl(dec, z, z + eps * eye[i], mc) for i in range(d)])
+    kl_single = np.array([M._decoded_kl(dec, z, z + eps * eye[i], None) for i in range(d)])
     m = np.zeros((d, d))
     np.fill_diagonal(m, 2.0 * kl_single / eps**2)
     for i in range(d):
         for j in range(i + 1, d):
-            pair = M._decoded_kl(dec, z, z + eps * (eye[i] + eye[j]), mc)
+            pair = M._decoded_kl(dec, z, z + eps * (eye[i] + eye[j]), None)
             m[i, j] = m[j, i] = (pair - kl_single[i] - kl_single[j]) / eps**2
     return M.clamp_spd(m)[0]
 
@@ -147,14 +147,6 @@ class TestKlProbe:
         want = np.stack([kl_probe_reference(dec, z, 1e-2) for z in points])
         scale = np.linalg.norm(want, axis=(1, 2)).max()
         assert np.linalg.norm(got - want, axis=(1, 2)).max() <= tol * scale
-
-    @pytest.mark.parametrize("case", [0, 1])
-    def test_sampled_kl_matches_per_probe_reference(self, case):
-        dec, points, _ = probe_cases()[case]
-        for z in points[::23]:
-            mc = McKl(RngStream(3), 16)
-            want = kl_probe_reference(dec, z, 1e-2, mc)
-            assert np.array_equal(M.kl_probe(dec, z, 1e-2, mc), want)
 
     def test_clamping_counter(self):
         # a decoder that is locally constant gives ~zero probes; the metric
