@@ -21,11 +21,15 @@ decoders and metric fields alike: one BFGS descent with Armijo
 backtracking over coefficient arrays of shape (m, d, 2S), with an
 inverse-Hessian estimate, a step and a stopping rule per curve: max|g| below
 ``grad_tol`` times (1 + energy), and a stop reason for each curve. Each
-energy is exact (closed-form KLs, no sampling) and has one analytic
-gradient: on a decoder one pass over the nodes that returns both the
-parameters and their Jacobians, then a per-pair derivative (``kl_grad``, or
-the great-circle form's for the categorical objective); on a metric field
-one ``eval_batch_and_grad`` call over the midpoints. One routine,
+energy is exact (closed-form KLs, no sampling) and comes with one
+evaluation that serves both the energy and its analytic gradient: on a
+decoder one pass over the nodes that returns both the parameters and their
+Jacobians, then a per-pair derivative (``kl_grad``, or the great-circle
+form's for the categorical objective); on a metric field one
+``eval_batch_and_grad`` call over the midpoints. The descent spends that
+evaluation on its start and on each iteration's unit-step trial, which
+most iterations accept, so an accepted unit step costs one metric or
+decoder evaluation for both its energy and the next gradient. One routine,
 ``_shoot``, serves both exponential maps: one rescale to metric norm |v|,
 one SingularMetric rule and one RK4 loop, whose right-hand side gets M and
 dM/dz from one ``eval_batch_and_grad`` call per stage.
@@ -155,7 +159,8 @@ class EnergyConfig:
     descent's first step, and its step wherever the BFGS direction does not
     descend, is -0.1 g. A curve has converged when max|g| < grad_tol (1 + E)
     at its energy E: relative for E >> 1, absolute for E << 1. An objective
-    other than "kl" or "categorical" raises ShapeError."""
+    other than "kl" or "categorical", fewer than one segment, or a jitter
+    that is negative or not finite raises ShapeError."""
 
     n_disc: int = 128
     segments: int = 4
@@ -170,6 +175,10 @@ class EnergyConfig:
     def __post_init__(self):
         if self.n_disc < 2:
             raise ShapeError("energy discretization needs N >= 2")
+        if self.segments < 1:
+            raise ShapeError(f"curves need at least one segment, got {self.segments}")
+        if not (np.isfinite(self.jitter) and self.jitter >= 0):
+            raise ShapeError(f"start jitter must be finite and >= 0, got {self.jitter}")
         if not (np.isfinite(self.grad_tol) and self.grad_tol >= 0):
             raise ShapeError(f"gradient tolerance must be finite and >= 0, got {self.grad_tol}")
         if self.objective not in ("kl", "categorical"):
@@ -196,7 +205,7 @@ def _spline_points(z0, chords, coeffs, ts, basis) -> np.ndarray:
 
 def _decoder_energy(dec: DecoderMap, z0, targets, cfg: EnergyConfig, strict: bool):
     """Energy of the decoded curves z0 -> targets[rows], its terms and its
-    gradient, in ``_graph_energy``'s form.
+    evaluation with gradient, in ``_graph_energy``'s form.
 
     The terms (rows, N) are the squared Fisher-Rao lengths of the segments
     between the nodes t = n/N, n = 0..N: 2 sum_f KL(p_n || p_{n+1}) for the
@@ -204,12 +213,14 @@ def _decoder_energy(dec: DecoderMap, z0, targets, cfg: EnergyConfig, strict: boo
     categorical one, whose term is +inf where either node decodes to a
     negative probability (an affine chart off the simplex). The KL energy is
     N sum_n terms; the categorical energy keeps its scale,
-    sum (2 - 2 sqrt(h_n)^T sqrt(h_{n+1})) = sum_n terms / 4. Both gradients
-    are analytic: one ``forward_and_jacobian_stacked`` pass decodes the nodes
-    and gives their Jacobians, the per-pair derivative (2N ``kl_grad``, or
-    -sqrt(h')/sqrt(h) and -sqrt(h)/sqrt(h'), taken as 0 where h <= 0) is
-    pulled back through them and the Hermite basis. With ``strict`` a
-    non-finite term raises NonFiniteEnergy at its t.
+    sum (2 - 2 sqrt(h_n)^T sqrt(h_{n+1})) = sum_n terms / 4. ``energy`` and
+    ``terms`` decode the nodes with ``forward_stacked``. ``evaluate`` decodes
+    them with one ``forward_and_jacobian_stacked`` pass, whose parameters are
+    bit-identical, so its energies equal ``energy``'s; its ``gradient_of``
+    pulls the per-pair derivative (2N ``kl_grad``, or -sqrt(h')/sqrt(h) and
+    -sqrt(h)/sqrt(h'), taken as 0 where h <= 0) back through the kept
+    Jacobians and the Hermite basis, with no second decoder pass. With
+    ``strict`` a non-finite term raises NonFiniteEnergy at its t.
     """
     fam, n = dec.family, cfg.n_disc
     categorical = cfg.objective == "categorical"
@@ -220,12 +231,14 @@ def _decoder_energy(dec: DecoderMap, z0, targets, cfg: EnergyConfig, strict: boo
     chords = targets - z0[None, :]
     scale = 0.25 if categorical else float(n)
 
-    def decoded(zs):
-        flat = dec_mod.forward_stacked(dec, zs.reshape(-1, zs.shape[2]))
-        return flat.reshape(*zs.shape[:2], dec.feature_count, fam.param_dim)
+    def nodes(coeffs, rows):
+        zs = _spline_points(z0, chords[rows], coeffs, ts, basis)
+        return zs, zs.reshape(-1, zs.shape[2])
 
-    def terms(coeffs, rows):
-        params = decoded(_spline_points(z0, chords[rows], coeffs, ts, basis))
+    def shaped(stacked, zs):
+        return stacked.reshape(*zs.shape[:2], dec.feature_count, fam.param_dim)
+
+    def terms_of(params):
         if categorical:
             roots = np.sqrt(np.maximum(params, 0.0))
             per_feature = 2.0 - 2.0 * np.sum(roots[:, :-1] * roots[:, 1:], axis=-1)
@@ -238,27 +251,38 @@ def _decoder_energy(dec: DecoderMap, z0, targets, cfg: EnergyConfig, strict: boo
             _check_finite(ts, vals, "categorical energy term" if categorical else "segment KL")
         return vals
 
+    def terms(coeffs, rows):
+        zs, flat = nodes(coeffs, rows)
+        return terms_of(shaped(dec_mod.forward_stacked(dec, flat), zs))
+
     def energy(coeffs, rows):
         return scale * terms(coeffs, rows).sum(axis=1)
 
-    def grad(coeffs, rows):
-        zs = _spline_points(z0, chords[rows], coeffs, ts, basis)
-        flat = zs.reshape(-1, zs.shape[2])
+    def evaluate(coeffs, rows):
+        zs, flat = nodes(coeffs, rows)
         stacked, jac = dec_mod.forward_and_jacobian_stacked(dec, flat)
-        params = stacked.reshape(*zs.shape[:2], dec.feature_count, fam.param_dim)
-        if categorical:  # d/dh of 2 - 2 sqrt(h)^T sqrt(h'), 0 where h <= 0
-            roots = np.sqrt(np.maximum(params, 0.0))
-            inv = np.divide(1.0, roots, out=np.zeros_like(roots), where=roots > 0.0)
-            g1, g2, factor = -roots[:, 1:] * inv[:, :-1], -roots[:, :-1] * inv[:, 1:], 1.0
-        else:
-            (g1, g2), factor = fam.kl_grad(params[:, :-1], params[:, 1:]), 2.0 * n
-        adj = np.zeros_like(params)
-        adj[:, :-1] += g1
-        adj[:, 1:] += g2
-        pulled = np.einsum("npd,np->nd", jac, adj.reshape(flat.shape[0], -1))
-        return factor * np.einsum("mtd,tc->mdc", pulled.reshape(zs.shape), basis)
+        params = shaped(stacked, zs)
+        jac = jac.reshape(*zs.shape[:2], *jac.shape[1:])
 
-    return energy, terms, grad
+        def gradient_of(sel):
+            p = params[sel]
+            if categorical:  # d/dh of 2 - 2 sqrt(h)^T sqrt(h'), 0 where h <= 0
+                roots = np.sqrt(np.maximum(p, 0.0))
+                inv = np.divide(1.0, roots, out=np.zeros_like(roots), where=roots > 0.0)
+                g1, g2, factor = -roots[:, 1:] * inv[:, :-1], -roots[:, :-1] * inv[:, 1:], 1.0
+            else:
+                (g1, g2), factor = fam.kl_grad(p[:, :-1], p[:, 1:]), 2.0 * n
+            adj = np.zeros_like(p)
+            adj[:, :-1] += g1
+            adj[:, 1:] += g2
+            j = jac[sel].reshape(-1, *jac.shape[2:])
+            pulled = np.einsum("npd,np->nd", j, adj.reshape(j.shape[:2]))
+            pulled = pulled.reshape(p.shape[0], zs.shape[1], zs.shape[2])
+            return factor * np.einsum("mtd,tc->mdc", pulled, basis)
+
+        return scale * terms_of(params).sum(axis=1), gradient_of
+
+    return energy, terms, evaluate
 
 
 def _one_curve(c: SplineCurve, dec: DecoderMap, n: int, objective: str):
@@ -290,17 +314,20 @@ def categorical_energy(c: SplineCurve, dec: DecoderMap, n: int) -> float:
 
 def _graph_energy(metric: LatentMetric, z0, targets, segments: int, n: int, strict: bool):
     """Graph energy of the curves z0 -> targets[rows], its terms and its
-    gradient.
+    evaluation with gradient.
 
-    Returns energy(coeffs, rows) -> (rows,), terms(coeffs, rows) ->
-    (rows, n), the per-segment Delta^T M(mid) Delta, and grad(coeffs, rows)
-    -> (rows, d, 2S), for coefficients (rows, d, 2S). The energy
-    N sum_n Delta_n^T M Delta_n is exact for straight chords on constant
-    metrics, which keeps the discrete minimizer straight. Its gradient is
-    N sum_n [2 M Delta_n (x) (B_nodes[n+1] - B_nodes[n])
-    + (Delta_n^T dM/dz_k Delta_n) (x) B_mids[n]], from one
-    ``eval_batch_and_grad`` call over the midpoints. With ``strict`` a
-    non-finite term raises NonFiniteEnergy at its t.
+    For coefficients (rows, d, 2S), energy(coeffs, rows) gives (rows,),
+    terms(coeffs, rows) the (rows, n) per-segment Delta^T M(mid) Delta, from
+    one ``eval_batch`` call over the midpoints. evaluate(coeffs, rows) gives
+    (energies, gradient_of) from one ``eval_batch_and_grad`` call: the
+    energies equal ``energy``'s bit for bit, and gradient_of(sel) gives the
+    (len(rows[sel]), d, 2S) gradients of rows[sel] from the same M and dM/dz,
+    with no further metric call. The energy N sum_n Delta_n^T M Delta_n is
+    exact for straight chords on constant metrics, which keeps the discrete
+    minimizer straight. Its gradient is N sum_n [2 M Delta_n (x)
+    (B_nodes[n+1] - B_nodes[n]) + (Delta_n^T dM/dz_k Delta_n) (x) B_mids[n]].
+    With ``strict`` a non-finite term, or in ``gradient_of`` a non-finite
+    gradient term, raises NonFiniteEnergy at its t.
     """
     ts_nodes = np.arange(n + 1) / n
     ts_mids = (np.arange(n) + 0.5) / n
@@ -319,28 +346,35 @@ def _graph_energy(metric: LatentMetric, z0, targets, segments: int, n: int, stri
             _check_finite(ts_nodes[:-1], vals, "graph energy")
         return vals
 
+    def quadratic(deltas, mm):
+        return checked(np.einsum("mti,mtij,mtj->mt", deltas, mm, deltas))
+
     def terms(coeffs, rows):
         deltas, mids = deltas_and_mids(coeffs, rows)
-        mm = metric.eval_batch(mids).reshape(*deltas.shape, -1)
-        return checked(np.einsum("mti,mtij,mtj->mt", deltas, mm, deltas))
+        return quadratic(deltas, metric.eval_batch(mids).reshape(*deltas.shape, -1))
 
     def energy(coeffs, rows):
         return n * terms(coeffs, rows).sum(axis=1)
 
-    def grad(coeffs, rows):
+    def evaluate(coeffs, rows):
         deltas, mids = deltas_and_mids(coeffs, rows)
         mm, dm = metric.eval_batch_and_grad(mids)
-        m_delta = np.einsum("mtij,mtj->mti", mm.reshape(*deltas.shape, -1), deltas)
-        quad = np.einsum(
-            "kmtij,mti,mtj->mtk", dm.reshape(-1, *deltas.shape, deltas.shape[-1]), deltas, deltas
-        )
-        checked(np.einsum("mti,mti->mt", deltas, m_delta) + quad.sum(axis=2))
-        return n * (
-            2.0 * np.einsum("mti,tc->mic", m_delta, db_nodes)
-            + np.einsum("mtk,tc->mkc", quad, b_mids)
-        )
+        mm = mm.reshape(*deltas.shape, -1)
+        dm = dm.reshape(-1, *deltas.shape, deltas.shape[-1])
 
-    return energy, terms, grad
+        def gradient_of(sel):
+            dl = deltas[sel]
+            m_delta = np.einsum("mtij,mtj->mti", mm[sel], dl)
+            quad = np.einsum("kmtij,mti,mtj->mtk", dm[:, sel], dl, dl)
+            checked(np.einsum("mti,mti->mt", dl, m_delta) + quad.sum(axis=2))
+            return n * (
+                2.0 * np.einsum("mti,tc->mic", m_delta, db_nodes)
+                + np.einsum("mtk,tc->mkc", quad, b_mids)
+            )
+
+        return n * quadratic(deltas, mm).sum(axis=1), gradient_of
+
+    return energy, terms, evaluate
 
 
 @dataclass
@@ -383,25 +417,38 @@ def _bfgs_update(h_inv, rows, s, y):
     h_inv[rows] = h
 
 
-def _descend(coeffs, energy, grad, cfg: EnergyConfig):
+def _descend(coeffs, energy, evaluate, cfg: EnergyConfig):
     """BFGS descent with Armijo backtracking, one inverse-Hessian estimate
     per curve.
 
     ``coeffs`` (m, d, 2S) is the start; ``energy(c, rows)`` gives the energies
-    of curves ``rows`` with coefficients c, and ``grad(c, rows)`` their
-    gradients. Each curve searches along p = -H g from t = 1, halving t
-    until e(x + t p) <= e(x) + 1e-4 t g^T p, with H its own dense
-    inverse-Hessian estimate of the n = d 2S coefficients. Before its first
-    update, or when -H g is not a descent direction, p = -0.1 g. A curve
-    whose start energy is not finite never moves; the others stop when
-    max|g| < grad_tol (1 + |E|), E its current energy (converged), when g is
-    not finite, or when 40 trials find no Armijo step. The test is relative
-    for KL energies of 1-100, whose gradients cannot reach an absolute 1e-6
-    at rounding precision, and absolute for E << 1. A non-finite trial
-    energy, or a NonFiniteEnergy raised by a trial, rejects the trial. State
-    is per curve, so a curve fitted in a batch equals the same curve fitted
-    alone. Returns (coeffs, energies, converged, iterations, trace, stop),
-    where the trace holds the energies at the start and after every
+    of curves ``rows`` with coefficients c, and ``evaluate(c, rows)`` gives
+    the same energies and ``gradient_of``, where gradient_of(sel) is the
+    gradients of rows[sel] from that one evaluation. Each curve searches
+    along p = -H g from t = 1, halving t until e(x + t p) <= e(x) +
+    1e-4 t g^T p, with H its own dense inverse-Hessian estimate of the
+    n = d 2S coefficients. Before its first update, or when -H g is not a
+    descent direction, p = -0.1 g. A curve whose start energy is not finite
+    never moves; the others stop when max|g| < grad_tol (1 + |E|), E its
+    current energy (converged), when g is not finite, or when 40 trials find
+    no Armijo step. The test is relative for KL energies of 1-100, whose
+    gradients cannot reach an absolute 1e-6 at rounding precision, and
+    absolute for E << 1. A non-finite trial energy, or a NonFiniteEnergy
+    raised by a trial, rejects the trial.
+
+    The start and each iteration's unit-step trial (t = 1) call
+    ``evaluate``, so a curve accepted there has its next gradient without a
+    second metric or decoder evaluation; backtracking trials call ``energy``,
+    and a curve accepted on one is evaluated again at its next iteration.
+    A trial is accepted on its energy alone, and only accepted curves pay
+    for ``gradient_of``. So with a strict energy a non-finite gradient at an
+    accepted point raises NonFiniteEnergy from ``gradient_of``, also for a
+    step accepted in the last allowed iteration, whose gradient is then
+    never used.
+
+    State is per curve, so a curve fitted in a batch equals the same curve
+    fitted alone. Returns (coeffs, energies, converged, iterations, trace,
+    stop), where the trace holds the energies at the start and after every
     iteration that accepted a step, and ``stop`` is a record per curve: its
     ``reason`` ("converged", "line_search", "max_iters" for a curve still
     descending at the cap, or "non_finite" for a start energy or a gradient)
@@ -409,9 +456,13 @@ def _descend(coeffs, energy, grad, cfg: EnergyConfig):
     """
     m, n = coeffs.shape[0], coeffs[0].size
     coeffs = coeffs.copy()
-    e_cur = np.asarray(energy(coeffs, np.arange(m)), dtype=float)
+    e_cur, gradient_of = evaluate(coeffs, np.arange(m))
+    e_cur = np.asarray(e_cur, dtype=float)
     trace = [e_cur.copy()]
     active = np.isfinite(e_cur)
+    g_cur = np.full((m, n), np.nan)  # the gradient at coeffs, where ``fresh``
+    g_cur[active] = gradient_of(active).reshape(-1, n)
+    fresh = active.copy()
     iterations = np.zeros(m, dtype=int)
     stop = np.zeros(m, dtype=[("reason", "U11"), ("grad_norm", float)])
     stop["reason"] = np.where(active, "max_iters", "non_finite")
@@ -424,8 +475,11 @@ def _descend(coeffs, energy, grad, cfg: EnergyConfig):
         if idx.size == 0:
             break
         iterations[idx] += 1
-        sub = coeffs[idx]
-        x, g = sub.reshape(idx.size, n), grad(sub, idx).reshape(idx.size, n)
+        stale = idx[~fresh[idx]]  # accepted on a backtracking trial
+        if stale.size:
+            g_cur[stale] = evaluate(coeffs[stale], stale)[1](slice(None)).reshape(-1, n)
+        x, g = coeffs[idx].reshape(idx.size, n), g_cur[idx]
+        fresh[idx] = False
         g_max = np.abs(g).max(axis=1)
         stop["grad_norm"][idx] = g_max
         done = g_max < cfg.grad_tol * (1.0 + np.abs(e_cur[idx]))
@@ -444,11 +498,14 @@ def _descend(coeffs, energy, grad, cfg: EnergyConfig):
         slope = np.einsum("ki,ki->k", g, p)
         t = np.ones(idx.size)
         pending = np.arange(idx.size)  # positions in idx still searching
-        for _ in range(40):
+        for trial_no in range(40):
             rows = idx[pending]
             trial = (x[pending] + t[pending, None] * p[pending]).reshape(-1, *coeffs.shape[1:])
             try:
-                e_trial = energy(trial, rows)
+                if trial_no == 0:
+                    e_trial, gradient_of = evaluate(trial, rows)
+                else:
+                    e_trial = energy(trial, rows)
             except NonFiniteEnergy:
                 e_trial = np.full(rows.size, np.inf)
             ok = np.isfinite(e_trial) & (
@@ -456,6 +513,9 @@ def _descend(coeffs, energy, grad, cfg: EnergyConfig):
             )
             coeffs[rows[ok]] = trial[ok]
             e_cur[rows[ok]] = e_trial[ok]
+            if trial_no == 0 and np.any(ok):  # ok is all False if evaluate raised
+                g_cur[rows[ok]] = gradient_of(ok).reshape(-1, n)
+                fresh[rows[ok]] = True
             pending = pending[~ok]
             if pending.size == 0:
                 break
@@ -478,22 +538,27 @@ def _fit_curves(target, z0, targets, cfg: EnergyConfig, rng: RngStream, warm, st
     """Energy-minimizing curves z0 -> targets (m, d) in one batched descent.
 
     ``target`` is a DecoderMap (``_decoder_energy``) or a LatentMetric
-    (``_graph_energy``); either gives its exact energy and its analytic
-    gradient. A curve that ends above its straight chord, at infinite energy
-    included, is reset to the chord. Returns (coeffs, energies, straight
-    energies, converged, iterations, trace, stop, terms), with ``stop`` as
-    ``_descend`` gives it and ``terms`` the per-segment squared lengths: on a
-    decoder the exact KL ones, whatever the objective.
+    (``_graph_energy``); either gives its exact energy, which scores the
+    straight chords and ``_descend``'s backtracking trials, and one
+    evaluation of energy and analytic gradient together, which ``_descend``
+    spends on its start and unit-step trials. A curve that ends above its
+    straight chord, at infinite energy included, is reset to the chord.
+    Returns (coeffs, energies, straight energies, converged, iterations,
+    trace, stop, terms), with ``stop`` as ``_descend`` gives it and ``terms``
+    the per-segment squared lengths: on a decoder the exact KL ones,
+    whatever the objective.
     """
     shape = (targets.shape[0], z0.size, 2 * cfg.segments)
     if isinstance(target, DecoderMap):
-        energy, _, grad = _decoder_energy(target, z0, targets, cfg, strict)
+        energy, _, evaluate = _decoder_energy(target, z0, targets, cfg, strict)
         terms = _decoder_energy(target, z0, targets, replace(cfg, objective="kl"), strict)[1]
     else:
-        energy, terms, grad = _graph_energy(target, z0, targets, cfg.segments, cfg.n_disc, strict)
+        energy, terms, evaluate = _graph_energy(
+            target, z0, targets, cfg.segments, cfg.n_disc, strict
+        )
     straight = energy(np.zeros(shape), np.arange(shape[0]))
     coeffs, e_cur, converged, iterations, trace, stop = _descend(
-        _start_coeffs(cfg, rng, shape, warm), energy, grad, cfg
+        _start_coeffs(cfg, rng, shape, warm), energy, evaluate, cfg
     )
     worse = e_cur > straight
     coeffs[worse], e_cur[worse] = 0.0, straight[worse]

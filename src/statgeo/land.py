@@ -172,8 +172,12 @@ def land_fit(
     metric) or LinAlgError in an iteration's NLL or gradient probes ends
     the iterations, and in a line-search trial rejects the trial; with no
     accepted step the fit raises NonConvergence carrying the model. The
-    opening NLL and the final normalizer are not guarded: an error there
-    propagates.
+    model's C comes from a final normalizer of at least 1024 samples; if
+    that raises one of these errors, the model keeps the C of the last NLL
+    evaluated at its (mu, Gamma) (the opening NLL's if no step was
+    accepted), with ``mc_samples`` its sample count, and the fit raises
+    NonConvergence carrying it. The opening NLL is not guarded: with no C
+    to keep yet, an error there propagates.
     """
     cfg = cfg or LandFitConfig()
     rng = rng or RngStream(0)
@@ -213,11 +217,11 @@ def land_fit(
             exp_steps=cfg.exp_steps,
         )
         quad = np.einsum("mi,ij,mj->m", vs, gamma, vs)
-        return float(-n_pts * np.log(c) + 0.5 * quad.sum())
+        return float(-n_pts * np.log(c) + 0.5 * quad.sum()), c
 
     vs_cur, coeffs_cur = log_maps(mu0)
     seed = 10_000
-    e_cur = nll(params, seed, vs=vs_cur)
+    e_cur, c_cur = nll(params, seed, vs=vs_cur)  # c_cur: C of the last NLL at params
     trace = [e_cur]
     step = 0.25
     converged = False
@@ -226,14 +230,14 @@ def land_fit(
         grad = np.zeros_like(params)
         h = 1e-4
         try:
-            e_cur = nll(params, seed, vs=vs_cur)
+            e_cur, c_cur = nll(params, seed, vs=vs_cur)
             for i in range(params.size):
                 probe = params.copy()
                 probe[i] += h
                 vs_p = vs_cur if i >= d else None  # theta moves leave log maps fixed
-                e_plus = nll(probe, seed, vs=vs_p)
+                e_plus = nll(probe, seed, vs=vs_p)[0]
                 probe[i] -= 2.0 * h
-                e_minus = nll(probe, seed, vs=vs_p)
+                e_minus = nll(probe, seed, vs=vs_p)[0]
                 grad[i] = (e_plus - e_minus) / (2.0 * h)
         except _STEP_ERRORS:
             break
@@ -248,11 +252,11 @@ def land_fit(
             mu_t, _ = unpack(trial)
             vs_t, coeffs_t = log_maps(mu_t)
             try:
-                e_new = nll(trial, seed, vs=vs_t)
+                e_new, c_new = nll(trial, seed, vs=vs_t)
             except _STEP_ERRORS:
                 e_new = np.inf
             if np.isfinite(e_new) and e_new <= e_cur - 1e-4 * step * gsq:
-                params, e_cur = trial, e_new
+                params, e_cur, c_cur = trial, e_new, c_new
                 vs_cur, coeffs_cur = vs_t, coeffs_t
                 trace.append(e_cur)
                 accepted = True
@@ -263,10 +267,14 @@ def land_fit(
             break
 
     mu, gamma = unpack(params)
-    c, _, _ = land_normalizer_stats(
-        mu, gamma, metric, rng.child(99_999), max(cfg.mc_samples, 1024),
-        exp_steps=cfg.exp_steps,
-    )
+    try:
+        c, _, _ = land_normalizer_stats(
+            mu, gamma, metric, rng.child(99_999), max(cfg.mc_samples, 1024),
+            exp_steps=cfg.exp_steps,
+        )
+        final_error = None
+    except _STEP_ERRORS as exc:
+        c, converged, final_error = c_cur, False, exc
     model = LandModel(
         mean=mu,
         precision=gamma,
@@ -278,6 +286,12 @@ def land_fit(
         converged=converged,
         nll_trace=trace,
     )
+    if final_error is not None:
+        raise NonConvergence(
+            f"final normalizer failed ({type(final_error).__name__}: {final_error}); "
+            f"the model keeps C from the last {cfg.mc_samples}-sample NLL",
+            last=model,
+        )
     if not converged and len(trace) <= 1:
         raise NonConvergence("density fit made no progress", last=model)
     return model

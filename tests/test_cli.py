@@ -6,6 +6,8 @@ import pytest
 import statgeo.geodesic as G
 import statgeo.metric as M
 from statgeo import cli, io
+from statgeo import land as land_mod
+from statgeo.errors import SingularMetric
 from statgeo.rng import RngStream
 from statgeo.toy import identity_parameter_decoder, toy_decoder
 
@@ -264,6 +266,31 @@ def test_log_decoder_is_the_batched_log_map(decoder_path, capsys):
     assert v == [float(x) for x in want]
 
 
+def test_land_whose_final_normalizer_fails_writes_its_model(monkeypatch, tmp_path, capsys):
+    # the final normalizer of `land` raises: the fit exits 2 with
+    # NonConvergence and still writes a model that loads
+    grid_file, codes, model = tmp_path / "grid.json", tmp_path / "codes.csv", tmp_path / "m.json"
+    grid = M.MetricGrid(np.tile(np.eye(2), (25, 1, 1)), SIGMA, [[-2, 2], [-2, 2]], (5, 5))
+    io.save_grid(grid, grid_file)
+    assert cli.main(["toygen", "--n", "12", "--seed", "1", "--out", str(codes)]) == 0
+    capsys.readouterr()
+    real = land_mod.land_normalizer_stats
+    final = RngStream(3).child(99_999).generator.bit_generator.state
+
+    def stub(mean, precision, metric, rng, n, **kw):
+        if rng.generator.bit_generator.state == final:
+            raise SingularMetric("stub")
+        return real(mean, precision, metric, rng, n, **kw)
+
+    monkeypatch.setattr(land_mod, "land_normalizer_stats", stub)
+    argv = ["land", "--grid", str(grid_file), "--codes", str(codes), "--seed", "3",
+            "--max-iters", "2", "--mc-samples", "64", "--exp-steps", "5", "--out-model", str(model)]
+    assert cli.main(argv) == 2
+    assert json.loads(capsys.readouterr().err.splitlines()[-1])["error"] == "NonConvergence"
+    loaded = io.land_from_dict(json.loads(model.read_text()), M.GridMetric(grid))
+    assert not loaded.converged and loaded.norm_const > 0 and loaded.mc_samples == 64
+
+
 @pytest.mark.parametrize("argv", [
     ["exp", "--decoder", "{dec}", "--z=0,0", "--v=0.1,0", "--steps", "0"],
     ["land", "--decoder", "{dec}", "--codes", "{codes}", "--seed", "1",
@@ -309,6 +336,7 @@ def test_log_decoder_is_the_batched_log_map(decoder_path, capsys):
      "--objective", "categorical"],
     ["log", "--grid", "{grid}", "--z=0,0", "--y=1,1", "--seed", "1",
      "--objective", "categorical"],
+    ["geodesic", "--decoder", "{dec}", "--z0=0,0", "--z1=1,1", "--seed", "1", "--jitter=nan"],
 ])
 def test_counts_and_code_indices_out_of_range_are_usage_errors(argv, decoder_path, grid_path,
                                                                tmp_path, capsys):

@@ -30,6 +30,23 @@ def fd_gradient(energy, h: float):
     return grad
 
 
+def gradient(evaluate):
+    """An energy's ``evaluate`` as a gradient function of (coeffs, rows):
+    every row's gradient from one evaluation."""
+    return lambda coeffs, rows: evaluate(coeffs, rows)[1](np.arange(len(rows)))
+
+
+def edit_gradient(evaluate, edit):
+    """``evaluate`` whose gradient_of(sel) passes the gradients of rows[sel]
+    through edit(g, rows[sel])."""
+
+    def edited(coeffs, rows):
+        energies, gradient_of = evaluate(coeffs, rows)
+        return energies, lambda sel: edit(gradient_of(sel), rows[sel])
+
+    return edited
+
+
 class TestCurve:
     def test_zero_coefficients_straight_line(self, gen):
         z0, z1 = gen.normal(size=2), gen.normal(size=2)
@@ -198,9 +215,15 @@ class TestCategoricalEnergy:
         assert err.value.t == pytest.approx(0.625)
 
 
-@pytest.mark.parametrize("setting", [{"objective": "categorial"}, {"gradient_mode": "fd"}],
-                         ids=["objective", "gradient_mode"])
+@pytest.mark.parametrize(
+    "setting",
+    [{"objective": "categorial"}, {"gradient_mode": "fd"}, {"segments": 0}, {"jitter": np.nan},
+     {"jitter": -1.0}, {"jitter": np.inf}],
+    ids=["objective", "gradient_mode", "segments", "jitter-nan", "jitter-negative", "jitter-inf"],
+)
 def test_energy_config_rejects_unknown_settings(setting):
+    # segments=0 used to fail later with a bare ZeroDivisionError in
+    # hermite_basis, and a NaN or negative jitter was silently taken as 0
     with pytest.raises(ShapeError):
         EnergyConfig(**setting)
 
@@ -435,7 +458,8 @@ class TestGraphGradient:
     def test_analytic_matches_fd_gradient(self, gen, source, segments):
         metric = self.smooth if source == "callable" else self.grid_metric(gen)
         z0, targets = np.array([0.3, -0.5]), gen.uniform(-1.5, 1.5, size=(5, 2))
-        energy, _, grad = G._graph_energy(metric, z0, targets, segments, 16, strict=False)
+        energy, _, evaluate = G._graph_energy(metric, z0, targets, segments, 16, strict=False)
+        grad = gradient(evaluate)
         coeffs, rows = 0.1 * gen.normal(size=(5, 2, 2 * segments)), np.arange(5)
         want = fd_gradient(energy, 1e-6)(coeffs, rows)
         assert rel_frob(grad(coeffs, rows), want) < 1e-6
@@ -470,7 +494,8 @@ class TestDecoderEnergy:
 
     @staticmethod
     def check_gradient(dec, z0, targets, cfg, coeffs):
-        energy, _, grad = G._decoder_energy(dec, z0, targets, cfg, strict=False)
+        energy, _, evaluate = G._decoder_energy(dec, z0, targets, cfg, strict=False)
+        grad = gradient(evaluate)
         rows = np.arange(len(coeffs))
         want = fd_gradient(energy, 1e-6)(coeffs, rows)
         assert rel_frob(grad(coeffs, rows), want) < 1e-6
@@ -512,26 +537,100 @@ class TestDecoderEnergy:
             assert abs(length - want) < 1e-12
 
 
+def _energies(source, gen):
+    """(energy, evaluate, coeffs) of 5 curves from one energy factory."""
+    z0, targets = np.array([0.3, -0.5]), gen.uniform(-1.5, 1.5, size=(5, 2))
+    coeffs = 0.1 * gen.normal(size=(5, 2, 4))
+    if source in ("constant", "grid", "callable"):
+        metric = {
+            "constant": M.ConstantMetric(np.array([[2.0, 0.3], [0.3, 0.5]])),
+            "grid": TestGraphGradient.grid_metric(gen),
+            "callable": TestGraphGradient.smooth,
+        }[source]
+        energy, _, evaluate = G._graph_energy(metric, z0, targets, 2, 16, strict=False)
+    elif source == "beta":
+        cfg = EnergyConfig(n_disc=16, segments=2)
+        energy, _, evaluate = G._decoder_energy(TestDecoderEnergy.dec, z0, targets, cfg, False)
+    else:  # the categorical energy of the 3-simplex chart, inside the simplex
+        cfg = EnergyConfig(n_disc=16, segments=2, objective="categorical")
+        z0, targets = np.array([0.2, 0.2]), gen.dirichlet([2.0] * 3, size=5)[:, :2]
+        dec = M.simplex_chart_decoder(3)
+        energy, _, evaluate = G._decoder_energy(dec, z0, targets, cfg, False)
+        coeffs *= 0.2
+    return energy, evaluate, coeffs
+
+
+@pytest.mark.parametrize("source", ["constant", "grid", "callable", "beta", "categorical"])
+def test_evaluate_equals_energy_and_fresh_gradients_bit_for_bit(source, gen):
+    # evaluate's energies are energy's, and gradient_of(sel) is what a fresh
+    # evaluation of rows[sel] gives, with no rounding difference
+    energy, evaluate, coeffs = _energies(source, gen)
+    rows = np.array([4, 0, 2, 1])
+    c = coeffs[rows]
+    energies, gradient_of = evaluate(c, rows)
+    assert np.array_equal(energies, energy(c, rows))
+    for sel in (np.array([True, False, True, True]), np.array([3, 1]), np.arange(4)):
+        fresh = evaluate(c[sel], rows[sel])[1](np.arange(len(rows[sel])))
+        assert np.array_equal(gradient_of(sel), fresh)
+    # a start where no curve is finite asks for no row's gradient
+    assert gradient_of(np.zeros(4, dtype=bool)).shape == (0, *c.shape[1:])
+
+
+def test_fit_evaluates_the_metric_once_per_iteration(gen):
+    # every unit step of these quadratic fits is accepted, so after the
+    # chord and the start each iteration makes one metric evaluation, which
+    # serves its trial's energy and the next gradient; the last iteration
+    # finds every remaining curve converged and tries no step
+    class Counted(M.LatentMetric):
+        def __init__(self, matrix):
+            self.inner, self.latent_dim, self.calls = M.ConstantMetric(matrix), 2, []
+
+        def eval_batch(self, zs):
+            self.calls.append("eval_batch")
+            return self.inner.eval_batch(zs)
+
+        def eval_batch_and_grad(self, zs):
+            self.calls.append("eval_batch_and_grad")
+            return self.inner.eval_batch_and_grad(zs)
+
+    metric = Counted(np.diag([2.0, 0.5]))
+    cfg = EnergyConfig(n_disc=16, segments=1)
+    z0, targets = np.array([0.1, -0.2]), gen.uniform(-1.5, 1.5, size=(20, 2))
+    _, _, _, converged, iterations, _, _, _ = G._fit_curves(
+        metric, z0, targets, cfg, RngStream(1), None, strict=False
+    )
+    assert np.all(converged) and iterations.max() > 2
+    assert metric.calls == ["eval_batch"] + ["eval_batch_and_grad"] * iterations.max()
+
+
 def test_descend_drops_rows_that_start_non_finite(gen):
     # the (1, 0) chord crosses the infinite half of the metric: its start
     # energy is inf, so it must cost no gradient and no line-search trial
     metric = M.CallableMetric(lambda z: np.diag([1.0 if z[0] <= 0.5 else np.inf] * 2), 2)
     cfg = EnergyConfig(n_disc=16, segments=1, max_iters=5, jitter=0.0)
     z0, targets = np.zeros(2), np.array([[1.0, 0.0], [0.3, 0.2]])
-    energy, _, grad = G._graph_energy(metric, z0, targets, 1, 16, strict=False)
-    calls = []
+    energy, _, evaluate = G._graph_energy(metric, z0, targets, 1, 16, strict=False)
+    calls = []  # the rows of every energy, evaluation and gradient
 
     def counted(coeffs, rows):
         calls.append(rows.copy())
         return energy(coeffs, rows)
 
+    def recorded(g, rows):
+        calls.append(rows)
+        return g
+
+    def counted_evaluate(coeffs, rows):
+        calls.append(rows.copy())
+        return edit_gradient(evaluate, recorded)(coeffs, rows)
+
     start = 0.05 * gen.normal(size=(2, 2, 2))
     with np.errstate(invalid="ignore"):
-        coeffs, e, converged, iterations, _, _ = G._descend(start, counted, grad, cfg)
+        coeffs, e, converged, iterations, _, _ = G._descend(start, counted, counted_evaluate, cfg)
     assert len(calls) > 1 and all(0 not in rows for rows in calls[1:])
     assert e[0] == np.inf and not converged[0] and iterations[0] == 0
-    energy1, _, grad1 = G._graph_energy(metric, z0, targets[1:], 1, 16, strict=False)
-    alone = G._descend(start[1:], energy1, grad1, cfg)
+    energy1, _, evaluate1 = G._graph_energy(metric, z0, targets[1:], 1, 16, strict=False)
+    alone = G._descend(start[1:], energy1, evaluate1, cfg)
     assert np.array_equal(coeffs[1], alone[0][0]) and e[1] == alone[1][0]
     assert iterations[1] == alone[3][0] and converged[1] == alone[2][0]
 
@@ -542,25 +641,28 @@ def test_descend_stops_rows_whose_gradient_is_not_finite(gen):
     metric = M.CallableMetric(lambda z: np.diag(1.0 + z**2), 2)
     cfg = EnergyConfig(n_disc=16, segments=1, max_iters=20, jitter=0.0)
     z0, targets = np.zeros(2), np.array([[1.0, 0.0], [0.3, 0.2]])
-    energy, _, grad = G._graph_energy(metric, z0, targets, 1, 16, strict=False)
-    calls = []
+    energy, _, evaluate = G._graph_energy(metric, z0, targets, 1, 16, strict=False)
+    calls = []  # the rows of every energy and evaluation: the start, then trials
 
     def counted(coeffs, rows):
         calls.append(rows.copy())
         return energy(coeffs, rows)
 
-    def nan_row0(coeffs, rows):
-        g = grad(coeffs, rows)
+    def nan_row0(g, rows):
         g[rows == 0] = np.nan
         return g
 
+    def counted_evaluate(coeffs, rows):
+        calls.append(rows.copy())
+        return edit_gradient(evaluate, nan_row0)(coeffs, rows)
+
     start = 0.05 * gen.normal(size=(2, 2, 2))
-    coeffs, e, converged, iterations, _, _ = G._descend(start, counted, nan_row0, cfg)
+    coeffs, e, converged, iterations, _, _ = G._descend(start, counted, counted_evaluate, cfg)
     assert all(0 not in rows for rows in calls[1:])
     assert np.array_equal(coeffs[0], start[0]) and e[0] == energy(start[:1], np.arange(1))[0]
     assert not converged[0] and iterations[0] == 1
-    energy1, _, grad1 = G._graph_energy(metric, z0, targets[1:], 1, 16, strict=False)
-    alone = G._descend(start[1:], energy1, grad1, cfg)
+    energy1, _, evaluate1 = G._graph_energy(metric, z0, targets[1:], 1, 16, strict=False)
+    alone = G._descend(start[1:], energy1, evaluate1, cfg)
     assert np.array_equal(coeffs[1], alone[0][0]) and e[1] == alone[1][0]
 
 
@@ -624,33 +726,35 @@ def test_kl_fit_stops_where_it_has_converged(monkeypatch):
 class TestStopReason:
     def quadratic(self, targets, metric=None):
         metric = metric or M.ConstantMetric(np.diag([2.0, 0.5]))
-        energy, _, grad = G._graph_energy(metric, np.zeros(2), targets, 1, 16, strict=False)
-        return energy, grad
+        energy, _, evaluate = G._graph_energy(metric, np.zeros(2), targets, 1, 16, strict=False)
+        return energy, evaluate
 
     def test_converged(self, gen):
-        energy, grad = self.quadratic(np.array([[1.0, 0.5], [-0.3, 0.8]]))
+        energy, evaluate = self.quadratic(np.array([[1.0, 0.5], [-0.3, 0.8]]))
         cfg = EnergyConfig(n_disc=16, segments=1)
-        _, e, converged, _, _, stop = G._descend(0.1 * gen.normal(size=(2, 2, 2)), energy, grad, cfg)
+        _, e, converged, _, _, stop = G._descend(
+            0.1 * gen.normal(size=(2, 2, 2)), energy, evaluate, cfg
+        )
         assert np.all(converged) and list(stop["reason"]) == ["converged"] * 2
         assert np.all(stop["grad_norm"] < cfg.grad_tol * (1.0 + e))
 
     def test_line_search(self, gen):
         # an ascent direction: 40 halvings find no Armijo step
-        energy, grad = self.quadratic(np.array([[1.0, 0.5]]))
+        energy, evaluate = self.quadratic(np.array([[1.0, 0.5]]))
         cfg = EnergyConfig(n_disc=16, segments=1)
         start = 0.1 * gen.normal(size=(1, 2, 2))
         coeffs, _, converged, iterations, _, stop = G._descend(
-            start, energy, lambda c, rows: -grad(c, rows), cfg
+            start, energy, edit_gradient(evaluate, lambda g, rows: -g), cfg
         )
         assert stop["reason"][0] == "line_search" and not converged[0] and iterations[0] == 1
-        assert stop["grad_norm"][0] == np.abs(grad(start, np.arange(1))).max()
+        assert stop["grad_norm"][0] == np.abs(gradient(evaluate)(start, np.arange(1))).max()
         assert np.array_equal(coeffs, start)
 
     def test_max_iters(self, gen):
-        energy, grad = self.quadratic(np.array([[1.0, 0.5]]))
+        energy, evaluate = self.quadratic(np.array([[1.0, 0.5]]))
         cfg = EnergyConfig(n_disc=16, segments=1, max_iters=2)
         _, e, converged, iterations, _, stop = G._descend(
-            0.1 * gen.normal(size=(1, 2, 2)), energy, grad, cfg
+            0.1 * gen.normal(size=(1, 2, 2)), energy, evaluate, cfg
         )
         assert stop["reason"][0] == "max_iters" and not converged[0] and iterations[0] == 2
         assert stop["grad_norm"][0] >= cfg.grad_tol * (1.0 + e[0])
@@ -658,20 +762,23 @@ class TestStopReason:
     def test_non_finite_start_and_gradient(self, gen):
         # row 0 starts at an infinite energy and is never differentiated;
         # row 1's gradient is NaN; row 2 fits
-        energy, grad = self.quadratic(np.array([[1.0, 0.5], [0.3, 0.2], [-0.3, 0.8]]))
+        energy, evaluate = self.quadratic(np.array([[1.0, 0.5], [0.3, 0.2], [-0.3, 0.8]]))
 
         def inf_row0(coeffs, rows):
             e = energy(coeffs, rows)
             return np.where(rows == 0, np.inf, e)
 
-        def nan_row1(coeffs, rows):
-            g = grad(coeffs, rows)
+        def nan_row1(g, rows):
             g[rows == 1] = np.nan
             return g
 
+        def evaluate_inf0_nan1(coeffs, rows):
+            e, gradient_of = edit_gradient(evaluate, nan_row1)(coeffs, rows)
+            return np.where(rows == 0, np.inf, e), gradient_of
+
         cfg = EnergyConfig(n_disc=16, segments=1)
         _, _, converged, iterations, _, stop = G._descend(
-            0.1 * gen.normal(size=(3, 2, 2)), inf_row0, nan_row1, cfg
+            0.1 * gen.normal(size=(3, 2, 2)), inf_row0, evaluate_inf0_nan1, cfg
         )
         assert list(stop["reason"]) == ["non_finite", "non_finite", "converged"]
         assert np.isnan(stop["grad_norm"][:2]).all() and iterations[:2].tolist() == [0, 1]

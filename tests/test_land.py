@@ -60,7 +60,20 @@ class TestNormalizer:
         assert c4 / c1 == pytest.approx(4.0, rel=1e-9)
 
     def test_stderr_scales_with_sqrt_n(self):
-        metric = M.CallableMetric(lambda z: np.diag([1 + z[0] ** 2, 1 + z[1] ** 2]), 2)
+        # diag(1 + z0^2, 1 + z1^2), the metric of test_determinism, built for
+        # the whole batch at once instead of one Python call per point (a
+        # square here can differ in its last bit from that callable's scalar
+        # **, which goes through libm's pow)
+        class Diagonal(M.LatentMetric):
+            latent_dim = 2
+
+            def eval_batch(self, zs):
+                zs = np.atleast_2d(np.asarray(zs, dtype=float))
+                out = np.zeros((zs.shape[0], 2, 2))
+                out[:, [0, 1], [0, 1]] = 1 + zs**2
+                return out
+
+        metric = Diagonal()
         ses = []
         for n in (400, 1600):
             reps = [
@@ -183,6 +196,44 @@ def test_failing_iteration_nll_ends_the_fit(monkeypatch, seed, skip):
         model = err.value.last
         assert len(model.nll_trace) == 1
     assert not model.converged and model.norm_const > 0
+
+
+@pytest.mark.parametrize("step_accepted", [True, False], ids=["after-steps", "no-step"])
+def test_failing_final_normalizer_keeps_the_last_nll_c(monkeypatch, step_accepted):
+    # the final normalizer (rng.child(99_999)) raises SingularMetric: the fit
+    # still returns its model through NonConvergence, with the C of the last
+    # NLL evaluated at the model's (mu, Gamma); with no step accepted (every
+    # iteration-0 normalizer after the opening one fails) that is the opening C
+    gen = np.random.default_rng(11)
+    pts = gen.normal(size=(60, 2))
+    cfg = L.LandFitConfig(max_iters=3, mc_samples=128)
+    real, seen, opening = L.land_normalizer_stats, [], []
+    final = RngStream(2).child(99_999).generator.bit_generator.state
+    first = RngStream(2).child(10_000).generator.bit_generator.state
+
+    def stub(mean, precision, metric, rng, n, **kw):
+        state = rng.generator.bit_generator.state
+        if state == final:
+            raise SingularMetric("stub")
+        if not step_accepted and state == first:
+            opening.append(1)
+            if len(opening) > 1:
+                raise SingularMetric("stub")
+        out = real(mean, precision, metric, rng, n, **kw)
+        seen.append((mean.copy(), precision.copy(), out[0]))
+        return out
+
+    monkeypatch.setattr(L, "land_normalizer_stats", stub)
+    with pytest.raises(NonConvergence) as err:
+        L.land_fit(pts, IDENTITY, cfg=cfg, rng=RngStream(2))
+    model = err.value.last
+    at_model = [c for mean, precision, c in seen
+                if np.array_equal(mean, model.mean) and np.array_equal(precision, model.precision)]
+    assert at_model and model.norm_const == at_model[-1]
+    assert model.mc_samples == 128 and not model.converged
+    assert (len(model.nll_trace) > 1) == step_accepted
+    if not step_accepted:
+        assert model.norm_const == seen[0][2]
 
 
 def test_line_search_trial_with_a_singular_normalizer_is_rejected(monkeypatch):
