@@ -45,11 +45,14 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _vector(text: str, dim: int | None = None) -> np.ndarray:
-    """The comma-separated floats of ``text``; with ``dim``, exactly that many."""
+    """The comma-separated finite floats of ``text``; with ``dim``, exactly
+    that many."""
     try:
         vec = np.array([float(v) for v in text.split(",")])
     except ValueError as exc:
         raise _UsageError(f"cannot parse vector {text!r}") from exc
+    if not np.all(np.isfinite(vec)):
+        raise _UsageError(f"{text!r} has a coordinate that is not finite")
     if dim is not None and vec.size != dim:
         raise _UsageError(f"{text!r} has {vec.size} coordinates, expected {dim}")
     return vec
@@ -325,15 +328,26 @@ def _cmd_kl(args) -> int:
 
 
 def _cmd_exp(args) -> int:
+    timings = {}
+    t0 = time.perf_counter()
     metric = _load_metric(args)
     z, v = _vector(args.z, metric.latent_dim), _vector(args.v, metric.latent_dim)
+    timings["load"] = time.perf_counter() - t0
+
+    t0 = time.perf_counter()
     endpoint, ts, path = geo.exp_map(
         metric, z, v, steps=args.steps, return_path=True
     )
+    timings["shoot"] = time.perf_counter() - t0
+
+    t0 = time.perf_counter()
     if args.out:
         header = ["t"] + [f"z{i}" for i in range(z.size)]
         io.save_csv(args.out, header, np.column_stack([ts, path]))
+    timings["write"] = time.perf_counter() - t0
     _print_json({"version": __version__, "endpoint": [float(x) for x in endpoint]})
+    if args.profile:
+        sys.stderr.write(json.dumps({"profile": timings, "steps": args.steps}) + "\n")
     return 0
 
 
@@ -416,6 +430,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--v", required=True)
     p.add_argument("--steps", type=_positive_int, default=100)
     p.add_argument("--out")
+    p.add_argument("--profile", action="store_true")
     p.set_defaults(fn=_cmd_exp)
 
     p = sub.add_parser("log", help="logarithmic map (shortest-path velocity)")

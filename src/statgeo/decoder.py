@@ -18,7 +18,10 @@ and ``raw_forward_stacked`` are views of it that differ only in whether the
 Jacobian is carried and whether the blend applies. The walk does no work
 that is fixed per layer or per decoder: a ``LayerSpec`` keeps its parsed
 activation, and a ``DecoderMap`` its blend mask and extrapolation target.
-The Jacobian starts from the first layer's weight, since d(W u)/du = W.
+What is fixed per walk is done once in it: Softplus(beta), which both the
+blend weight and its gradient divide by, and one ``argmin`` that gives
+both the nearest center and its distance. The Jacobian starts from m
+copies of the first layer's weight, since d(W u)/du = W.
 """
 
 from __future__ import annotations
@@ -242,7 +245,7 @@ def _decode(dec: DecoderMap, z, with_jac: bool):
             x = _apply_activation(name, scale, pre, width)
             if with_jac:
                 # d(W u)/du = W: the first layer seeds the running Jacobian
-                jac = (np.broadcast_to(layer.weight, (m,) + layer.weight.shape)
+                jac = (np.repeat(layer.weight[None], m, axis=0)
                        if jac is None else np.matmul(layer.weight, jac))
                 jac = _activation_jacobian(name, scale, pre, x, jac, width)
         # head-major (m, D*q_j) -> feature-major blocks (m, D, q_j)
@@ -255,11 +258,12 @@ def _decode(dec: DecoderMap, z, with_jac: bool):
     reg = dec.regularization
     if reg is not None:
         dist, nearest = _support_distance_argmin(reg, u)
-        s = translated_sigmoid(reg, dist)
+        beta_sp = softplus(reg.beta)
+        s = _translated_sigmoid(reg, dist, beta_sp)
         mask = dec._mask
         gap = dec._extrap - h
         if with_jac:
-            sp = s * (1.0 - s) / softplus(reg.beta)
+            sp = s * (1.0 - s) / beta_sp
             grad_s = sp[:, None] * (2.0 * (u - reg.centers[nearest]))  # (m, d) wrt u
             jac = (1.0 - s[:, None] * mask)[..., None] * jac + (
                 mask * gap
@@ -340,7 +344,8 @@ def _support_distance_argmin(reg: UncertaintyReg, zb: np.ndarray):
     d2 = (zb[:, 0, None] - c[:, 0]) ** 2
     for j in range(1, c.shape[1]):
         d2 += (zb[:, j, None] - c[:, j]) ** 2
-    return d2.min(axis=1), np.argmin(d2, axis=1)
+    nearest = np.argmin(d2, axis=1)
+    return d2[np.arange(d2.shape[0]), nearest], nearest
 
 
 def support_distance(reg: UncertaintyReg, z):
@@ -352,8 +357,12 @@ def support_distance(reg: UncertaintyReg, z):
 
 def translated_sigmoid(reg: UncertaintyReg, d):
     """sigma_tilde(d) = Sigmoid((d - c * Softplus(beta)) / Softplus(beta))."""
-    sp = softplus(reg.beta)
-    return sigmoid((np.asarray(d, dtype=float) - reg.c * sp) / sp)
+    return _translated_sigmoid(reg, np.asarray(d, dtype=float), softplus(reg.beta))
+
+
+def _translated_sigmoid(reg: UncertaintyReg, d: np.ndarray, sp) -> np.ndarray:
+    """``translated_sigmoid`` given sp = Softplus(beta)."""
+    return sigmoid((d - reg.c * sp) / sp)
 
 
 def reweight(dec: DecoderMap, z) -> list[ParamPoint]:

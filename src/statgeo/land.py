@@ -172,10 +172,11 @@ def land_fit(
     metric) or LinAlgError in an iteration's NLL or gradient probes ends
     the iterations, and in a line-search trial rejects the trial; with no
     accepted step the fit raises NonConvergence carrying the model. The
-    model's C comes from a final normalizer of at least 1024 samples; if
-    that raises one of these errors, the model keeps the C of the last NLL
-    evaluated at its (mu, Gamma) (the opening NLL's if no step was
-    accepted), with ``mc_samples`` its sample count, and the fit raises
+    model's C comes from a final normalizer of max(``mc_samples``, 1024)
+    samples, the model's ``mc_samples``; if that raises one of these
+    errors, the model keeps the C of the last NLL evaluated at its
+    (mu, Gamma) (the opening NLL's if no step was accepted), with
+    ``cfg.mc_samples`` its sample count, and the fit raises
     NonConvergence carrying it. The opening NLL is not guarded: with no C
     to keep yet, an error there propagates.
     """
@@ -267,20 +268,21 @@ def land_fit(
             break
 
     mu, gamma = unpack(params)
+    n_final = max(cfg.mc_samples, 1024)
     try:
         c, _, _ = land_normalizer_stats(
-            mu, gamma, metric, rng.child(99_999), max(cfg.mc_samples, 1024),
-            exp_steps=cfg.exp_steps,
+            mu, gamma, metric, rng.child(99_999), n_final, exp_steps=cfg.exp_steps
         )
         final_error = None
     except _STEP_ERRORS as exc:
         c, converged, final_error = c_cur, False, exc
+        n_final = cfg.mc_samples
     model = LandModel(
         mean=mu,
         precision=gamma,
         norm_const=c,
         metric=metric,
-        mc_samples=cfg.mc_samples,
+        mc_samples=n_final,
         seed=rng.seed,
         logmap_cfg=cfg.logmap_cfg,
         converged=converged,

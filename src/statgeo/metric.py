@@ -16,8 +16,10 @@ Three sources for the d x d tensor at a latent point:
 A metric implements ``eval_batch``, the tensors at a batch of latent
 points; ``eval`` is its one-row view. ``eval_batch_and_grad`` adds dM/dz:
 analytic for the constant and grid metrics, otherwise central differences
-of step ``FD_STEP`` from one ``eval_batch`` over the (2d+1)*m stacked
-points.
+of step ``FD_STEP`` over the (2d+1)*m stacked points. Those tensors come
+from one ``eval_batch`` call, except on the pullback, where they come from
+one decoder walk that yields parameters and Jacobian together; the
+geodesic ODE's right-hand side then costs one walk.
 """
 
 from __future__ import annotations
@@ -52,12 +54,20 @@ class LatentMetric:
         """(M, dM) at the rows of zs: M is (m, d, d) and dM[k] = dM/dz_k is
         (d, m, d, d). This default takes central differences of step
         ``FD_STEP`` from one ``eval_batch`` over the (2d+1)*m stacked points."""
-        zs = np.atleast_2d(np.asarray(zs, dtype=float))
-        m, d = zs.shape
-        shifts = FD_STEP * np.eye(d)[:, None, :]
-        stacked = np.concatenate([zs[None], zs[None] + shifts, zs[None] - shifts])
-        mm = self.eval_batch(stacked.reshape(-1, d)).reshape(2 * d + 1, m, d, d)
-        return mm[0], (mm[1 : d + 1] - mm[d + 1 :]) / (2.0 * FD_STEP)
+        return _central_differences(self.eval_batch, zs)
+
+
+def _central_differences(tensors, zs):
+    """``LatentMetric.eval_batch_and_grad`` with the tensors from one call
+    of ``tensors``, which maps (n, d) points to (n, d, d), on the (2d+1)*m
+    stacked points: the rows of zs, then zs + FD_STEP e_k for k = 0..d-1,
+    then zs - FD_STEP e_k."""
+    zs = np.atleast_2d(np.asarray(zs, dtype=float))
+    m, d = zs.shape
+    shifts = FD_STEP * np.eye(d)[:, None, :]
+    stacked = np.concatenate([zs[None], zs[None] + shifts, zs[None] - shifts])
+    mm = tensors(stacked.reshape(-1, d)).reshape(2 * d + 1, m, d, d)
+    return mm[0], (mm[1 : d + 1] - mm[d + 1 :]) / (2.0 * FD_STEP)
 
 
 class ConstantMetric(LatentMetric):
@@ -89,7 +99,12 @@ class CallableMetric(LatentMetric):
 
 
 class PullbackMetric(LatentMetric):
-    """Exact Fisher-Rao pullback through a decoder."""
+    """Exact Fisher-Rao pullback through a decoder.
+
+    ``eval_batch_and_grad`` is the base class's central differences, bit for
+    bit, with the stencil's parameters and Jacobians from one
+    ``forward_and_jacobian_stacked`` walk.
+    """
 
     def __init__(self, decoder: DecoderMap):
         self.decoder = decoder
@@ -101,12 +116,25 @@ class PullbackMetric(LatentMetric):
 
     def eval_batch(self, zs):
         zs = np.atleast_2d(np.asarray(zs, dtype=float))
+        # two walks where forward_and_jacobian_stacked would take one:
+        # bench/selftest.py requires decoder.jacobian_stacked spans on
+        # geodesic-pullback and cli-toy, and this is their source there
         jac = dec_mod.jacobian_stacked(self.decoder, zs)
-        stacked = dec_mod.forward_stacked(self.decoder, zs)
+        return self._tensors(dec_mod.forward_stacked(self.decoder, zs), jac)
+
+    def eval_batch_and_grad(self, zs):
+        def tensors(points):
+            return self._tensors(*dec_mod.forward_and_jacobian_stacked(self.decoder, points))
+
+        return _central_differences(tensors, zs)
+
+    def _tensors(self, stacked, jac):
+        """J^T G J, symmetrized, from decoded parameters (m, D*p) and their
+        Jacobian (m, D*p, d)."""
         fam = self.decoder.family
-        d_feat = self.decoder.feature_count
         blocks = dec_mod.product_fisher_stacked(fam, stacked)  # (m, D, p, p)
-        jb = jac.reshape(zs.shape[0], d_feat, fam.param_dim, self.latent_dim)
+        jb = jac.reshape(stacked.shape[0], self.decoder.feature_count, fam.param_dim,
+                         self.latent_dim)
         m = np.einsum("mfpi,mfpq,mfqj->mij", jb, blocks, jb)
         return 0.5 * (m + np.swapaxes(m, 1, 2))
 

@@ -23,6 +23,19 @@ _TRIGAMMA_TAIL = (
     -691.0 / 2730.0,
     7.0 / 6.0,
 )
+_SHIFTS = np.arange(6.0)  # the recurrence's shifts k = 0..5
+
+
+def _recurrence_sum(x: np.ndarray) -> np.ndarray:
+    """sum_{k=0..5} 1/(x+k)^2, added in k order: numpy adds fewer than 8
+    terms along an axis one after another, so this is the loop's sum bit
+    for bit. The (6, ...) terms are built in place and freed on return:
+    on large x, fresh temporaries of that size, or one kept alive through
+    the tail, cost more than a loop over k."""
+    terms = x + _SHIFTS.reshape((6,) + (1,) * x.ndim)
+    terms *= terms
+    np.divide(1.0, terms, out=terms)
+    return np.add.reduce(terms, axis=0)
 
 
 def trigamma(x):
@@ -30,9 +43,7 @@ def trigamma(x):
     x = np.asarray(x, dtype=float)
     if np.any(x <= 0):
         raise ValueError("trigamma requires x > 0")
-    out = 1.0 / (x * x)
-    for k in range(1, 6):
-        out = out + 1.0 / ((x + k) * (x + k))
+    out = _recurrence_sum(x)
     inv = 1.0 / (x + 6.0)
     inv2 = inv * inv
     # sum_k B_2k inv^(2k+1) = inv^3 * poly(inv^2), in Horner form

@@ -96,12 +96,16 @@ def test_kl_probe_grid_on_other_latent_dims(latent_dim, bounds, resolution, tmp_
     assert np.all(np.isfinite(doc["validation_error"]))
 
 
-@pytest.mark.parametrize("command", ["metric-grid", "geodesic"])
+@pytest.mark.parametrize("command", ["metric-grid", "geodesic", "exp"])
 def test_profile_leaves_stdout_unchanged(command, decoder_path, tmp_path, capsys):
     if command == "metric-grid":
         argv = ["metric-grid", "--decoder", str(decoder_path), "--mode", "kl-probe",
                 f"--bounds={BOUNDS}", "--resolution", RESOLUTION, "--out", str(tmp_path / "g.json")]
         stages = {"load", "evaluate", "validate"}
+    elif command == "exp":
+        argv = ["exp", "--decoder", str(decoder_path), "--z=0.6,0.2", "--v=0.3,-0.2",
+                "--steps", "20", "--out", str(tmp_path / "path.csv")]
+        stages = {"load", "shoot", "write"}
     else:
         argv = ["geodesic", "--decoder", str(decoder_path), "--z0=0.6,0.2", "--z1=-0.4,0.8",
                 "--seed", "1", "--n-disc", "16", "--segments", "2", "--max-iters", "20"]
@@ -337,6 +341,10 @@ def test_land_whose_final_normalizer_fails_writes_its_model(monkeypatch, tmp_pat
     ["log", "--grid", "{grid}", "--z=0,0", "--y=1,1", "--seed", "1",
      "--objective", "categorical"],
     ["geodesic", "--decoder", "{dec}", "--z0=0,0", "--z1=1,1", "--seed", "1", "--jitter=nan"],
+    ["exp", "--decoder", "{dec}", "--z=0,0", "--v=nan,0"],
+    ["exp", "--decoder", "{dec}", "--z=0,0", "--v=inf,0"],
+    ["log", "--decoder", "{dec}", "--z=0,0", "--y=nan,0", "--seed", "1"],
+    ["kl", "--decoder", "{dec}", "--z1=0,0", "--z2=nan,0"],
 ])
 def test_counts_and_code_indices_out_of_range_are_usage_errors(argv, decoder_path, grid_path,
                                                                tmp_path, capsys):

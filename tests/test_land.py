@@ -3,6 +3,7 @@ import pytest
 
 import statgeo.land as L
 import statgeo.metric as M
+from statgeo import io
 from statgeo.errors import DegenerateEstimate, InvalidParam, NonConvergence, SingularMetric
 from statgeo.geodesic import EnergyConfig
 from statgeo.metric import ConstantMetric, GridMetric, PullbackMetric, grid_build
@@ -120,6 +121,15 @@ class TestFit:
         model = L.land_fit(pts, IDENTITY, cfg=cfg, rng=RngStream(2))
         trace = model.nll_trace
         assert all(a >= b - 1e-9 for a, b in zip(trace, trace[1:]))
+
+    def test_model_records_the_final_normalizer_sample_count(self):
+        # C comes from the final max(mc_samples, 1024)-sample normalizer
+        pts = np.random.default_rng(11).normal(size=(30, 2))
+        cfg = L.LandFitConfig(max_iters=2, mc_samples=64)
+        model = L.land_fit(pts, IDENTITY, cfg=cfg, rng=RngStream(2))
+        assert model.mc_samples == 1024
+        back = io.land_from_dict(io.land_to_dict(model, metric_ref="identity"), IDENTITY)
+        assert back.mc_samples == 1024 and back.norm_const == model.norm_const
 
     def test_grid_metric_beats_euclidean_gaussian_nll(self):
         # paired comparison on the same data and the same normalizer scheme:

@@ -8,7 +8,7 @@ from statgeo import io
 from statgeo.decoder import DecoderMap, Head, LayerSpec
 from statgeo.errors import InvalidEpsilon, OffSimplex, ShapeError
 from statgeo.families import FamilyKind, McKl, get_family
-from statgeo.geodesic import SplineCurve, kl_energy
+from statgeo.geodesic import SplineCurve, exp_map, kl_energy
 from statgeo.rng import RngStream
 from statgeo.toy import identity_parameter_decoder, toy_decoder
 
@@ -109,6 +109,37 @@ class TestPullback:
                 zscore = score @ jf
                 total += zscore.T @ zscore / n
             assert rel_frob(total, exact) < 0.05, kind
+
+    @pytest.mark.parametrize("regularized", [True, False])
+    @pytest.mark.parametrize("kind", list(FamilyKind))
+    def test_one_walk_derivative_is_the_base_stencil(self, kind, regularized, gen):
+        pb = M.PullbackMetric(toy_decoder(kind.value, seed=5, regularized=regularized))
+        zs = gen.uniform(-2, 2, size=(5, 2))
+        got, want = pb.eval_batch_and_grad(zs), M.LatentMetric.eval_batch_and_grad(pb, zs)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+    def test_one_walk_derivative_on_a_relabeled_decoder(self, gen):
+        dec = D.compose_linear(toy_decoder("beta", seed=5), [[0.8, 0.3], [-0.2, 1.1]], [0.1, -0.4])
+        pb = M.PullbackMetric(dec)
+        zs = gen.uniform(-1.5, 1.5, size=(4, 2))
+        got, want = pb.eval_batch_and_grad(zs), M.LatentMetric.eval_batch_and_grad(pb, zs)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+    def test_exp_map_walks_the_decoder_once_per_rk4_stage(self, monkeypatch):
+        walks = []
+        real = D._decode
+
+        def counting(*args, **kwargs):
+            walks.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(D, "_decode", counting)
+        pb = M.PullbackMetric(toy_decoder("beta", seed=5))
+        for steps in (1, 7):
+            walks.clear()
+            exp_map(pb, [0.6, 0.2], [0.3, -0.2], steps=steps)
+            # 4 stages per step, plus the start tensor's two walks
+            assert len(walks) == 4 * steps + 2
 
 
 class TestKlProbe:

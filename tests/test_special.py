@@ -4,6 +4,7 @@ from hypothesis import given, strategies as st
 from scipy.special import polygamma
 
 from statgeo.special import (
+    _TRIGAMMA_TAIL,
     log_vmf_normalizer,
     mean_resultant,
     mean_resultant_deriv,
@@ -23,6 +24,29 @@ def test_trigamma_matches_scipy_on_a_dense_grid():
     xs = np.concatenate([np.geomspace(1e-4, 1e6, 20001), np.linspace(4.0, 6.3, 2301)])
     want = polygamma(1, xs)
     assert np.max(np.abs(trigamma(xs) - want) / want) < 1e-13
+
+
+def trigamma_loop_reference(x):
+    """The recurrence as a loop over k = 0..5 in k order, then the tail."""
+    x = np.asarray(x, dtype=float)
+    out = 1.0 / (x * x)
+    for k in range(1, 6):
+        out = out + 1.0 / ((x + k) * (x + k))
+    inv = 1.0 / (x + 6.0)
+    inv2 = inv * inv
+    poly = _TRIGAMMA_TAIL[-1]
+    for coeff in _TRIGAMMA_TAIL[-2::-1]:
+        poly = poly * inv2 + coeff
+    return out + inv + inv2 * (0.5 + inv * poly)
+
+
+def test_trigamma_is_the_loop_bit_for_bit():
+    xs = np.geomspace(1e-8, 1e8, 30001)
+    assert np.array_equal(trigamma(xs), trigamma_loop_reference(xs))
+    stacked = xs[:3000].reshape(3, 250, 4)
+    assert np.array_equal(trigamma(stacked), trigamma_loop_reference(stacked))
+    for x in xs[::1001]:
+        assert trigamma(x) == trigamma_loop_reference(x) and trigamma(x).shape == ()
 
 
 def test_trigamma_known_values():
