@@ -58,6 +58,20 @@ def _vector(text: str, dim: int | None = None) -> np.ndarray:
     return vec
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)  # argparse reports the ValueError as a usage error
+    if not np.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def _nonnegative_float(text: str) -> float:
+    value = _finite_float(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a number >= 0, got {text!r}")
+    return value
+
+
 def _positive_int(text: str) -> int:
     value = int(text)  # argparse reports the ValueError as a usage error
     if value < 1:
@@ -127,14 +141,33 @@ def _print_json(doc: dict) -> None:
     sys.stdout.write(json.dumps(doc, indent=1) + "\n")
 
 
+def _write_fit_profile(timings: dict, iterations: int, stop_reason: str,
+                       grad_norm: float) -> None:
+    """The --profile line of a curve fit; a grad_norm that is not finite
+    is written as null."""
+    grad_norm = grad_norm if np.isfinite(grad_norm) else None
+    sys.stderr.write(
+        json.dumps({"profile": timings, "iterations": iterations,
+                    "stop_reason": stop_reason, "grad_norm": grad_norm}) + "\n"
+    )
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
 
 def _cmd_toygen(args) -> int:
+    timings = {}
+    t0 = time.perf_counter()
     codes = toy_circle_codes(args.n, args.noise, RngStream(args.seed))
+    timings["generate"] = time.perf_counter() - t0
+
+    t0 = time.perf_counter()
     io.save_codes(codes, args.out)
+    timings["write"] = time.perf_counter() - t0
     _print_json({"version": __version__, "n": args.n, "out": args.out})
+    if args.profile:
+        sys.stderr.write(json.dumps({"profile": timings}) + "\n")
     return 0
 
 
@@ -195,11 +228,7 @@ def _cmd_geodesic(args) -> int:
         }
     )
     if args.profile:
-        grad_norm = result.grad_norm if np.isfinite(result.grad_norm) else None
-        sys.stderr.write(
-            json.dumps({"profile": timings, "iterations": result.iterations,
-                        "stop_reason": result.stop_reason, "grad_norm": grad_norm}) + "\n"
-        )
+        _write_fit_profile(timings, result.iterations, result.stop_reason, result.grad_norm)
     return 0
 
 
@@ -226,6 +255,8 @@ def _cmd_metric_grid(args) -> int:
     t0 = time.perf_counter()
     dec = io.load_decoder(args.decoder)
     bounds, resolution = _lattice(args.bounds, args.resolution, dec.latent_dim)
+    if np.isinf(args.sigma):  # NaN, 0 and negative values raise ShapeError in grid_build
+        raise _UsageError(f"--sigma must be finite, got {args.sigma}")
     timings["load"] = time.perf_counter() - t0
 
     if args.mode == "pullback":
@@ -305,6 +336,8 @@ def _cmd_land(args) -> int:
 
 
 def _cmd_kl(args) -> int:
+    timings = {}
+    t0 = time.perf_counter()
     dec = io.load_decoder(args.decoder)
     z1, z2 = _vector(args.z1, dec.latent_dim), _vector(args.z2, dec.latent_dim)
     mc = None
@@ -312,10 +345,14 @@ def _cmd_kl(args) -> int:
         if args.seed is None:
             raise _UsageError("--seed is required with --mc-samples")
         mc = McKl(RngStream(args.seed), args.mc_samples)
+    timings["load"] = time.perf_counter() - t0
+
+    t0 = time.perf_counter()
     kl_val = met._decoded_kl(dec, z1, z2, mc)
     m = met.pullback(dec, z1)
     delta = z2 - z1
     quad = float(0.5 * delta @ m @ delta)
+    timings["evaluate"] = time.perf_counter() - t0
     _print_json(
         {
             "version": __version__,
@@ -324,6 +361,8 @@ def _cmd_kl(args) -> int:
             "gap": abs(kl_val - quad),
         }
     )
+    if args.profile:
+        sys.stderr.write(json.dumps({"profile": timings}) + "\n")
     return 0
 
 
@@ -352,13 +391,23 @@ def _cmd_exp(args) -> int:
 
 
 def _cmd_log(args) -> int:
+    timings = {}
+    t0 = time.perf_counter()
     target = _load_target(args)
     z, y = _vector(args.z, target.latent_dim), _vector(args.y, target.latent_dim)
-    v = geo.log_map(target, z, y, _energy_config(args, target), RngStream(args.seed))
+    cfg = _energy_config(args, target)
+    timings["load"] = time.perf_counter() - t0
+
+    t0 = time.perf_counter()
+    stop = {}
+    v = geo.log_map(target, z, y, cfg, RngStream(args.seed), stop=stop)
+    timings["optimize"] = time.perf_counter() - t0
     _print_json(
         {"version": __version__, "v": [float(x) for x in v],
          "length": float(np.linalg.norm(v))}
     )
+    if args.profile:
+        _write_fit_profile(timings, **stop)
     return 0
 
 
@@ -371,9 +420,10 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("toygen", help="noisy circle latent codes")
     p.add_argument("--n", type=_positive_int, default=200)
-    p.add_argument("--noise", type=float, default=0.1)
+    p.add_argument("--noise", type=_nonnegative_float, default=0.1)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True)
+    p.add_argument("--profile", action="store_true")
     p.set_defaults(fn=_cmd_toygen)
 
     p = sub.add_parser("geodesic", help="shortest path between two latent points")
@@ -396,7 +446,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--bounds", required=True, help="x0,x1,y0,y1 per axis pairs")
     p.add_argument("--resolution", required=True, help="nx,ny")
     p.add_argument("--sigma", type=float, default=0.25)
-    p.add_argument("--eps", type=float, default=1e-2)
+    p.add_argument("--eps", type=_finite_float, default=1e-2)
     p.add_argument("--out", required=True)
     p.add_argument("--profile", action="store_true")
     p.set_defaults(fn=_cmd_metric_grid)
@@ -421,6 +471,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--z2", required=True)
     p.add_argument("--mc-samples", type=_positive_int, default=None)
     p.add_argument("--seed", type=int)
+    p.add_argument("--profile", action="store_true")
     p.set_defaults(fn=_cmd_kl)
 
     p = sub.add_parser("exp", help="exponential map (geodesic shooting)")
@@ -439,6 +490,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--z", required=True)
     p.add_argument("--y", required=True)
     p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--profile", action="store_true")
     _add_optimizer_args(p)
     p.set_defaults(fn=_cmd_log)
 

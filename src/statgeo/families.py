@@ -27,8 +27,8 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.special import digamma, gammaln
 
+from . import special
 from .errors import DomainError, FamilyMismatch, InvalidParam
 from .rng import RngStream
 from .special import (
@@ -305,13 +305,13 @@ class GammaFamily(Family):
         x = np.asarray(x, dtype=float)
         if np.any(x <= 0):
             raise DomainError("gamma observations must be > 0")
-        return a * np.log(b) + (a - 1.0) * np.log(x) - b * x - gammaln(a)
+        return a * np.log(b) + (a - 1.0) * np.log(x) - b * x - special.gammaln(a)
 
     def score(self, values, x):
         a, b = _clamp_pos(values[..., 0]), _clamp_pos(values[..., 1])
         x = np.asarray(x, dtype=float)
         return np.stack(
-            [np.log(b) - digamma(a) + np.log(x), a / b - x], axis=-1
+            [np.log(b) - special.digamma(a) + np.log(x), a / b - x], axis=-1
         )
 
     def sample(self, values, gen, n):
@@ -322,9 +322,9 @@ class GammaFamily(Family):
         a2, b2 = _clamp_pos(v2[..., 0]), _clamp_pos(v2[..., 1])
         return (
             a2 * np.log(b1 / b2)
-            + gammaln(a2)
-            - gammaln(a1)
-            + (a1 - a2) * digamma(a1)
+            + special.gammaln(a2)
+            - special.gammaln(a1)
+            + (a1 - a2) * special.digamma(a1)
             + (b2 - b1) * a1 / b1
         )
 
@@ -333,7 +333,7 @@ class GammaFamily(Family):
         a2, b2 = _clamp_pos(v2[..., 0]), _clamp_pos(v2[..., 1])
         g1a = (a1 - a2) * trigamma(a1) + (b2 - b1) / b1
         g1b = a2 / b1 - a1 * b2 / b1**2
-        g2a = np.log(b1 / b2) + digamma(a2) - digamma(a1)
+        g2a = np.log(b1 / b2) + special.digamma(a2) - special.digamma(a1)
         g2b = -a2 / b2 + a1 / b1
         return np.stack([g1a, g1b], axis=-1), np.stack([g2a, g2b], axis=-1)
 
@@ -356,7 +356,8 @@ class BetaFamily(Family):
     argument, on that argument's stack (alpha, beta, alpha + beta): on the
     5 rows of a pullback stencil one ``trigamma`` call costs about 3x
     the stack, and ``fisher`` on the stack about half of three calls.
-    ``kl`` calls scipy's ``gammaln`` and ``digamma`` on each array, since
+    ``kl`` calls ``special.gammaln`` and ``special.digamma`` (scipy's
+    ufuncs, imported on first use) on each array, since
     building the two stacks costs more than the calls they save.
     """
 
@@ -378,17 +379,20 @@ class BetaFamily(Family):
         return (
             (a - 1.0) * np.log(x)
             + (b - 1.0) * np.log1p(-x)
-            + gammaln(a + b)
-            - gammaln(a)
-            - gammaln(b)
+            + special.gammaln(a + b)
+            - special.gammaln(a)
+            - special.gammaln(b)
         )
 
     def score(self, values, x):
         a, b = _clamp_pos(values[..., 0]), _clamp_pos(values[..., 1])
         x = np.asarray(x, dtype=float)
-        dab = digamma(a + b)
+        dab = special.digamma(a + b)
         return np.stack(
-            [np.log(x) - digamma(a) + dab, np.log1p(-x) - digamma(b) + dab],
+            [
+                np.log(x) - special.digamma(a) + dab,
+                np.log1p(-x) - special.digamma(b) + dab,
+            ],
             axis=-1,
         )
 
@@ -410,17 +414,17 @@ class BetaFamily(Family):
         a2, b2 = _clamp_pos(v2[..., 0]), _clamp_pos(v2[..., 1])
         s1, s2 = a1 + b1, a2 + b2
         return (
-            gammaln(a2) + gammaln(b2) - gammaln(s2)
-            - (gammaln(a1) + gammaln(b1) - gammaln(s1))
-            + (a1 - a2) * digamma(a1)
-            + (b1 - b2) * digamma(b1)
-            + (s2 - s1) * digamma(s1)
+            special.gammaln(a2) + special.gammaln(b2) - special.gammaln(s2)
+            - (special.gammaln(a1) + special.gammaln(b1) - special.gammaln(s1))
+            + (a1 - a2) * special.digamma(a1)
+            + (b1 - b2) * special.digamma(b1)
+            + (s2 - s1) * special.digamma(s1)
         )
 
     def kl_grad(self, v1, v2):
         x1, x2 = self._shape_stack(v1), self._shape_stack(v2)
         (a1, b1, s1), (a2, b2, s2) = x1, x2
-        tg1, dg1, dg2 = trigamma(x1), digamma(x1), digamma(x2)
+        tg1, dg1, dg2 = trigamma(x1), special.digamma(x1), special.digamma(x2)
         g1a = (a1 - a2) * tg1[0] + (s2 - s1) * tg1[2]
         g1b = (b1 - b2) * tg1[1] + (s2 - s1) * tg1[2]
         g2a = dg2[0] - dg2[2] - dg1[0] + dg1[2]
@@ -507,15 +511,16 @@ class DirichletFamily(Family):
         if np.any(x <= 0) or np.any(np.abs(np.sum(x, axis=-1) - 1.0) > 1e-9):
             raise DomainError("dirichlet observations must be interior simplex points")
         return (
-            gammaln(np.sum(a, axis=-1))
-            - np.sum(gammaln(a), axis=-1)
+            special.gammaln(np.sum(a, axis=-1))
+            - np.sum(special.gammaln(a), axis=-1)
             + np.sum((a - 1.0) * np.log(x), axis=-1)
         )
 
     def score(self, values, x):
         a = _clamp_pos(values)
         x = np.asarray(x, dtype=float)
-        return np.log(x) - digamma(a) + digamma(np.sum(a, axis=-1, keepdims=True))
+        s = np.sum(a, axis=-1, keepdims=True)
+        return np.log(x) - special.digamma(a) + special.digamma(s)
 
     def sample(self, values, gen, n):
         return gen.dirichlet(values, size=n)
@@ -525,9 +530,11 @@ class DirichletFamily(Family):
         s1 = np.sum(a1, axis=-1)
         s2 = np.sum(a2, axis=-1)
         return (
-            gammaln(s1) - gammaln(s2)
-            - np.sum(gammaln(a1) - gammaln(a2), axis=-1)
-            + np.sum((a1 - a2) * (digamma(a1) - digamma(s1)[..., None]), axis=-1)
+            special.gammaln(s1) - special.gammaln(s2)
+            - np.sum(special.gammaln(a1) - special.gammaln(a2), axis=-1)
+            + np.sum(
+                (a1 - a2) * (special.digamma(a1) - special.digamma(s1)[..., None]), axis=-1
+            )
         )
 
     def kl_grad(self, v1, v2):
@@ -536,7 +543,10 @@ class DirichletFamily(Family):
         s2 = np.sum(a2, axis=-1)[..., None]
         da = a1 - a2
         g1 = (a1 - a2) * trigamma(a1) - np.sum(da, axis=-1)[..., None] * trigamma(s1)
-        g2 = digamma(a2) - digamma(s2) - digamma(a1) + digamma(s1)
+        g2 = (
+            special.digamma(a2) - special.digamma(s2)
+            - special.digamma(a1) + special.digamma(s1)
+        )
         return g1, g2
 
     def fisher(self, values):

@@ -673,16 +673,20 @@ def exp_map_batch(metric: LatentMetric, zs, vs, steps: int = 50) -> np.ndarray:
 
 
 def _log_maps(target, z0, targets, cfg: EnergyConfig, rng: RngStream, warm, strict: bool):
-    """(tangents, lengths, coeffs) of the fitted curves z0 -> targets: the
-    length is sum_n sqrt(term_n) (exact KLs on a decoder), and the tangent
-    is the curve's velocity at t = 0 (the perturbation's slope there is the
-    first knot-derivative coefficient) rescaled to Euclidean norm = length."""
-    coeffs, *_, terms = _fit_curves(target, z0, targets, cfg, rng, warm, strict)
+    """(tangents, lengths, coeffs, iterations, stop) of the fitted curves
+    z0 -> targets: the length is sum_n sqrt(term_n) (exact KLs on a
+    decoder), and the tangent is the curve's velocity at t = 0 (the
+    perturbation's slope there is the first knot-derivative coefficient)
+    rescaled to Euclidean norm = length; ``iterations`` and ``stop`` are
+    ``_descend``'s."""
+    coeffs, _, _, _, iterations, _, stop, terms = _fit_curves(
+        target, z0, targets, cfg, rng, warm, strict
+    )
     lengths = np.sqrt(np.maximum(terms(coeffs, np.arange(len(coeffs))), 0.0)).sum(axis=1)
     v0 = targets - z0[None, :] + coeffs[:, :, cfg.segments - 1]
     norms = np.linalg.norm(v0, axis=1)
     scale = np.where(norms > 0, lengths / np.maximum(norms, 1e-300), 0.0)
-    return v0 * scale[:, None], lengths, coeffs
+    return v0 * scale[:, None], lengths, coeffs, iterations, stop
 
 
 def log_map_batch(
@@ -711,7 +715,7 @@ def log_map_batch(
         rng or RngStream(0),
         warm_coeffs,
         strict=False,
-    )
+    )[:3]
 
 
 def log_map(
@@ -720,14 +724,22 @@ def log_map(
     y,
     cfg: EnergyConfig | None = None,
     rng: RngStream | None = None,
+    stop: dict | None = None,
 ) -> np.ndarray:
     """Initial velocity of the shortest path z -> y, rescaled so its
     Euclidean norm equals the curve length.
 
     This is the batched log map with one target, except that a non-finite
     energy term (straight chord, start or, on a metric, a gradient probe;
-    not a line-search trial) raises NonFiniteEnergy at its t.
+    not a line-search trial) raises NonFiniteEnergy at its t. A ``stop``
+    dict receives the fit's ``iterations``, ``stop_reason`` and
+    ``grad_norm``, as ``GeodesicResult`` holds them.
     """
     z, y = _finite_endpoints(z, y)
-    return _log_maps(target, z, y[None, :], cfg or EnergyConfig(), rng or RngStream(0),
-                     None, strict=True)[0][0]
+    v, _, _, iterations, record = _log_maps(
+        target, z, y[None, :], cfg or EnergyConfig(), rng or RngStream(0), None, strict=True
+    )
+    if stop is not None:
+        stop.update(iterations=int(iterations[0]), stop_reason=str(record["reason"][0]),
+                    grad_norm=float(record["grad_norm"][0]))
+    return v[0]

@@ -151,8 +151,8 @@ class KlProbeMetric(LatentMetric):
     """
 
     def __init__(self, decoder: DecoderMap, eps: float = 1e-2):
-        if eps <= 0:
-            raise InvalidEpsilon("probe step must be > 0")
+        if not 0.0 < eps < math.inf:  # written so that a NaN step fails too
+            raise InvalidEpsilon("probe step must be finite and > 0")
         self.decoder = decoder
         self.eps = float(eps)
         self.latent_dim = decoder.latent_dim
@@ -198,8 +198,8 @@ class MetricGrid:
         self.tensors = np.asarray(self.tensors, dtype=float)
         self.bounds = np.asarray(self.bounds, dtype=float).reshape(-1, 2)
         self.resolution = tuple(int(r) for r in np.atleast_1d(self.resolution))
-        if not self.bandwidth > 0:  # written so that a NaN bandwidth fails too
-            raise ShapeError("grid bandwidth must be > 0")
+        if not 0.0 < self.bandwidth < math.inf:  # written so that a NaN bandwidth fails too
+            raise ShapeError("grid bandwidth must be finite and > 0")
         d = self.bounds.shape[0]
         if len(self.resolution) != d or min(self.resolution, default=0) < 1:
             raise ShapeError("resolution must give one count >= 1 per axis")
@@ -382,8 +382,8 @@ def grid_build(
         raise ShapeError("resolution must give one count per axis")
     if any(r < 2 for r in resolution):
         raise ShapeError("grid resolution must be >= 2 per axis")
-    if not sigma > 0:
-        raise ShapeError("grid bandwidth must be > 0")
+    if not 0.0 < sigma < math.inf:
+        raise ShapeError("grid bandwidth must be finite and > 0")
     return MetricGrid(
         tensors=metric.eval_batch(lattice_points(bounds, resolution)),
         bandwidth=float(sigma),

@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .decoder import DecoderMap, Head, LayerSpec, UncertaintyReg, kmeans_fit
+from .errors import InvalidParam
 from .families import FamilyKind, get_family
 from .rng import RngStream
 
@@ -26,7 +27,10 @@ TOY_BETAS = {
 
 
 def toy_circle_codes(n: int, noise: float, rng: RngStream) -> np.ndarray:
-    """n latent codes on the unit circle with isotropic Gaussian noise."""
+    """n latent codes on the unit circle with isotropic Gaussian noise of
+    standard deviation ``noise`` (finite, >= 0)."""
+    if not 0.0 <= noise < np.inf:  # written so that a NaN noise fails too
+        raise InvalidParam("noise must be finite and >= 0")
     gen = rng.generator
     theta = gen.uniform(0.0, 2.0 * np.pi, size=n)
     codes = np.stack([np.cos(theta), np.sin(theta)], axis=1)

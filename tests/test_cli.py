@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -96,9 +100,18 @@ def test_kl_probe_grid_on_other_latent_dims(latent_dim, bounds, resolution, tmp_
     assert np.all(np.isfinite(doc["validation_error"]))
 
 
-@pytest.mark.parametrize("command", ["metric-grid", "geodesic", "exp"])
+@pytest.mark.parametrize("command", ["metric-grid", "geodesic", "exp", "toygen", "kl", "log"])
 def test_profile_leaves_stdout_unchanged(command, decoder_path, tmp_path, capsys):
-    if command == "metric-grid":
+    if command == "toygen":
+        argv = ["toygen", "--n", "12", "--seed", "1", "--out", str(tmp_path / "codes.csv")]
+        stages = {"generate", "write"}
+    elif command == "kl":
+        argv = ["kl", "--decoder", str(decoder_path), "--z1=0.6,0.2", "--z2=0.5,0.3"]
+        stages = {"load", "evaluate"}
+    elif command == "log":
+        argv = ["log", "--decoder", str(decoder_path), *LOG_ARGS]
+        stages = {"load", "optimize"}
+    elif command == "metric-grid":
         argv = ["metric-grid", "--decoder", str(decoder_path), "--mode", "kl-probe",
                 f"--bounds={BOUNDS}", "--resolution", RESOLUTION, "--out", str(tmp_path / "g.json")]
         stages = {"load", "evaluate", "validate"}
@@ -134,6 +147,20 @@ def test_geodesic_profile_reports_why_the_fit_stopped(decoder_path, capsys):
         assert doc["iterations"] == out["iterations"] and doc["grad_norm"] > 0
         if reason == "converged":
             assert doc["grad_norm"] < 1e-6 * (1.0 + out["energy"])
+
+
+@pytest.mark.parametrize("cap,reason", [("200", "converged"), ("2", "max_iters")])
+def test_log_profile_reports_why_the_fit_stopped(cap, reason, decoder_path, capsys):
+    argv = ["log", "--decoder", str(decoder_path), "--z=1,0", "--y=0,1", "--seed", "1",
+            "--n-disc", "16", "--segments", "2", "--max-iters", cap, "--profile"]
+    assert cli.main(argv) == 0
+    doc = json.loads(capsys.readouterr().err.splitlines()[-1])
+    # the log map's fit is the geodesic fit of the same settings and seed
+    cfg = G.EnergyConfig(n_disc=16, segments=2, max_iters=int(cap))
+    want = G.minimize_energy_detailed([1.0, 0.0], [0.0, 1.0], io.load_decoder(decoder_path),
+                                      cfg, RngStream(1))
+    assert doc["stop_reason"] == want.stop_reason == reason
+    assert doc["iterations"] == want.iterations and doc["grad_norm"] == want.grad_norm
 
 
 def test_threads_option_is_a_usage_error(decoder_path, tmp_path, capsys):
@@ -295,6 +322,63 @@ def test_land_whose_final_normalizer_fails_writes_its_model(monkeypatch, tmp_pat
     assert not loaded.converged and loaded.norm_const > 0 and loaded.mc_samples == 64
 
 
+def test_land_on_a_grid_writes_a_model_that_loads(tmp_path, capsys):
+    grid_file, codes, model = tmp_path / "grid.json", tmp_path / "codes.csv", tmp_path / "m.json"
+    grid = M.MetricGrid(np.tile(np.diag([1.0, 2.0]), (25, 1, 1)), SIGMA, [[-2, 2], [-2, 2]],
+                        (5, 5))
+    io.save_grid(grid, grid_file)
+    io.save_codes(0.5 * np.random.default_rng(7).standard_normal((12, 2)), codes)
+    argv = ["land", "--grid", str(grid_file), "--codes", str(codes), "--seed", "3",
+            "--max-iters", "3", "--mc-samples", "16", "--exp-steps", "4",
+            "--out-model", str(model)]
+    assert cli.main(argv) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert set(doc) == {"version", "mean", "norm_const", "converged", "out_model"}
+    assert doc["out_model"] == str(model) and doc["norm_const"] > 0
+    loaded = io.land_from_dict(json.loads(model.read_text()), M.GridMetric(grid))
+    assert loaded.mean.tolist() == doc["mean"] and loaded.norm_const == doc["norm_const"]
+    assert loaded.converged == doc["converged"]
+
+
+# Run in a fresh interpreter, since any earlier test may have imported scipy.
+STARTUP_SCRIPT = """
+import json, sys
+from statgeo import cli, special
+
+def run(*argv):
+    return cli.main(list(argv))
+
+d = sys.argv[1]
+assert not any(m.startswith("scipy") for m in sys.modules), "statgeo.cli imported scipy"
+assert run("toygen", "--n", "8", "--seed", "1", "--out", d + "/codes.csv") == 0
+assert run("exp", "--grid", d + "/grid.json", "--z=0.1,0", "--v=0.2,0.1", "--steps", "4") == 0
+assert run("log", "--grid", d + "/grid.json", "--z=0.1,0", "--y=0.5,0.2", "--seed", "1",
+           "--n-disc", "8", "--max-iters", "2") == 0
+assert run("exp", "--grid", d + "/grid.json", "--z=0,0", "--v=nan,0") == 1
+loaded = sorted(m for m in sys.modules if m.startswith("scipy"))
+assert run("kl", "--decoder", d + "/decoder.json", "--z1=0.6,0.2", "--z2=0.5,0.3") == 0
+import scipy.special
+bound = [special.gammaln is scipy.special.gammaln, special.digamma is scipy.special.digamma,
+         special.expit is scipy.special.expit]
+print(json.dumps({"loaded": loaded, "bound": bound}))
+"""
+
+
+def test_commands_without_special_functions_never_import_scipy(decoder_path, tmp_path):
+    grid = M.MetricGrid(np.tile(np.eye(2), (9, 1, 1)), SIGMA, [[-1, 1], [-1, 1]], (3, 3))
+    io.save_grid(grid, tmp_path / "grid.json")
+    src = str(Path(io.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", STARTUP_SCRIPT, str(tmp_path)], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src}, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout.splitlines()[-1])
+    assert report["loaded"] == []
+    # a Beta kl walks the decoder (expit) and takes gammaln and digamma
+    assert report["bound"] == [True, True, True]
+
+
 @pytest.mark.parametrize("argv", [
     ["exp", "--decoder", "{dec}", "--z=0,0", "--v=0.1,0", "--steps", "0"],
     ["land", "--decoder", "{dec}", "--codes", "{codes}", "--seed", "1",
@@ -345,6 +429,15 @@ def test_land_whose_final_normalizer_fails_writes_its_model(monkeypatch, tmp_pat
     ["exp", "--decoder", "{dec}", "--z=0,0", "--v=inf,0"],
     ["log", "--decoder", "{dec}", "--z=0,0", "--y=nan,0", "--seed", "1"],
     ["kl", "--decoder", "{dec}", "--z1=0,0", "--z2=nan,0"],
+    ["toygen", "--n", "8", "--seed", "1", "--noise", "inf", "--out", "{model}"],
+    ["toygen", "--n", "8", "--seed", "1", "--noise", "nan", "--out", "{model}"],
+    ["toygen", "--n", "8", "--seed", "1", "--noise", "-1", "--out", "{model}"],
+    ["metric-grid", "--decoder", "{dec}", "--bounds=-2,2,-2,2", "--resolution", "3,3",
+     "--sigma", "inf", "--out", "{model}"],
+    ["metric-grid", "--decoder", "{dec}", "--mode", "kl-probe", "--bounds=-2,2,-2,2",
+     "--resolution", "3,3", "--eps", "nan", "--out", "{model}"],
+    ["metric-grid", "--decoder", "{dec}", "--mode", "kl-probe", "--bounds=-2,2,-2,2",
+     "--resolution", "3,3", "--eps", "inf", "--out", "{model}"],
 ])
 def test_counts_and_code_indices_out_of_range_are_usage_errors(argv, decoder_path, grid_path,
                                                                tmp_path, capsys):

@@ -4,11 +4,11 @@ from hypothesis import given, settings, strategies as st
 
 import statgeo.decoder as D
 from statgeo.decoder import DecoderMap, Head, LayerSpec, UncertaintyReg
-from statgeo.errors import InvalidK, NoRegularization, ShapeError
+from statgeo.errors import InvalidK, InvalidParam, NoRegularization, ShapeError
 from statgeo.families import FamilyKind, get_family
 from statgeo.rng import RngStream
 from statgeo.special import softplus
-from statgeo.toy import toy_decoder
+from statgeo.toy import toy_circle_codes, toy_decoder
 
 
 def normal_identity_softplus():
@@ -362,3 +362,9 @@ class TestProductFisher:
             for j in range(3):
                 if i != j:
                     assert np.all(full[2 * i : 2 * i + 2, 2 * j : 2 * j + 2] == 0.0)
+
+
+@pytest.mark.parametrize("noise", [-1.0, np.nan, np.inf, -np.inf])
+def test_circle_codes_need_a_finite_nonnegative_noise(noise):
+    with pytest.raises(InvalidParam):
+        toy_circle_codes(8, noise, RngStream(1))

@@ -154,6 +154,9 @@ class TestKlProbe:
             M.kl_probe(dec, [0.0, 1.0], eps=0.0)
         with pytest.raises(InvalidEpsilon):
             M.KlProbeMetric(dec, eps=-1.0)
+        for eps in (np.nan, np.inf):
+            with pytest.raises(InvalidEpsilon):
+                M.KlProbeMetric(dec, eps=eps)
 
     @pytest.mark.parametrize("kind,bound", [("normal", 1e-2), ("beta", 1e-2)])
     def test_parameter_space_accuracy(self, kind, bound, gen):
@@ -272,6 +275,14 @@ class TestSimplexChart:
 
 
 class TestGrid:
+    @pytest.mark.parametrize("sigma", [np.inf, np.nan, 0.0, -0.5])
+    def test_bandwidth_must_be_finite_and_positive(self, sigma):
+        cm = M.ConstantMetric(np.eye(2))
+        with pytest.raises(ShapeError):
+            M.grid_build(cm, [[0, 1], [0, 1]], (2, 2), sigma=sigma)
+        with pytest.raises(ShapeError):
+            M.MetricGrid(np.tile(np.eye(2), (4, 1, 1)), sigma, [[0, 1], [0, 1]], (2, 2))
+
     def test_corner_enumeration(self):
         cm = M.ConstantMetric(np.eye(2))
         grid = M.grid_build(cm, [[0, 1], [0, 1]], (2, 2), sigma=0.5)
