@@ -255,8 +255,6 @@ def _cmd_metric_grid(args) -> int:
     t0 = time.perf_counter()
     dec = io.load_decoder(args.decoder)
     bounds, resolution = _lattice(args.bounds, args.resolution, dec.latent_dim)
-    if np.isinf(args.sigma):  # NaN, 0 and negative values raise ShapeError in grid_build
-        raise _UsageError(f"--sigma must be finite, got {args.sigma}")
     timings["load"] = time.perf_counter() - t0
 
     if args.mode == "pullback":
@@ -292,6 +290,8 @@ def _cmd_metric_grid(args) -> int:
 
 
 def _cmd_land(args) -> int:
+    timings = {}
+    t0 = time.perf_counter()
     rng = RngStream(args.seed)
     metric = _load_metric(args)
     codes = io.load_codes(args.codes)
@@ -300,6 +300,9 @@ def _cmd_land(args) -> int:
     cfg = land_mod.LandFitConfig(
         max_iters=args.max_iters, mc_samples=args.mc_samples, exp_steps=args.exp_steps
     )
+    timings["load"] = time.perf_counter() - t0
+
+    t0 = time.perf_counter()
     exit_code = 0
     try:
         model = land_mod.land_fit(codes, metric, cfg=cfg, rng=rng)
@@ -309,10 +312,15 @@ def _cmd_land(args) -> int:
         sys.stderr.write(
             json.dumps({"error": "NonConvergence", "message": str(exc)}) + "\n"
         )
+    timings["fit"] = time.perf_counter() - t0
+
+    t0 = time.perf_counter()
     metric_ref = args.grid if args.grid else args.decoder
     io.save_json(io.land_to_dict(model, metric_ref=metric_ref), args.out_model)
+    timings["write"] = time.perf_counter() - t0
 
     if args.out_density:
+        t0 = time.perf_counter()
         pts = met.lattice_points(bounds, res)
         logpdf = land_mod.land_logpdf_batch(model, pts, rng.child(5))
         tensors = model.metric.eval_batch(pts)
@@ -322,6 +330,7 @@ def _cmd_land(args) -> int:
         dens = np.exp(logpdf + 0.5 * (logdet - logdet_mu))
         header = [f"z{i}" for i in range(pts.shape[1])] + ["density"]
         io.save_csv(args.out_density, header, np.column_stack([pts, dens]))
+        timings["density"] = time.perf_counter() - t0
 
     _print_json(
         {
@@ -332,6 +341,12 @@ def _cmd_land(args) -> int:
             "out_model": args.out_model,
         }
     )
+    if args.profile:
+        sys.stderr.write(
+            json.dumps({"profile": timings, "iterations": len(model.nll_trace) - 1,
+                        "converged": bool(model.converged),
+                        "mc_samples": int(model.mc_samples)}) + "\n"
+        )
     return exit_code
 
 
@@ -445,7 +460,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--mode", choices=["pullback", "kl-probe"], default="pullback")
     p.add_argument("--bounds", required=True, help="x0,x1,y0,y1 per axis pairs")
     p.add_argument("--resolution", required=True, help="nx,ny")
-    p.add_argument("--sigma", type=float, default=0.25)
+    p.add_argument("--sigma", type=_finite_float, default=0.25)
     p.add_argument("--eps", type=_finite_float, default=1e-2)
     p.add_argument("--out", required=True)
     p.add_argument("--profile", action="store_true")
@@ -463,6 +478,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--out-density")
     p.add_argument("--density-bounds", default="-2,2,-2,2")
     p.add_argument("--density-resolution", default="40,40")
+    p.add_argument("--profile", action="store_true")
     p.set_defaults(fn=_cmd_land)
 
     p = sub.add_parser("kl", help="divergence and its quadratic approximation")

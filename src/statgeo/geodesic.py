@@ -417,14 +417,15 @@ def _bfgs_update(h_inv, rows, s, y):
     h_inv[rows] = h
 
 
-def _descend(coeffs, energy, evaluate, cfg: EnergyConfig):
+def _descend(coeffs, energy, evaluate, cfg: EnergyConfig, first=None):
     """BFGS descent with Armijo backtracking, one inverse-Hessian estimate
     per curve.
 
     ``coeffs`` (m, d, 2S) is the start; ``energy(c, rows)`` gives the energies
     of curves ``rows`` with coefficients c, and ``evaluate(c, rows)`` gives
     the same energies and ``gradient_of``, where gradient_of(sel) is the
-    gradients of rows[sel] from that one evaluation. Each curve searches
+    gradients of rows[sel] from that one evaluation; ``first``, if given,
+    is evaluate(coeffs, all rows), made by the caller. Each curve searches
     along p = -H g from t = 1, halving t until e(x + t p) <= e(x) +
     1e-4 t g^T p, with H its own dense inverse-Hessian estimate of the
     n = d 2S coefficients. Before its first update, or when -H g is not a
@@ -456,8 +457,8 @@ def _descend(coeffs, energy, evaluate, cfg: EnergyConfig):
     """
     m, n = coeffs.shape[0], coeffs[0].size
     coeffs = coeffs.copy()
-    e_cur, gradient_of = evaluate(coeffs, np.arange(m))
-    e_cur = np.asarray(e_cur, dtype=float)
+    e_cur, gradient_of = first or evaluate(coeffs, np.arange(m))
+    e_cur = np.array(e_cur, dtype=float)  # a copy: the caller may keep first's energies
     trace = [e_cur.copy()]
     active = np.isfinite(e_cur)
     g_cur = np.full((m, n), np.nan)  # the gradient at coeffs, where ``fresh``
@@ -541,7 +542,9 @@ def _fit_curves(target, z0, targets, cfg: EnergyConfig, rng: RngStream, warm, st
     (``_graph_energy``); either gives its exact energy, which scores the
     straight chords and ``_descend``'s backtracking trials, and one
     evaluation of energy and analytic gradient together, which ``_descend``
-    spends on its start and unit-step trials. A curve that ends above its
+    spends on its start and unit-step trials. An all-zero start is the
+    chord itself, so its evaluation also gives the straight energies, bit
+    for bit, and the chord is evaluated once. A curve that ends above its
     straight chord, at infinite energy included, is reset to the chord.
     Returns (coeffs, energies, straight energies, converged, iterations,
     trace, stop, terms), with ``stop`` as ``_descend`` gives it and ``terms``
@@ -556,9 +559,15 @@ def _fit_curves(target, z0, targets, cfg: EnergyConfig, rng: RngStream, warm, st
         energy, terms, evaluate = _graph_energy(
             target, z0, targets, cfg.segments, cfg.n_disc, strict
         )
-    straight = energy(np.zeros(shape), np.arange(shape[0]))
+    rows = np.arange(shape[0])
+    start, first = _start_coeffs(cfg, rng, shape, warm), None
+    if np.any(start):
+        straight = energy(np.zeros(shape), rows)
+    else:  # the start is the chord: one evaluation scores it and starts the descent
+        first = evaluate(start, rows)
+        straight = first[0]
     coeffs, e_cur, converged, iterations, trace, stop = _descend(
-        _start_coeffs(cfg, rng, shape, warm), energy, evaluate, cfg
+        start, energy, evaluate, cfg, first
     )
     worse = e_cur > straight
     coeffs[worse], e_cur[worse] = 0.0, straight[worse]

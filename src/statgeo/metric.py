@@ -9,9 +9,11 @@ Three sources for the d x d tensor at a latent point:
 * a lattice of precomputed tensors blended with a normalized Gaussian
   kernel. ``MetricGrid`` stores only the tensors, the bandwidth and the
   bounds x resolution that define the lattice; its points are derived.
-  ``GridMetric`` uses that the kernel factors across axes and contracts
-  the lattice one axis at a time. Far-field queries get the nearest
-  node's tensor; NaN or infinite queries get NaN.
+  ``GridMetric`` uses that the kernel factors across axes: one numpy pass
+  over its node table, one row per axis padded with +inf, gives every
+  axis's 1-D weights, and the lattice is contracted one axis at a time.
+  Far-field queries get the nearest node's tensor; NaN or infinite
+  queries get NaN.
 
 A metric implements ``eval_batch``, the tensors at a batch of latent
 points; ``eval`` is its one-row view. ``eval_batch_and_grad`` adds dM/dz:
@@ -215,8 +217,10 @@ class MetricGrid:
 class GridMetric(LatentMetric):
     """Kernel-smoothed interpolation of a tensor lattice.
 
-    The normalized Gaussian kernel factors across axes, so ``eval_batch``
-    weights each axis's nodes separately and contracts the tensor lattice
+    The normalized Gaussian kernel factors across axes. The nodes are kept
+    as one (d, r_max) table, row k holding axis k's r_k nodes padded with
+    +inf, so that one pass over an (m, d, r_max) block gives the 1-D
+    weights of every axis; ``eval_batch`` then contracts the tensor lattice
     one axis at a time. Per axis the weights are shifted so that the node
     nearest the query weighs exactly 1: far-field queries return the
     nearest node's tensor, and a NaN or infinite query returns NaN.
@@ -227,44 +231,57 @@ class GridMetric(LatentMetric):
         self.latent_dim = grid.bounds.shape[0]
         # always 0: no query needs a fallback; kept for callers that read it
         self.fallback_count = 0
-        self._nodes = _axis_nodes(grid.bounds, grid.resolution)
+        nodes = _axis_nodes(grid.bounds, grid.resolution)
+        # row k holds axis k's nodes, padded with +inf to the longest axis
+        self._table = np.full((self.latent_dim, max(grid.resolution)), np.inf)
+        for k, axis in enumerate(nodes):
+            self._table[k, : axis.size] = axis
+        self._lo = np.array([axis.min() for axis in nodes])
+        self._hi = np.array([axis.max() for axis in nodes])
         self._lattice = grid.tensors.reshape(grid.resolution[0], -1)
-
-    def _axis_weights(self, x: np.ndarray, nodes: np.ndarray) -> np.ndarray:
-        """Normalized 1-D kernel weights, (m, r), of nodes for coordinates x."""
-        # nearest node to x clipped into the box, so that |x| >> |node| still resolves
-        xc = np.clip(x, nodes.min(), nodes.max())
-        near = nodes[np.argmin(np.abs(xc[:, None] - nodes), axis=1)][:, None]
-        # -[(x - n)^2 - (x - near)^2] / 2, factored so that no square of x can overflow
-        logw = (nodes - near) * (x[:, None] - 0.5 * (nodes + near))
-        w = np.exp(logw / self.grid.bandwidth**2)
-        return w / w.sum(axis=1, keepdims=True)
 
     def _contract(self, zs, grad: bool) -> np.ndarray:
         """M, and with ``grad`` also dM/dz_k for each k: (1 or 1 + d, m, d, d).
 
-        Each track carries one product of 1-D weights through the lattice,
-        one axis at a time; the track of dM/dz_k swaps axis k's weights w
-        for their derivatives w * (nodes - w @ nodes) / sigma^2. One-hot
-        (far-field) weights have a mean of exactly their node, so dw = 0.
+        One pass over the (m, d, r_max) node table gives every axis's
+        unnormalized 1-D weights. A +inf pad is never the nearest node and
+        weighs exp(-inf) = 0, and each axis is normalized over its own r_k
+        real nodes. Each track then carries one product of 1-D weights
+        through the lattice, one axis at a time; the track of dM/dz_k swaps
+        axis k's weights w for their derivatives w * (nodes - w @ nodes) /
+        sigma^2. One-hot (far-field) weights have a mean of exactly their
+        node, so dw = 0.
         """
         zs = np.atleast_2d(np.asarray(zs, dtype=float))
         m, d = zs.shape
+        table, sigma2 = self._table, self.grid.bandwidth**2
+        # w is one (m, d, r_max) buffer, computed in place: first |x - node| for
+        # x clipped into the box, so that the nearest node resolves for |x| >> |node|
+        w = np.clip(zs, self._lo, self._hi)[:, :, None] - table
+        np.abs(w, out=w)
+        near = table[np.arange(d), w.argmin(axis=2)][:, :, None]
+        # -[(x - n)^2 - (x - near)^2] / 2, factored so that no square of x can overflow
+        np.subtract(table, near, out=w)
+        mid = table + near
+        mid *= 0.5
+        np.subtract(zs[:, :, None], mid, out=mid)
+        w *= mid
+        w /= sigma2
+        np.exp(w, out=w)
+        ws, dws = [], []
+        for k, r in enumerate(self.grid.resolution):
+            wk, nodes = w[:, k, :r], table[k, :r]
+            # a new, contiguous array: a strided view would miss BLAS's fast path below
+            wk = wk / wk.sum(axis=1, keepdims=True)
+            ws.append(wk)
+            if grad:
+                dws.append(wk * (nodes - (wk @ nodes)[:, None]) / sigma2)
 
-        def weights(k):
-            nodes = self._nodes[k]
-            w = self._axis_weights(zs[:, k], nodes)
-            if not grad:
-                return w, []
-            return w, [w * (nodes - (w @ nodes)[:, None]) / self.grid.bandwidth**2]
-
-        w, dw = weights(0)
-        tracks = [v @ self._lattice for v in [w, *dw]]
+        tracks = [v @ self._lattice for v in [ws[0], *dws[:1]]]
         for k in range(1, d):
-            w, dw = weights(k)
-            lats = [t.reshape(m, w.shape[1], -1) for t in tracks]
-            tracks = [(w[:, None, :] @ lat)[:, 0] for lat in lats] + [
-                (v[:, None, :] @ lats[0])[:, 0] for v in dw
+            lats = [t.reshape(m, ws[k].shape[1], -1) for t in tracks]
+            tracks = [(ws[k][:, None, :] @ lat)[:, 0] for lat in lats] + [
+                (v[:, None, :] @ lats[0])[:, 0] for v in dws[k : k + 1]
             ]
         return np.stack(tracks).reshape(-1, m, d, d)
 

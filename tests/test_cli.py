@@ -100,9 +100,20 @@ def test_kl_probe_grid_on_other_latent_dims(latent_dim, bounds, resolution, tmp_
     assert np.all(np.isfinite(doc["validation_error"]))
 
 
-@pytest.mark.parametrize("command", ["metric-grid", "geodesic", "exp", "toygen", "kl", "log"])
+@pytest.mark.parametrize("command", ["metric-grid", "geodesic", "exp", "toygen", "kl", "log",
+                                     "land"])
 def test_profile_leaves_stdout_unchanged(command, decoder_path, tmp_path, capsys):
-    if command == "toygen":
+    if command == "land":
+        grid_file, codes = tmp_path / "grid.json", tmp_path / "codes.csv"
+        grid = M.MetricGrid(np.tile(np.diag([1.0, 2.0]), (25, 1, 1)), SIGMA, [[-2, 2], [-2, 2]],
+                            (5, 5))
+        io.save_grid(grid, grid_file)
+        io.save_codes(0.5 * np.random.default_rng(7).standard_normal((12, 2)), codes)
+        argv = ["land", "--grid", str(grid_file), "--codes", str(codes), "--seed", "3",
+                "--max-iters", "3", "--mc-samples", "16", "--exp-steps", "4",
+                "--out-model", str(tmp_path / "m.json")]
+        stages = {"load", "fit", "write"}
+    elif command == "toygen":
         argv = ["toygen", "--n", "12", "--seed", "1", "--out", str(tmp_path / "codes.csv")]
         stages = {"generate", "write"}
     elif command == "kl":
@@ -322,6 +333,41 @@ def test_land_whose_final_normalizer_fails_writes_its_model(monkeypatch, tmp_pat
     assert not loaded.converged and loaded.norm_const > 0 and loaded.mc_samples == 64
 
 
+def test_land_profile_on_the_non_convergence_exit(monkeypatch, tmp_path, capsys):
+    # the final normalizer fails: `land --profile` still exits 2 after the
+    # NonConvergence line, with the same stdout, and its profile line comes
+    # last, with the density phase and the model's fallback sample count
+    grid_file, codes = tmp_path / "grid.json", tmp_path / "codes.csv"
+    grid = M.MetricGrid(np.tile(np.eye(2), (25, 1, 1)), SIGMA, [[-2, 2], [-2, 2]], (5, 5))
+    io.save_grid(grid, grid_file)
+    assert cli.main(["toygen", "--n", "12", "--seed", "1", "--out", str(codes)]) == 0
+    capsys.readouterr()
+    real = land_mod.land_normalizer_stats
+    final = RngStream(3).child(99_999).generator.bit_generator.state
+
+    def stub(mean, precision, metric, rng, n, **kw):
+        if rng.generator.bit_generator.state == final:
+            raise SingularMetric("stub")
+        return real(mean, precision, metric, rng, n, **kw)
+
+    monkeypatch.setattr(land_mod, "land_normalizer_stats", stub)
+    argv = ["land", "--grid", str(grid_file), "--codes", str(codes), "--seed", "3",
+            "--max-iters", "2", "--mc-samples", "64", "--exp-steps", "5",
+            "--out-model", str(tmp_path / "m.json"), "--out-density", str(tmp_path / "d.csv"),
+            "--density-resolution", "4,4"]
+    assert cli.main(argv) == 2
+    plain = capsys.readouterr()
+    assert cli.main([*argv, "--profile"]) == 2
+    profiled = capsys.readouterr()
+    assert profiled.out == plain.out
+    lines = [json.loads(line) for line in profiled.err.splitlines()]
+    assert lines[-2]["error"] == "NonConvergence"
+    doc = lines[-1]
+    assert set(doc["profile"]) == {"load", "fit", "write", "density"}
+    assert doc["converged"] is False and doc["mc_samples"] == 64
+    assert doc["iterations"] in (0, 1, 2)  # accepted steps, at most --max-iters
+
+
 def test_land_on_a_grid_writes_a_model_that_loads(tmp_path, capsys):
     grid_file, codes, model = tmp_path / "grid.json", tmp_path / "codes.csv", tmp_path / "m.json"
     grid = M.MetricGrid(np.tile(np.diag([1.0, 2.0]), (25, 1, 1)), SIGMA, [[-2, 2], [-2, 2]],
@@ -438,6 +484,8 @@ def test_commands_without_special_functions_never_import_scipy(decoder_path, tmp
      "--resolution", "3,3", "--eps", "nan", "--out", "{model}"],
     ["metric-grid", "--decoder", "{dec}", "--mode", "kl-probe", "--bounds=-2,2,-2,2",
      "--resolution", "3,3", "--eps", "inf", "--out", "{model}"],
+    ["metric-grid", "--decoder", "{dec}", "--bounds=-2,2,-2,2", "--resolution", "3,3",
+     "--sigma", "nan", "--out", "{model}"],
 ])
 def test_counts_and_code_indices_out_of_range_are_usage_errors(argv, decoder_path, grid_path,
                                                                tmp_path, capsys):

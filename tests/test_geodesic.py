@@ -603,6 +603,36 @@ def test_fit_evaluates_the_metric_once_per_iteration(gen):
     assert metric.calls == ["eval_batch"] + ["eval_batch_and_grad"] * iterations.max()
 
 
+def test_a_chord_start_is_evaluated_once(gen):
+    # with jitter 0 and no warm start the descent starts on the chord: the
+    # start's evaluation also scores the chord, so no eval_batch call comes
+    # before the first eval_batch_and_grad, and the straight energies are
+    # the exact energy's bit for bit
+    class Counted(M.LatentMetric):
+        def __init__(self, inner):
+            self.inner, self.latent_dim, self.calls = inner, inner.latent_dim, []
+
+        def eval_batch(self, zs):
+            self.calls.append("eval_batch")
+            return self.inner.eval_batch(zs)
+
+        def eval_batch_and_grad(self, zs):
+            self.calls.append("eval_batch_and_grad")
+            return self.inner.eval_batch_and_grad(zs)
+
+    a = gen.normal(size=(36, 2, 2))
+    grid = M.MetricGrid(a @ np.swapaxes(a, 1, 2) + 0.1 * np.eye(2), 0.5, [[-2, 2], [-2, 2]],
+                        (6, 6))
+    metric = Counted(M.GridMetric(grid))
+    cfg = EnergyConfig(n_disc=16, segments=1, jitter=0.0)
+    z0, targets = np.array([0.1, -0.2]), gen.uniform(-1.5, 1.5, size=(20, 2))
+    G.log_map_batch(metric, z0, targets, cfg, RngStream(1))
+    assert metric.calls[0] == "eval_batch_and_grad"
+    straight = G._fit_curves(metric.inner, z0, targets, cfg, RngStream(1), None, False)[2]
+    energy = G._graph_energy(metric.inner, z0, targets, 1, 16, strict=False)[0]
+    assert np.array_equal(straight, energy(np.zeros((20, 2, 2)), np.arange(20)))
+
+
 def test_descend_drops_rows_that_start_non_finite(gen):
     # the (1, 0) chord crosses the infinite half of the metric: its start
     # energy is inf, so it must cost no gradient and no line-search trial

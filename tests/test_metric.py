@@ -60,6 +60,36 @@ def probe_cases():
     return [(toy_decoder("beta", seed=5), square, 1e-10), (lifted_decoder(3), cube, 1e-8)]
 
 
+def grid_contract_reference(grid, zs, grad):
+    """``GridMetric._contract`` as a loop over the axes: each axis's 1-D
+    weights from its own nodes, then the lattice contracted one axis at a
+    time. M alone, or (M, dM) with ``grad``."""
+    zs = np.atleast_2d(np.asarray(zs, dtype=float))
+    m, d = zs.shape
+    sigma2 = grid.bandwidth**2
+
+    def weights(k):
+        nodes = np.linspace(*grid.bounds[k], grid.resolution[k])
+        x = zs[:, k]
+        xc = np.clip(x, nodes.min(), nodes.max())
+        near = nodes[np.argmin(np.abs(xc[:, None] - nodes), axis=1)][:, None]
+        logw = (nodes - near) * (x[:, None] - 0.5 * (nodes + near))
+        w = np.exp(logw / sigma2)
+        w = w / w.sum(axis=1, keepdims=True)
+        return w, [w * (nodes - (w @ nodes)[:, None]) / sigma2] if grad else []
+
+    w, dw = weights(0)
+    tracks = [v @ grid.tensors.reshape(grid.resolution[0], -1) for v in [w, *dw]]
+    for k in range(1, d):
+        w, dw = weights(k)
+        lats = [t.reshape(m, w.shape[1], -1) for t in tracks]
+        tracks = [(w[:, None, :] @ lat)[:, 0] for lat in lats] + [
+            (v[:, None, :] @ lats[0])[:, 0] for v in dw
+        ]
+    out = np.stack(tracks).reshape(-1, m, d, d)
+    return (out[0], out[1:]) if grad else out[0]
+
+
 def random_spd_grid(gen, bounds, resolution, sigma):
     d = len(resolution)
     a = gen.normal(size=(int(np.prod(resolution)), d, d))
@@ -456,6 +486,34 @@ class TestGrid:
         for _ in range(25):
             vals = np.linalg.eigvalsh(gm.eval(gen.uniform(-0.5, 1.5, size=2)))
             assert vals.min() >= lo - 1e-9 and vals.max() <= hi + 1e-9
+
+
+@pytest.mark.parametrize("case", ["toy", (5, 7), (4, 3, 5), (2, 1), (37, 9), (11,)])
+def test_one_weight_pass_equals_the_per_axis_loop(case, gen):
+    # bit for bit, inside, 1 unit beyond the box, far afield and at NaN/inf
+    if case == "toy":  # the 40 x 40 pullback grid of the toy workflow
+        pullback = M.PullbackMetric(toy_decoder("beta", seed=5))
+        grid = M.grid_build(pullback, [[-2, 2], [-2, 2]], (40, 40), 0.25)
+    else:
+        bounds = gen.uniform(-2.0, 0.0, size=(len(case), 1)) + [[0.0, 2.5]]
+        grid = random_spd_grid(gen, bounds, case, 0.3)
+    d = grid.bounds.shape[0]
+    lo, hi = grid.bounds[:, 0], grid.bounds[:, 1]
+    spread = gen.uniform(lo - 1.0, hi + 1.0, size=(3000, d))
+    special = np.full((6, d), 0.5 * (lo + hi))
+    special[:, 0] = [1e120, -1e200, np.nan, np.inf, -np.inf, hi[0]]
+    special[5, -1] = np.nan  # NaN on the last axis only (the first one when d = 1)
+    zs = np.vstack([spread, special])
+    gm = M.GridMetric(grid)
+    with np.errstate(invalid="ignore"):
+        mm, dm = gm.eval_batch_and_grad(zs)
+        got = gm.eval_batch(zs)
+        want_mm, want_dm = grid_contract_reference(grid, zs, grad=True)
+        want = grid_contract_reference(grid, zs, grad=False)
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.array_equal(mm, want_mm, equal_nan=True)
+    assert np.array_equal(dm, want_dm, equal_nan=True)
+    assert np.all(np.isfinite(got[:3002])) and np.all(np.isnan(got[3002:]))
 
 
 class TestReparametrization:
