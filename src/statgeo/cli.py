@@ -1,14 +1,23 @@
 """Command-line surface: toygen, geodesic, metric-grid, land, kl, exp, log.
 
-Exit codes: 0 success, 1 usage/parse error, 2 numerical failure. Failures
-emit machine-readable JSON on stderr. Every subcommand is deterministic
-given its seed; --profile writes wall-time diagnostics to stderr so the
-payload stays byte-reproducible.
+Every subcommand is deterministic given its seed and writes one JSON
+document, stamped with the package version, on stdout. stderr carries at
+most two JSON lines:
+
+- Exit codes: 0 success, 1 usage or input error (bad options, a missing or
+  unreadable file), 2 numerical failure.
+- A failure writes ``{"error": name, "message": text}``, plus ``"t"`` when
+  the error carries the curve parameter where it happened.
+- ``--profile`` writes ``{"profile": {phase: seconds}, ...notes}``, the
+  phases in the order they ran. It is written only when a command returns
+  (exit 0, or ``land``'s exit 2 on NonConvergence, after its error line),
+  never after a raised error, and it leaves stdout byte-identical.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import re
 import sys
@@ -44,6 +53,28 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+class _Profile:
+    """The ``--profile`` record of one command: the seconds of each phase,
+    in the order the phases ran, and the command's notes."""
+
+    def __init__(self):
+        self.phases: dict[str, float] = {}
+        self.notes: dict = {}
+
+    @contextlib.contextmanager
+    def phase(self, name: str):
+        t0 = time.perf_counter()
+        yield
+        self.phases[name] = time.perf_counter() - t0
+
+    def record(self) -> str:
+        """The record as one JSON line; a float note that is not finite is
+        written as null."""
+        notes = {k: None if isinstance(v, float) and not np.isfinite(v) else v
+                 for k, v in self.notes.items()}
+        return json.dumps({"profile": self.phases, **notes})
+
+
 def _vector(text: str, dim: int | None = None) -> np.ndarray:
     """The comma-separated finite floats of ``text``; with ``dim``, exactly
     that many."""
@@ -69,6 +100,13 @@ def _nonnegative_float(text: str) -> float:
     value = _finite_float(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"expected a number >= 0, got {text!r}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    value = _finite_float(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"expected a number > 0, got {text!r}")
     return value
 
 
@@ -123,12 +161,16 @@ def _add_optimizer_args(p):
     p.add_argument("--objective", choices=["kl", "categorical"], default="kl")
 
 
+def _add_metric_source(p):
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--decoder")
+    source.add_argument("--grid")
+
+
 def _load_target(args):
     """The --grid file's GridMetric, else the --decoder file's decoder."""
-    if args.grid:
+    if args.grid is not None:
         return GridMetric(io.load_grid(args.grid))
-    if args.decoder is None:
-        raise _UsageError("one of --decoder or --grid is required")
     return io.load_decoder(args.decoder)
 
 
@@ -138,36 +180,25 @@ def _load_metric(args):
 
 
 def _print_json(doc: dict) -> None:
-    sys.stdout.write(json.dumps(doc, indent=1) + "\n")
+    """Write a command's result document to stdout, stamped with the version."""
+    sys.stdout.write(json.dumps({"version": __version__, **doc}, indent=1) + "\n")
 
 
-def _write_fit_profile(timings: dict, iterations: int, stop_reason: str,
-                       grad_norm: float) -> None:
-    """The --profile line of a curve fit; a grad_norm that is not finite
-    is written as null."""
-    grad_norm = grad_norm if np.isfinite(grad_norm) else None
-    sys.stderr.write(
-        json.dumps({"profile": timings, "iterations": iterations,
-                    "stop_reason": stop_reason, "grad_norm": grad_norm}) + "\n"
-    )
+def _print_error(name: str, message: str, **extra) -> None:
+    sys.stderr.write(json.dumps({"error": name, "message": message, **extra}) + "\n")
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each names its phases and notes in ``prof`` and returns its
+# exit code
 
 
-def _cmd_toygen(args) -> int:
-    timings = {}
-    t0 = time.perf_counter()
-    codes = toy_circle_codes(args.n, args.noise, RngStream(args.seed))
-    timings["generate"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    io.save_codes(codes, args.out)
-    timings["write"] = time.perf_counter() - t0
-    _print_json({"version": __version__, "n": args.n, "out": args.out})
-    if args.profile:
-        sys.stderr.write(json.dumps({"profile": timings}) + "\n")
+def _cmd_toygen(args, prof) -> int:
+    with prof.phase("generate"):
+        codes = toy_circle_codes(args.n, args.noise, RngStream(args.seed))
+    with prof.phase("write"):
+        io.save_codes(codes, args.out)
+    _print_json({"n": args.n, "out": args.out})
     return 0
 
 
@@ -183,43 +214,38 @@ def _resolve_endpoints(args, dim: int):
     raise _UsageError("give either --z0/--z1 or --codes with --i0/--i1")
 
 
-def _cmd_geodesic(args) -> int:
-    timings = {}
-    t0 = time.perf_counter()
-    dec = io.load_decoder(args.decoder)
-    z0, z1 = _resolve_endpoints(args, dec.latent_dim)
-    timings["load"] = time.perf_counter() - t0
-
+def _cmd_geodesic(args, prof) -> int:
+    with prof.phase("load"):
+        dec = io.load_decoder(args.decoder)
+        z0, z1 = _resolve_endpoints(args, dec.latent_dim)
     cfg = _energy_config(args, dec)
-    rng = RngStream(args.seed)
-    t0 = time.perf_counter()
-    result = geo.minimize_energy_detailed(z0, z1, dec, cfg, rng)
-    timings["optimize"] = time.perf_counter() - t0
+    with prof.phase("optimize"):
+        result = geo.minimize_energy_detailed(z0, z1, dec, cfg, RngStream(args.seed))
+    prof.notes.update(iterations=result.iterations, stop_reason=result.stop_reason,
+                      grad_norm=result.grad_norm)
 
-    t0 = time.perf_counter()
-    ts = np.linspace(0.0, 1.0, args.samples + 1)
-    zs, _ = result.curve.eval(ts)
-    params = dec_mod.forward_stacked(dec, zs)
-    fam = dec.family
-    per_feature = params.reshape(len(ts), dec.feature_count, fam.param_dim)
-    seg_kl = np.concatenate(
-        [[0.0], fam.kl(per_feature[:-1], per_feature[1:]).sum(axis=-1)]
-    )
-    if args.out:
-        header = (
-            ["t"]
-            + [f"z{i}" for i in range(dec.latent_dim)]
-            + [f"eta{i}" for i in range(dec.param_dim)]
-            + ["segment_kl"]
+    with prof.phase("write"):
+        ts = np.linspace(0.0, 1.0, args.samples + 1)
+        zs, _ = result.curve.eval(ts)
+        params = dec_mod.forward_stacked(dec, zs)
+        fam = dec.family
+        per_feature = params.reshape(len(ts), dec.feature_count, fam.param_dim)
+        seg_kl = np.concatenate(
+            [[0.0], fam.kl(per_feature[:-1], per_feature[1:]).sum(axis=-1)]
         )
-        rows = np.column_stack([ts, zs, params, seg_kl])
-        io.save_csv(args.out, header, rows)
-    timings["write"] = time.perf_counter() - t0
+        if args.out:
+            header = (
+                ["t"]
+                + [f"z{i}" for i in range(dec.latent_dim)]
+                + [f"eta{i}" for i in range(dec.param_dim)]
+                + ["segment_kl"]
+            )
+            rows = np.column_stack([ts, zs, params, seg_kl])
+            io.save_csv(args.out, header, rows)
 
     length = geo.curve_length(result.curve, dec, cfg.n_disc)
     _print_json(
         {
-            "version": __version__,
             "energy": result.energy,
             "length": length,
             "straight_energy": result.straight_energy,
@@ -227,8 +253,6 @@ def _cmd_geodesic(args) -> int:
             "converged": result.converged,
         }
     )
-    if args.profile:
-        _write_fit_profile(timings, result.iterations, result.stop_reason, result.grad_norm)
     return 0
 
 
@@ -250,179 +274,121 @@ def _probe_validation_errors(dec, points, tensors, radius=0.1, directions=8) -> 
     return np.abs(kls - quad).mean(axis=1)
 
 
-def _cmd_metric_grid(args) -> int:
-    timings = {}
-    t0 = time.perf_counter()
-    dec = io.load_decoder(args.decoder)
-    bounds, resolution = _lattice(args.bounds, args.resolution, dec.latent_dim)
-    timings["load"] = time.perf_counter() - t0
-
+def _cmd_metric_grid(args, prof) -> int:
+    with prof.phase("load"):
+        dec = io.load_decoder(args.decoder)
+        bounds, resolution = _lattice(args.bounds, args.resolution, dec.latent_dim)
     if args.mode == "pullback":
         source = PullbackMetric(dec)
     else:
         source = KlProbeMetric(dec, eps=args.eps)
-
-    t0 = time.perf_counter()
-    grid = met.grid_build(source, bounds, resolution, args.sigma)
-    timings["evaluate"] = time.perf_counter() - t0
+    with prof.phase("evaluate"):
+        grid = met.grid_build(source, bounds, resolution, args.sigma)
 
     extra = {}
     if args.mode == "kl-probe":
-        t0 = time.perf_counter()
-        errors = _probe_validation_errors(dec, grid.points, grid.tensors)
-        extra["validation_error"] = [float(e) for e in errors]
-        extra["epsilon"] = args.eps
-        extra["clamped"] = int(source.clamp_count)
-        timings["validate"] = time.perf_counter() - t0
+        with prof.phase("validate"):
+            errors = _probe_validation_errors(dec, grid.points, grid.tensors)
+            extra["validation_error"] = [float(e) for e in errors]
+            extra["epsilon"] = args.eps
+            extra["clamped"] = int(source.clamp_count)
 
     io.save_grid(grid, args.out, mode=args.mode, extra=extra)
-    _print_json(
-        {
-            "version": __version__,
-            "points": int(np.prod(resolution)),
-            "mode": args.mode,
-            "out": args.out,
-        }
-    )
-    if args.profile:
-        sys.stderr.write(json.dumps({"profile": timings}) + "\n")
+    _print_json({"points": int(np.prod(resolution)), "mode": args.mode, "out": args.out})
     return 0
 
 
-def _cmd_land(args) -> int:
-    timings = {}
-    t0 = time.perf_counter()
-    rng = RngStream(args.seed)
-    metric = _load_metric(args)
-    codes = io.load_codes(args.codes)
-    if args.out_density:
-        bounds, res = _lattice(args.density_bounds, args.density_resolution, metric.latent_dim)
-    cfg = land_mod.LandFitConfig(
-        max_iters=args.max_iters, mc_samples=args.mc_samples, exp_steps=args.exp_steps
-    )
-    timings["load"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    exit_code = 0
-    try:
-        model = land_mod.land_fit(codes, metric, cfg=cfg, rng=rng)
-    except NonConvergence as exc:
-        model = exc.last
-        exit_code = 2
-        sys.stderr.write(
-            json.dumps({"error": "NonConvergence", "message": str(exc)}) + "\n"
+def _cmd_land(args, prof) -> int:
+    with prof.phase("load"):
+        rng = RngStream(args.seed)
+        metric = _load_metric(args)
+        codes = io.load_codes(args.codes)
+        if args.out_density:
+            bounds, res = _lattice(args.density_bounds, args.density_resolution,
+                                   metric.latent_dim)
+        cfg = land_mod.LandFitConfig(
+            max_iters=args.max_iters, mc_samples=args.mc_samples, exp_steps=args.exp_steps
         )
-    timings["fit"] = time.perf_counter() - t0
 
-    t0 = time.perf_counter()
-    metric_ref = args.grid if args.grid else args.decoder
-    io.save_json(io.land_to_dict(model, metric_ref=metric_ref), args.out_model)
-    timings["write"] = time.perf_counter() - t0
+    exit_code = 0
+    with prof.phase("fit"):
+        try:
+            model = land_mod.land_fit(codes, metric, cfg=cfg, rng=rng)
+        except NonConvergence as exc:
+            model, exit_code = exc.last, 2
+            _print_error("NonConvergence", str(exc))
+    prof.notes.update(iterations=len(model.nll_trace) - 1, converged=bool(model.converged),
+                      mc_samples=int(model.mc_samples))
+
+    with prof.phase("write"):
+        io.save_json(io.land_to_dict(model, metric_ref=args.grid or args.decoder),
+                     args.out_model)
 
     if args.out_density:
-        t0 = time.perf_counter()
-        pts = met.lattice_points(bounds, res)
-        logpdf = land_mod.land_logpdf_batch(model, pts, rng.child(5))
-        tensors = model.metric.eval_batch(pts)
-        _, logdet = np.linalg.slogdet(tensors)
-        _, logdet_mu = np.linalg.slogdet(model.metric.eval(model.mean))
-        # density against Lebesgue via the relative volume element
-        dens = np.exp(logpdf + 0.5 * (logdet - logdet_mu))
-        header = [f"z{i}" for i in range(pts.shape[1])] + ["density"]
-        io.save_csv(args.out_density, header, np.column_stack([pts, dens]))
-        timings["density"] = time.perf_counter() - t0
+        with prof.phase("density"):
+            pts = met.lattice_points(bounds, res)
+            logpdf = land_mod.land_logpdf_batch(model, pts, rng.child(5))
+            tensors = model.metric.eval_batch(pts)
+            _, logdet = np.linalg.slogdet(tensors)
+            _, logdet_mu = np.linalg.slogdet(model.metric.eval(model.mean))
+            # density against Lebesgue via the relative volume element
+            dens = np.exp(logpdf + 0.5 * (logdet - logdet_mu))
+            header = [f"z{i}" for i in range(pts.shape[1])] + ["density"]
+            io.save_csv(args.out_density, header, np.column_stack([pts, dens]))
 
     _print_json(
         {
-            "version": __version__,
             "mean": [float(v) for v in model.mean],
             "norm_const": float(model.norm_const),
             "converged": bool(model.converged),
             "out_model": args.out_model,
         }
     )
-    if args.profile:
-        sys.stderr.write(
-            json.dumps({"profile": timings, "iterations": len(model.nll_trace) - 1,
-                        "converged": bool(model.converged),
-                        "mc_samples": int(model.mc_samples)}) + "\n"
-        )
     return exit_code
 
 
-def _cmd_kl(args) -> int:
-    timings = {}
-    t0 = time.perf_counter()
-    dec = io.load_decoder(args.decoder)
-    z1, z2 = _vector(args.z1, dec.latent_dim), _vector(args.z2, dec.latent_dim)
-    mc = None
-    if args.mc_samples is not None:
-        if args.seed is None:
-            raise _UsageError("--seed is required with --mc-samples")
-        mc = McKl(RngStream(args.seed), args.mc_samples)
-    timings["load"] = time.perf_counter() - t0
+def _cmd_kl(args, prof) -> int:
+    with prof.phase("load"):
+        dec = io.load_decoder(args.decoder)
+        z1, z2 = _vector(args.z1, dec.latent_dim), _vector(args.z2, dec.latent_dim)
+        mc = None
+        if args.mc_samples is not None:
+            if args.seed is None:
+                raise _UsageError("--seed is required with --mc-samples")
+            mc = McKl(RngStream(args.seed), args.mc_samples)
 
-    t0 = time.perf_counter()
-    kl_val = met._decoded_kl(dec, z1, z2, mc)
-    m = met.pullback(dec, z1)
-    delta = z2 - z1
-    quad = float(0.5 * delta @ m @ delta)
-    timings["evaluate"] = time.perf_counter() - t0
-    _print_json(
-        {
-            "version": __version__,
-            "kl": kl_val,
-            "quadratic_approx": quad,
-            "gap": abs(kl_val - quad),
-        }
-    )
-    if args.profile:
-        sys.stderr.write(json.dumps({"profile": timings}) + "\n")
+    with prof.phase("evaluate"):
+        kl_val = met._decoded_kl(dec, z1, z2, mc)
+        m = met.pullback(dec, z1)
+        delta = z2 - z1
+        quad = float(0.5 * delta @ m @ delta)
+    _print_json({"kl": kl_val, "quadratic_approx": quad, "gap": abs(kl_val - quad)})
     return 0
 
 
-def _cmd_exp(args) -> int:
-    timings = {}
-    t0 = time.perf_counter()
-    metric = _load_metric(args)
-    z, v = _vector(args.z, metric.latent_dim), _vector(args.v, metric.latent_dim)
-    timings["load"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    endpoint, ts, path = geo.exp_map(
-        metric, z, v, steps=args.steps, return_path=True
-    )
-    timings["shoot"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    if args.out:
-        header = ["t"] + [f"z{i}" for i in range(z.size)]
-        io.save_csv(args.out, header, np.column_stack([ts, path]))
-    timings["write"] = time.perf_counter() - t0
-    _print_json({"version": __version__, "endpoint": [float(x) for x in endpoint]})
-    if args.profile:
-        sys.stderr.write(json.dumps({"profile": timings, "steps": args.steps}) + "\n")
+def _cmd_exp(args, prof) -> int:
+    with prof.phase("load"):
+        metric = _load_metric(args)
+        z, v = _vector(args.z, metric.latent_dim), _vector(args.v, metric.latent_dim)
+    with prof.phase("shoot"):
+        endpoint, ts, path = geo.exp_map(metric, z, v, steps=args.steps, return_path=True)
+    prof.notes["steps"] = args.steps
+    with prof.phase("write"):
+        if args.out:
+            header = ["t"] + [f"z{i}" for i in range(z.size)]
+            io.save_csv(args.out, header, np.column_stack([ts, path]))
+    _print_json({"endpoint": [float(x) for x in endpoint]})
     return 0
 
 
-def _cmd_log(args) -> int:
-    timings = {}
-    t0 = time.perf_counter()
-    target = _load_target(args)
-    z, y = _vector(args.z, target.latent_dim), _vector(args.y, target.latent_dim)
-    cfg = _energy_config(args, target)
-    timings["load"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    stop = {}
-    v = geo.log_map(target, z, y, cfg, RngStream(args.seed), stop=stop)
-    timings["optimize"] = time.perf_counter() - t0
-    _print_json(
-        {"version": __version__, "v": [float(x) for x in v],
-         "length": float(np.linalg.norm(v))}
-    )
-    if args.profile:
-        _write_fit_profile(timings, **stop)
+def _cmd_log(args, prof) -> int:
+    with prof.phase("load"):
+        target = _load_target(args)
+        z, y = _vector(args.z, target.latent_dim), _vector(args.y, target.latent_dim)
+        cfg = _energy_config(args, target)
+    with prof.phase("optimize"):
+        v = geo.log_map(target, z, y, cfg, RngStream(args.seed), stop=prof.notes)
+    _print_json({"v": [float(x) for x in v], "length": float(np.linalg.norm(v))})
     return 0
 
 
@@ -433,15 +399,19 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="statgeo", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("toygen", help="noisy circle latent codes")
+    def command(name, fn, help):
+        p = sub.add_parser(name, help=help)
+        p.add_argument("--profile", action="store_true")
+        p.set_defaults(fn=fn)
+        return p
+
+    p = command("toygen", _cmd_toygen, "noisy circle latent codes")
     p.add_argument("--n", type=_positive_int, default=200)
     p.add_argument("--noise", type=_nonnegative_float, default=0.1)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--profile", action="store_true")
-    p.set_defaults(fn=_cmd_toygen)
 
-    p = sub.add_parser("geodesic", help="shortest path between two latent points")
+    p = command("geodesic", _cmd_geodesic, "shortest path between two latent points")
     p.add_argument("--decoder", required=True)
     p.add_argument("--z0")
     p.add_argument("--z1")
@@ -451,24 +421,19 @@ def _build_parser() -> _Parser:
     p.add_argument("--samples", type=_positive_int, default=64)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out")
-    p.add_argument("--profile", action="store_true")
     _add_optimizer_args(p)
-    p.set_defaults(fn=_cmd_geodesic)
 
-    p = sub.add_parser("metric-grid", help="tensor lattice over a latent box")
+    p = command("metric-grid", _cmd_metric_grid, "tensor lattice over a latent box")
     p.add_argument("--decoder", required=True)
     p.add_argument("--mode", choices=["pullback", "kl-probe"], default="pullback")
     p.add_argument("--bounds", required=True, help="x0,x1,y0,y1 per axis pairs")
     p.add_argument("--resolution", required=True, help="nx,ny")
-    p.add_argument("--sigma", type=_finite_float, default=0.25)
-    p.add_argument("--eps", type=_finite_float, default=1e-2)
+    p.add_argument("--sigma", type=_positive_float, default=0.25)
+    p.add_argument("--eps", type=_positive_float, default=1e-2)
     p.add_argument("--out", required=True)
-    p.add_argument("--profile", action="store_true")
-    p.set_defaults(fn=_cmd_metric_grid)
 
-    p = sub.add_parser("land", help="fit a Riemannian normal density")
-    p.add_argument("--decoder")
-    p.add_argument("--grid")
+    p = command("land", _cmd_land, "fit a Riemannian normal density")
+    _add_metric_source(p)
     p.add_argument("--codes", required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--max-iters", type=_positive_int, default=40)
@@ -478,69 +443,49 @@ def _build_parser() -> _Parser:
     p.add_argument("--out-density")
     p.add_argument("--density-bounds", default="-2,2,-2,2")
     p.add_argument("--density-resolution", default="40,40")
-    p.add_argument("--profile", action="store_true")
-    p.set_defaults(fn=_cmd_land)
 
-    p = sub.add_parser("kl", help="divergence and its quadratic approximation")
+    p = command("kl", _cmd_kl, "divergence and its quadratic approximation")
     p.add_argument("--decoder", required=True)
     p.add_argument("--z1", required=True)
     p.add_argument("--z2", required=True)
     p.add_argument("--mc-samples", type=_positive_int, default=None)
     p.add_argument("--seed", type=int)
-    p.add_argument("--profile", action="store_true")
-    p.set_defaults(fn=_cmd_kl)
 
-    p = sub.add_parser("exp", help="exponential map (geodesic shooting)")
-    p.add_argument("--decoder")
-    p.add_argument("--grid")
+    p = command("exp", _cmd_exp, "exponential map (geodesic shooting)")
+    _add_metric_source(p)
     p.add_argument("--z", required=True)
     p.add_argument("--v", required=True)
     p.add_argument("--steps", type=_positive_int, default=100)
     p.add_argument("--out")
-    p.add_argument("--profile", action="store_true")
-    p.set_defaults(fn=_cmd_exp)
 
-    p = sub.add_parser("log", help="logarithmic map (shortest-path velocity)")
-    p.add_argument("--decoder")
-    p.add_argument("--grid")
+    p = command("log", _cmd_log, "logarithmic map (shortest-path velocity)")
+    _add_metric_source(p)
     p.add_argument("--z", required=True)
     p.add_argument("--y", required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--profile", action="store_true")
     _add_optimizer_args(p)
-    p.set_defaults(fn=_cmd_log)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    prof = _Profile()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
+        exit_code = args.fn(args, prof)
     except _UsageError as exc:
-        sys.stderr.write(json.dumps({"error": "usage", "message": str(exc)}) + "\n")
-        return 1
-    try:
-        return args.fn(args)
-    except _UsageError as exc:
-        sys.stderr.write(json.dumps({"error": "usage", "message": str(exc)}) + "\n")
+        _print_error("usage", str(exc))
         return 1
     except (FileNotFoundError, json.JSONDecodeError, KeyError) as exc:
-        sys.stderr.write(
-            json.dumps({"error": type(exc).__name__, "message": str(exc)}) + "\n"
-        )
+        _print_error(type(exc).__name__, str(exc))
         return 1
-    except StatGeoError as exc:
-        doc = {"error": type(exc).__name__, "message": str(exc)}
-        if getattr(exc, "t", None) is not None:
-            doc["t"] = exc.t
-        sys.stderr.write(json.dumps(doc) + "\n")
+    except (StatGeoError, np.linalg.LinAlgError) as exc:
+        t = getattr(exc, "t", None)
+        _print_error(type(exc).__name__, str(exc), **({} if t is None else {"t": t}))
         return 2
-    except np.linalg.LinAlgError as exc:
-        sys.stderr.write(
-            json.dumps({"error": "LinAlgError", "message": str(exc)}) + "\n"
-        )
-        return 2
+    if args.profile:
+        sys.stderr.write(prof.record() + "\n")
+    return exit_code
 
 
 if __name__ == "__main__":

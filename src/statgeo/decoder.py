@@ -159,58 +159,43 @@ class DecoderMap:
         return np.tile(self.family.blend_mask(), self.feature_count)
 
 
-def _apply_activation(name: str, scale, x: np.ndarray, block: int) -> np.ndarray:
+# the element-wise activations: (function, slope given (pre, post))
+_ELEMENTWISE = {
+    "tanh": (np.tanh, lambda pre, post: 1.0 - post**2),
+    "sigmoid": (sigmoid, lambda pre, post: post * (1.0 - post)),
+    "softplus": (softplus, lambda pre, post: sigmoid(pre)),
+}
+
+
+def _activate(name: str, scale, pre: np.ndarray, block: int, jac):
+    """(post, jac): the activation of ``pre`` (m, out), and the running
+    Jacobian (m, out, d) pushed through it; ``jac=None`` is the forward pass
+    alone."""
     if name == "identity":
-        return x
+        return pre, jac
     if name == "scale":
-        return scale * x
-    if name == "tanh":
-        return np.tanh(x)
-    if name == "sigmoid":
-        return sigmoid(x)
-    if name == "softplus":
-        return softplus(x)
-    m = x.shape[0]
-    blocks = x.reshape(m, -1, block)
+        return scale * pre, None if jac is None else scale * jac
+    if name in _ELEMENTWISE:
+        fn, slope = _ELEMENTWISE[name]
+        post = fn(pre)
+        return post, None if jac is None else slope(pre, post)[..., None] * jac
+    # softmax and unit_normalize act per feature block
+    m = pre.shape[0]
+    blocks = pre.reshape(m, -1, block)
     if name == "softmax":
-        shifted = blocks - blocks.max(axis=-1, keepdims=True)
-        e = np.exp(shifted)
-        return (e / e.sum(axis=-1, keepdims=True)).reshape(m, -1)
-    if name == "unit_normalize":
+        e = np.exp(blocks - blocks.max(axis=-1, keepdims=True))
+        post = e / e.sum(axis=-1, keepdims=True)
+    else:  # unit_normalize
         norms = np.linalg.norm(blocks, axis=-1, keepdims=True)
-        return (blocks / norms).reshape(m, -1)
-    raise ShapeError(f"unknown activation {name!r}")
-
-
-def _activation_jacobian(
-    name: str, scale, pre: np.ndarray, post: np.ndarray, jac: np.ndarray, block: int
-) -> np.ndarray:
-    """Push a running Jacobian (m, out, d) through the activation."""
-    if name == "identity":
-        return jac
-    if name == "scale":
-        return scale * jac
-    if name == "tanh":
-        return (1.0 - post**2)[..., None] * jac
-    if name == "sigmoid":
-        return (post * (1.0 - post))[..., None] * jac
-    if name == "softplus":
-        return sigmoid(pre)[..., None] * jac
-    m, out, d = jac.shape
-    jb = jac.reshape(m, -1, block, d)
-    if name == "softmax":
-        s = post.reshape(m, -1, block)
-        sj = np.einsum("mfb,mfbd->mfd", s, jb)
-        out_j = s[..., None] * (jb - sj[:, :, None, :])
-        return out_j.reshape(m, out, d)
-    if name == "unit_normalize":
-        xb = pre.reshape(m, -1, block)
-        norms = np.linalg.norm(xb, axis=-1, keepdims=True)
-        y = post.reshape(m, -1, block)
-        yj = np.einsum("mfb,mfbd->mfd", y, jb)
-        out_j = (jb - y[..., None] * yj[:, :, None, :]) / norms[..., None]
-        return out_j.reshape(m, out, d)
-    raise ShapeError(f"unknown activation {name!r}")
+        post = blocks / norms
+    if jac is not None:
+        jb = jac.reshape(m, -1, block, jac.shape[-1])
+        proj = np.einsum("mfb,mfbd->mfd", post, jb)[:, :, None, :]
+        if name == "softmax":
+            jac = (post[..., None] * (jb - proj)).reshape(jac.shape)
+        else:
+            jac = ((jb - post[..., None] * proj) / norms[..., None]).reshape(jac.shape)
+    return post.reshape(m, -1), jac
 
 
 def _as_batch(z, latent_dim):
@@ -240,14 +225,11 @@ def _decode(dec: DecoderMap, z, with_jac: bool):
     for head, (_, width, _) in zip(dec.heads, dec.family.head_schema()):
         x, jac = u, None
         for layer in head.layers:
-            name, scale = layer._act
-            pre = x @ layer.weight.T + layer.bias
-            x = _apply_activation(name, scale, pre, width)
             if with_jac:
                 # d(W u)/du = W: the first layer seeds the running Jacobian
                 jac = (np.repeat(layer.weight[None], m, axis=0)
                        if jac is None else np.matmul(layer.weight, jac))
-                jac = _activation_jacobian(name, scale, pre, x, jac, width)
+            x, jac = _activate(*layer._act, x @ layer.weight.T + layer.bias, width, jac)
         # head-major (m, D*q_j) -> feature-major blocks (m, D, q_j)
         outs.append(x.reshape(m, dec.feature_count, -1))
         if with_jac:

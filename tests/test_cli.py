@@ -144,6 +144,20 @@ def test_profile_leaves_stdout_unchanged(command, decoder_path, tmp_path, capsys
     assert all(v >= 0 for v in profile.values())
 
 
+def test_profile_record_keeps_phase_order_and_writes_non_finite_notes_as_null():
+    prof = cli._Profile()
+    for name in ("write", "load", "fit"):
+        with prof.phase(name):
+            pass
+    prof.notes.update(iterations=3, grad_norm=float("nan"), bound=float("-inf"), steps=2.5)
+    doc = json.loads(prof.record())
+    assert list(doc) == ["profile", "iterations", "grad_norm", "bound", "steps"]
+    assert list(doc["profile"]) == ["write", "load", "fit"]
+    assert all(v >= 0 for v in doc["profile"].values())
+    assert doc["grad_norm"] is None and doc["bound"] is None
+    assert doc["iterations"] == 3 and doc["steps"] == 2.5
+
+
 def test_geodesic_profile_reports_why_the_fit_stopped(decoder_path, capsys):
     argv = ["geodesic", "--decoder", str(decoder_path), "--z0=1,0", "--z1=0,1",
             "--seed", "1", "--n-disc", "16", "--segments", "2"]
@@ -486,6 +500,19 @@ def test_commands_without_special_functions_never_import_scipy(decoder_path, tmp
      "--resolution", "3,3", "--eps", "inf", "--out", "{model}"],
     ["metric-grid", "--decoder", "{dec}", "--bounds=-2,2,-2,2", "--resolution", "3,3",
      "--sigma", "nan", "--out", "{model}"],
+    ["metric-grid", "--decoder", "{dec}", "--bounds=-2,2,-2,2", "--resolution", "3,3",
+     "--sigma", "0", "--out", "{model}"],
+    ["metric-grid", "--decoder", "{dec}", "--bounds=-2,2,-2,2", "--resolution", "3,3",
+     "--sigma", "-1", "--out", "{model}"],
+    ["metric-grid", "--decoder", "{dec}", "--mode", "kl-probe", "--bounds=-2,2,-2,2",
+     "--resolution", "3,3", "--eps", "0", "--out", "{model}"],
+    ["metric-grid", "--decoder", "{dec}", "--mode", "kl-probe", "--bounds=-2,2,-2,2",
+     "--resolution", "3,3", "--eps", "-1", "--out", "{model}"],
+    # both metric sources (test_metric_source_is_required gives neither)
+    ["exp", "--decoder", "{dec}", "--grid", "{grid}", "--z=0,0", "--v=0.1,0"],
+    ["log", "--decoder", "{dec}", "--grid", "{grid}", "--z=0,0", "--y=1,1", "--seed", "1"],
+    ["land", "--decoder", "{dec}", "--grid", "{grid}", "--codes", "{codes}", "--seed", "1",
+     "--out-model", "{model}"],
 ])
 def test_counts_and_code_indices_out_of_range_are_usage_errors(argv, decoder_path, grid_path,
                                                                tmp_path, capsys):
