@@ -11,16 +11,20 @@ curves and batches alike.
 Both discrete energies share the nodes t = n/N, n = 0..N: an energy is
 N sum_n term_n over the N segments between them, and the matching length
 sum_n sqrt(term_n). On a decoder the term is 2 KL(p(c(t_n)) || p(c(t_n+1))),
-which converges to the Riemannian energy integral; on a plain metric field
-it is the graph term Delta_n^T M(mid_n) Delta_n. (The categorical
-objective keeps its own energy scale; see ``_decoder_energy``.)
+which converges to the Riemannian energy integral (the categorical
+objective's term is its great-circle form; see ``_decoder_energy``); on a
+plain metric field it is the graph term Delta_n^T M(mid_n) Delta_n.
 
 Every solver works on a batch of m rows; a single curve or shot is m = 1.
 One fitter serves ``minimize_energy_detailed`` and both log maps, on
 decoders and metric fields alike: one BFGS descent with Armijo
 backtracking over coefficient arrays of shape (m, d, 2S), with an
 inverse-Hessian estimate, a step and a stopping rule per curve: max|g| below
-``grad_tol`` times (1 + energy), and a stop reason for each curve. Each
+``grad_tol`` times (1 + energy), and a stop reason for each curve. On a
+metric field each estimate starts at the inverse of the graph energy's
+Gauss-Newton matrix, which the Hermite coefficients make badly conditioned
+(condition number ~2e4 at S=4), so a scaled identity would need many more
+iterations; on a decoder it starts as a scaled identity. Each
 energy is exact (closed-form KLs, no sampling) and comes with one
 evaluation that serves both the energy and its analytic gradient: on a
 decoder one pass over the nodes that returns both the parameters and their
@@ -156,8 +160,10 @@ def curve_eval(c: SplineCurve, t: float):
 @dataclass
 class EnergyConfig:
     """Discretization and optimizer settings for energy minimization. The
-    descent's first step, and its step wherever the BFGS direction does not
-    descend, is -0.1 g. A curve has converged when max|g| < grad_tol (1 + E)
+    descent's first step is the Gauss-Newton step on a metric field and -0.1 g
+    on a decoder or where the Gauss-Newton matrix is singular (see
+    ``_descend``); its step wherever the BFGS direction does not descend is
+    -0.1 g. A curve has converged when max|g| < grad_tol (1 + E)
     at its energy E: relative for E >> 1, absolute for E << 1. An objective
     other than "kl" or "categorical", fewer than one segment, or a jitter
     that is negative or not finite raises ShapeError."""
@@ -205,20 +211,20 @@ def _spline_points(z0, chords, coeffs, ts, basis) -> np.ndarray:
 
 def _decoder_energy(dec: DecoderMap, z0, targets, cfg: EnergyConfig, strict: bool):
     """Energy of the decoded curves z0 -> targets[rows], its terms and its
-    evaluation with gradient, in ``_graph_energy``'s form.
+    evaluation with gradient, in ``_graph_energy``'s form with no
+    Gauss-Newton matrix (None).
 
     The terms (rows, N) are the squared Fisher-Rao lengths of the segments
     between the nodes t = n/N, n = 0..N: 2 sum_f KL(p_n || p_{n+1}) for the
     KL objective, and 4 sum_f (2 - 2 sqrt(h_n)^T sqrt(h_{n+1})) for the
     categorical one, whose term is +inf where either node decodes to a
-    negative probability (an affine chart off the simplex). The KL energy is
-    N sum_n terms; the categorical energy keeps its scale,
-    sum (2 - 2 sqrt(h_n)^T sqrt(h_{n+1})) = sum_n terms / 4. ``energy`` and
+    negative probability (an affine chart off the simplex). Both energies
+    are N sum_n terms, so one relative stop test serves both. ``energy`` and
     ``terms`` decode the nodes with ``forward_stacked``. ``evaluate`` decodes
     them with one ``forward_and_jacobian_stacked`` pass, whose parameters are
     bit-identical, so its energies equal ``energy``'s; its ``gradient_of``
-    pulls the per-pair derivative (2N ``kl_grad``, or -sqrt(h')/sqrt(h) and
-    -sqrt(h)/sqrt(h'), taken as 0 where h <= 0) back through the kept
+    pulls the per-pair derivative (2N ``kl_grad``, or 4N times -sqrt(h')/sqrt(h)
+    and -sqrt(h)/sqrt(h'), taken as 0 where h <= 0) back through the kept
     Jacobians and the Hermite basis, with no second decoder pass. With
     ``strict`` a non-finite term raises NonFiniteEnergy at its t.
     """
@@ -229,7 +235,6 @@ def _decoder_energy(dec: DecoderMap, z0, targets, cfg: EnergyConfig, strict: boo
     ts = np.arange(n + 1) / n
     basis = hermite_basis(ts, cfg.segments)[0]
     chords = targets - z0[None, :]
-    scale = 0.25 if categorical else float(n)
 
     def nodes(coeffs, rows):
         zs = _spline_points(z0, chords[rows], coeffs, ts, basis)
@@ -256,7 +261,7 @@ def _decoder_energy(dec: DecoderMap, z0, targets, cfg: EnergyConfig, strict: boo
         return terms_of(shaped(dec_mod.forward_stacked(dec, flat), zs))
 
     def energy(coeffs, rows):
-        return scale * terms(coeffs, rows).sum(axis=1)
+        return n * terms(coeffs, rows).sum(axis=1)
 
     def evaluate(coeffs, rows):
         zs, flat = nodes(coeffs, rows)
@@ -269,7 +274,7 @@ def _decoder_energy(dec: DecoderMap, z0, targets, cfg: EnergyConfig, strict: boo
             if categorical:  # d/dh of 2 - 2 sqrt(h)^T sqrt(h'), 0 where h <= 0
                 roots = np.sqrt(np.maximum(p, 0.0))
                 inv = np.divide(1.0, roots, out=np.zeros_like(roots), where=roots > 0.0)
-                g1, g2, factor = -roots[:, 1:] * inv[:, :-1], -roots[:, :-1] * inv[:, 1:], 1.0
+                g1, g2, factor = -roots[:, 1:] * inv[:, :-1], -roots[:, :-1] * inv[:, 1:], 4.0 * n
             else:
                 (g1, g2), factor = fam.kl_grad(p[:, :-1], p[:, 1:]), 2.0 * n
             adj = np.zeros_like(p)
@@ -280,7 +285,7 @@ def _decoder_energy(dec: DecoderMap, z0, targets, cfg: EnergyConfig, strict: boo
             pulled = pulled.reshape(p.shape[0], zs.shape[1], zs.shape[2])
             return factor * np.einsum("mtd,tc->mdc", pulled, basis)
 
-        return scale * terms_of(params).sum(axis=1), gradient_of
+        return n * terms_of(params).sum(axis=1), gradient_of, None
 
     return energy, terms, evaluate
 
@@ -307,33 +312,41 @@ def curve_length(c: SplineCurve, dec: DecoderMap, n: int) -> float:
 
 
 def categorical_energy(c: SplineCurve, dec: DecoderMap, n: int) -> float:
-    """Great-circle small-angle energy sum(2 - 2 sqrt(h_n)^T sqrt(h_{n+1}))."""
+    """Great-circle small-angle energy 4N sum(2 - 2 sqrt(h_n)^T sqrt(h_{n+1})),
+    t_n = n/N: N times the summed squared Fisher-Rao segment lengths, on
+    ``kl_energy``'s scale."""
     energy, _ = _one_curve(c, dec, n, "categorical")
     return float(energy())
 
 
 def _graph_energy(metric: LatentMetric, z0, targets, segments: int, n: int, strict: bool):
     """Graph energy of the curves z0 -> targets[rows], its terms and its
-    evaluation with gradient.
+    evaluation with gradient and Gauss-Newton matrix.
 
     For coefficients (rows, d, 2S), energy(coeffs, rows) gives (rows,),
     terms(coeffs, rows) the (rows, n) per-segment Delta^T M(mid) Delta, from
     one ``eval_batch`` call over the midpoints. evaluate(coeffs, rows) gives
-    (energies, gradient_of) from one ``eval_batch_and_grad`` call: the
-    energies equal ``energy``'s bit for bit, and gradient_of(sel) gives the
-    (len(rows[sel]), d, 2S) gradients of rows[sel] from the same M and dM/dz,
-    with no further metric call. The energy N sum_n Delta_n^T M Delta_n is
-    exact for straight chords on constant metrics, which keeps the discrete
-    minimizer straight. Its gradient is N sum_n [2 M Delta_n (x)
-    (B_nodes[n+1] - B_nodes[n]) + (Delta_n^T dM/dz_k Delta_n) (x) B_mids[n]].
-    With ``strict`` a non-finite term, or in ``gradient_of`` a non-finite
-    gradient term, raises NonFiniteEnergy at its t.
+    (energies, gradient_of, gauss_newton_of) from one ``eval_batch_and_grad``
+    call: the energies equal ``energy``'s bit for bit, gradient_of(sel) gives
+    the (len(rows[sel]), d, 2S) gradients of rows[sel] from the same M and
+    dM/dz, and gauss_newton_of(sel) their (len(rows[sel]), d 2S, d 2S)
+    Gauss-Newton matrices from the same M, with no further metric call. The
+    energy N sum_n Delta_n^T M Delta_n is exact for straight chords on
+    constant metrics, which keeps the discrete minimizer straight. Its
+    gradient is N sum_n [2 M Delta_n (x) D_n + (Delta_n^T dM/dz_k Delta_n) (x)
+    B_mids[n]], D_n = B_nodes[n+1] - B_nodes[n], and its Gauss-Newton matrix,
+    the Hessian with M held fixed, is 2N sum_n M (x) D_n D_n^T: the exact
+    Hessian on a constant metric. With ``strict`` a non-finite term, or in
+    ``gradient_of`` a non-finite gradient term, raises NonFiniteEnergy at
+    its t.
     """
     ts_nodes = np.arange(n + 1) / n
     ts_mids = (np.arange(n) + 0.5) / n
     b_nodes = hermite_basis(ts_nodes, segments)[0]
     b_mids = hermite_basis(ts_mids, segments)[0]
     db_nodes = b_nodes[1:] - b_nodes[:-1]
+    db_outer = 2.0 * n * np.einsum("tc,te->tce", db_nodes, db_nodes)
+    size = z0.size * db_nodes.shape[1]
     chords = targets - z0[None, :]
 
     def deltas_and_mids(coeffs, rows):
@@ -372,7 +385,11 @@ def _graph_energy(metric: LatentMetric, z0, targets, segments: int, n: int, stri
                 + np.einsum("mtk,tc->mkc", quad, b_mids)
             )
 
-        return n * quadratic(deltas, mm).sum(axis=1), gradient_of
+        def gauss_newton_of(sel):
+            gn = np.einsum("mtij,tce->micje", mm[sel], db_outer)
+            return gn.reshape(gn.shape[0], size, size)
+
+        return n * quadratic(deltas, mm).sum(axis=1), gradient_of, gauss_newton_of
 
     return energy, terms, evaluate
 
@@ -397,11 +414,27 @@ def _start_coeffs(cfg: EnergyConfig, rng: RngStream, shape, warm=None) -> np.nda
     return np.zeros(shape)
 
 
+def _gauss_newton_inverse(gn) -> np.ndarray:
+    """The inverses of the Gauss-Newton matrices gn (k, n, n), NaN-filled
+    where a matrix is not finite or not positive definite: where its least
+    eigenvalue is not above 1e-12 times its largest (M = 0 along the
+    curve, or 2S close to N: more coefficients than the node differences
+    pin down)."""
+    out = np.full(gn.shape, np.nan)
+    finite = np.nonzero(np.all(np.isfinite(gn), axis=(1, 2)))[0]
+    vals, vecs = np.linalg.eigh(gn[finite])
+    ok = vals[:, 0] > 1e-12 * vals[:, -1]
+    vecs = vecs[ok]
+    out[finite[ok]] = (vecs / vals[ok][:, None, :]) @ np.swapaxes(vecs, 1, 2)
+    return out
+
+
 def _bfgs_update(h_inv, rows, s, y):
     """BFGS update of the inverse-Hessian estimates h_inv[rows] (n, n) with
     the steps s and gradient changes y (rows, n). A row whose curvature
-    s^T y is not above 1e-12 |s| |y| keeps its estimate; a row's first
-    update starts from (s^T y / y^T y) I."""
+    s^T y is not above 1e-12 |s| |y| keeps its estimate; a row that has no
+    estimate yet (NaN: it had no usable Gauss-Newton start) starts from
+    (s^T y / y^T y) I at its first update."""
     sy = np.einsum("ki,ki->k", s, y)
     ok = sy > 1e-12 * np.linalg.norm(s, axis=1) * np.linalg.norm(y, axis=1)
     rows, s, y, sy = rows[ok], s[ok], y[ok], sy[ok]
@@ -424,18 +457,22 @@ def _descend(coeffs, energy, evaluate, cfg: EnergyConfig, first=None):
     ``coeffs`` (m, d, 2S) is the start; ``energy(c, rows)`` gives the energies
     of curves ``rows`` with coefficients c, and ``evaluate(c, rows)`` gives
     the same energies and ``gradient_of``, where gradient_of(sel) is the
-    gradients of rows[sel] from that one evaluation; ``first``, if given,
-    is evaluate(coeffs, all rows), made by the caller. Each curve searches
-    along p = -H g from t = 1, halving t until e(x + t p) <= e(x) +
-    1e-4 t g^T p, with H its own dense inverse-Hessian estimate of the
-    n = d 2S coefficients. Before its first update, or when -H g is not a
-    descent direction, p = -0.1 g. A curve whose start energy is not finite
-    never moves; the others stop when max|g| < grad_tol (1 + |E|), E its
-    current energy (converged), when g is not finite, or when 40 trials find
-    no Armijo step. The test is relative for KL energies of 1-100, whose
-    gradients cannot reach an absolute 1e-6 at rounding precision, and
-    absolute for E << 1. A non-finite trial energy, or a NonFiniteEnergy
-    raised by a trial, rejects the trial.
+    gradients of rows[sel] from that one evaluation, and a third element,
+    None or gauss_newton_of(sel), the Gauss-Newton matrices of rows[sel];
+    ``first``, if given, is evaluate(coeffs, all rows), made by the caller.
+    Each curve searches along p = -H g from t = 1, halving t until
+    e(x + t p) <= e(x) + 1e-4 t g^T p, with H its own dense inverse-Hessian
+    estimate of the n = d 2S coefficients. H starts at the inverse of the
+    curve's Gauss-Newton matrix at the start, where that matrix is finite
+    and positive definite (``_gauss_newton_inverse``); otherwise it has no
+    estimate until its first update, and steps p = -0.1 g until then. When
+    -H g is not a descent direction, p = -0.1 g. A curve whose start energy
+    is not finite never moves; the others stop when max|g| < grad_tol
+    (1 + |E|), E its current energy (converged), when g is not finite, or
+    when 40 trials find no Armijo step. The test is relative for KL energies
+    of 1-100, whose gradients cannot reach an absolute 1e-6 at rounding
+    precision, and absolute for E << 1. A non-finite trial energy, or a
+    NonFiniteEnergy raised by a trial, rejects the trial.
 
     The start and each iteration's unit-step trial (t = 1) call
     ``evaluate``, so a curve accepted there has its next gradient without a
@@ -452,12 +489,13 @@ def _descend(coeffs, energy, evaluate, cfg: EnergyConfig, first=None):
     stop), where the trace holds the energies at the start and after every
     iteration that accepted a step, and ``stop`` is a record per curve: its
     ``reason`` ("converged", "line_search", "max_iters" for a curve still
-    descending at the cap, or "non_finite" for a start energy or a gradient)
-    and the ``grad_norm`` max|g| of its last gradient (NaN if it had none).
+    descending at the cap, or "non_finite" for a start energy or a gradient),
+    the ``grad_norm`` max|g| of its last gradient (NaN if it had none), and
+    its ``start``: "gauss_newton" or "scaled_identity".
     """
     m, n = coeffs.shape[0], coeffs[0].size
     coeffs = coeffs.copy()
-    e_cur, gradient_of = first or evaluate(coeffs, np.arange(m))
+    e_cur, gradient_of, gauss_newton_of = first or evaluate(coeffs, np.arange(m))
     e_cur = np.array(e_cur, dtype=float)  # a copy: the caller may keep first's energies
     trace = [e_cur.copy()]
     active = np.isfinite(e_cur)
@@ -465,10 +503,13 @@ def _descend(coeffs, energy, evaluate, cfg: EnergyConfig, first=None):
     g_cur[active] = gradient_of(active).reshape(-1, n)
     fresh = active.copy()
     iterations = np.zeros(m, dtype=int)
-    stop = np.zeros(m, dtype=[("reason", "U11"), ("grad_norm", float)])
+    stop = np.zeros(m, dtype=[("reason", "U11"), ("grad_norm", float), ("start", "U15")])
     stop["reason"] = np.where(active, "max_iters", "non_finite")
     stop["grad_norm"] = np.nan
-    h_inv = np.full((m, n, n), np.nan)  # NaN until a curve's first update
+    h_inv = np.full((m, n, n), np.nan)  # NaN until a curve's first estimate
+    if gauss_newton_of is not None:
+        h_inv[active] = _gauss_newton_inverse(gauss_newton_of(active))
+    stop["start"] = np.where(np.isnan(h_inv[:, 0, 0]), "scaled_identity", "gauss_newton")
     prev_x = np.full((m, n), np.nan)
     prev_g = np.full((m, n), np.nan)
     for _ in range(cfg.max_iters):
@@ -504,7 +545,7 @@ def _descend(coeffs, energy, evaluate, cfg: EnergyConfig, first=None):
             trial = (x[pending] + t[pending, None] * p[pending]).reshape(-1, *coeffs.shape[1:])
             try:
                 if trial_no == 0:
-                    e_trial, gradient_of = evaluate(trial, rows)
+                    e_trial, gradient_of, _ = evaluate(trial, rows)
                 else:
                     e_trial = energy(trial, rows)
             except NonFiniteEnergy:
@@ -742,7 +783,8 @@ def log_map(
     energy term (straight chord, start or, on a metric, a gradient probe;
     not a line-search trial) raises NonFiniteEnergy at its t. A ``stop``
     dict receives the fit's ``iterations``, ``stop_reason`` and
-    ``grad_norm``, as ``GeodesicResult`` holds them.
+    ``grad_norm``, as ``GeodesicResult`` holds them, and its ``start``
+    ("gauss_newton" or "scaled_identity"; see ``_descend``).
     """
     z, y = _finite_endpoints(z, y)
     v, _, _, iterations, record = _log_maps(
@@ -750,5 +792,5 @@ def log_map(
     )
     if stop is not None:
         stop.update(iterations=int(iterations[0]), stop_reason=str(record["reason"][0]),
-                    grad_norm=float(record["grad_norm"][0]))
+                    grad_norm=float(record["grad_norm"][0]), start=str(record["start"][0]))
     return v[0]

@@ -301,10 +301,12 @@ def pullback(dec: DecoderMap, z) -> np.ndarray:
 
 def _decoded_kl(dec: DecoderMap, z1, z2, mc: McKl | None) -> float:
     """Sum of per-feature divergences between two decoded points: exact from
-    one decoder call, or sampled with ``mc`` (each point decoded on its own)."""
+    one decoder call, clamped at 0 (at nearly equal points the closed forms
+    can cancel to just below it), or sampled with ``mc`` (each point decoded
+    on its own)."""
     z1, z2 = np.asarray(z1, dtype=float), np.asarray(z2, dtype=float)
     if mc is None:
-        return float(_decoded_kls(dec, z1[None], z2[None, None])[0, 0])
+        return max(0.0, float(_decoded_kls(dec, z1[None], z2[None, None])[0, 0]))
     params = np.stack([dec_mod.forward_stacked(dec, z) for z in (z1, z2)])
     return float(sampled_kls(dec.family, params.reshape(2, dec.feature_count, -1), mc)[0])
 

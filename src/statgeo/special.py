@@ -8,7 +8,8 @@ and the decoder's sigmoid do. So the three names start as stubs: the first
 call to any of them imports ``scipy.special`` and binds its three functions
 over the stubs, and every later call reaches the ufunc through a plain name
 lookup. Call them through the module (``special.gammaln``), never import
-them by name, or the caller keeps the stub.
+them by name, or the caller keeps the stub. The CLI binds them itself when
+it loads a decoder, so ``--profile`` times the import as loading.
 
 Trigamma shifts every argument up by six with the recurrence
 psi1(x) = psi1(x+1) + 1/x^2 and evaluates the asymptotic Bernoulli series at

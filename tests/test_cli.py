@@ -1,3 +1,4 @@
+import contextlib
 import json
 import os
 import subprocess
@@ -9,7 +10,7 @@ import pytest
 
 import statgeo.geodesic as G
 import statgeo.metric as M
-from statgeo import cli, io
+from statgeo import cli, io, special
 from statgeo import land as land_mod
 from statgeo.errors import SingularMetric
 from statgeo.rng import RngStream
@@ -186,6 +187,62 @@ def test_log_profile_reports_why_the_fit_stopped(cap, reason, decoder_path, caps
                                       cfg, RngStream(1))
     assert doc["stop_reason"] == want.stop_reason == reason
     assert doc["iterations"] == want.iterations and doc["grad_norm"] == want.grad_norm
+    assert doc["start"] == "scaled_identity"  # decoder energies have no Gauss-Newton start
+
+
+def test_log_profile_reports_the_gauss_newton_start_on_a_grid(grid_path, capsys):
+    argv = ["log", "--grid", str(grid_path), *LOG_ARGS]
+    assert cli.main(argv) == 0
+    plain = capsys.readouterr()
+    assert cli.main([*argv, "--profile"]) == 0
+    profiled = capsys.readouterr()
+    assert profiled.out == plain.out
+    doc = json.loads(profiled.err.splitlines()[-1])
+    assert doc["start"] == "gauss_newton" and doc["stop_reason"] == "converged"
+
+
+def test_kl_of_nearly_equal_points_is_not_negative(decoder_path, capsys):
+    # the toy decoder's parameters barely move near the origin, and the Beta
+    # KL's gammaln and digamma terms cancel to about -7e-22 there
+    assert cli.main(["kl", "--decoder", str(decoder_path), "--z1=0,0", "--z2=0.1,0"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["kl"] == 0.0 and doc["gap"] == abs(doc["kl"] - doc["quadratic_approx"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["kl", "--decoder", "{dec}", "--z1=0.6,0.2", "--z2=0.5,0.3"],
+    ["geodesic", "--decoder", "{dec}", "--z0=0.6,0.2", "--z1=-0.4,0.8", "--seed", "1",
+     "--n-disc", "8", "--segments", "1", "--max-iters", "2"],
+    ["metric-grid", "--decoder", "{dec}", "--bounds=-2,2,-2,2", "--resolution", "2,2",
+     "--out", "{out}"],
+    ["exp", "--decoder", "{dec}", "--z=0.6,0.2", "--v=0.3,-0.2", "--steps", "2"],
+    ["log", "--decoder", "{dec}", "--z=0.6,0.2", "--y=0.5,0.3", "--seed", "1", "--n-disc", "8",
+     "--segments", "1", "--max-iters", "2"],
+    ["land", "--decoder", "{dec}", "--codes", "{codes}", "--seed", "1", "--out-model", "{out}",
+     "--max-iters", "1", "--mc-samples", "4", "--exp-steps", "2"],
+], ids=lambda argv: argv[0])
+def test_decoder_commands_bind_scipy_in_their_load_phase(argv, decoder_path, tmp_path,
+                                                         monkeypatch, capsys):
+    # the one-time scipy.special import must be timed as loading, not as the
+    # first phase that evaluates a special function
+    codes, events = tmp_path / "codes.csv", []
+    io.save_codes(0.5 * np.random.default_rng(7).standard_normal((6, 2)), codes)
+    phase, bind = cli._Profile.phase, special._bind_scipy
+
+    @contextlib.contextmanager
+    def recorded_phase(self, name):
+        events.append(("enter", name))
+        with phase(self, name):
+            yield
+        events.append(("exit", name))
+
+    monkeypatch.setattr(cli._Profile, "phase", recorded_phase)
+    monkeypatch.setattr(special, "_bind_scipy", lambda: (events.append("bind"), bind())[1])
+    paths = {"dec": decoder_path, "codes": codes, "out": tmp_path / "out.json"}
+    # land's shots may reach the toy decoder's plateau (exit 2) after loading
+    assert cli.main([a.format(**paths) for a in argv]) in (0, 2)
+    capsys.readouterr()
+    assert events[:3] == [("enter", "load"), "bind", ("exit", "load")]
 
 
 def test_threads_option_is_a_usage_error(decoder_path, tmp_path, capsys):

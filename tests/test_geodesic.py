@@ -38,11 +38,11 @@ def gradient(evaluate):
 
 def edit_gradient(evaluate, edit):
     """``evaluate`` whose gradient_of(sel) passes the gradients of rows[sel]
-    through edit(g, rows[sel])."""
+    through edit(g, rows[sel]); its Gauss-Newton element passes unchanged."""
 
     def edited(coeffs, rows):
-        energies, gradient_of = evaluate(coeffs, rows)
-        return energies, lambda sel: edit(gradient_of(sel), rows[sel])
+        energies, gradient_of, gauss_newton_of = evaluate(coeffs, rows)
+        return energies, lambda sel: edit(gradient_of(sel), rows[sel]), gauss_newton_of
 
     return edited
 
@@ -157,18 +157,21 @@ class TestCategoricalEnergy:
     def test_constant_curve_zero(self):
         dec = M.simplex_chart_decoder(3)
         c = straight_line(np.array([0.3, 0.3]), np.array([0.3, 0.3]))
-        assert G.categorical_energy(c, dec, 300) == pytest.approx(0.0, abs=1e-12)
+        # each term's rounding is scaled by 4N with the energy
+        n = 300
+        assert G.categorical_energy(c, dec, n) == pytest.approx(0.0, abs=4 * n * 1e-12)
 
     def test_small_angle_terms(self):
-        # adjacent points theta apart on the sqrt-sphere contribute ~ theta^2
+        # adjacent points theta apart on the sqrt-sphere contribute ~ 4 theta^2,
+        # the squared Fisher-Rao length 2 theta
         dec = M.simplex_chart_decoder(2)
         c = straight_line(np.array([0.1]), np.array([0.9]))
         n = 2000
         energy = G.categorical_energy(c, dec, n)
         total_angle = np.arccos(np.sqrt(0.1) * np.sqrt(0.9) + np.sqrt(0.9) * np.sqrt(0.1))
-        # n * energy approaches the squared great-circle angle from above as
-        # the per-step angles shrink
-        assert n * energy == pytest.approx(total_angle**2, rel=0.05)
+        # the energy approaches the squared Fisher-Rao distance (2 angle)^2
+        # from above as the per-step angles shrink
+        assert energy == pytest.approx(4.0 * total_angle**2, rel=0.05)
 
     def test_family_mismatch(self):
         dec = identity_parameter_decoder("normal")
@@ -177,7 +180,7 @@ class TestCategoricalEnergy:
             G.categorical_energy(c, dec, 100)
 
     def test_k2_geodesic_matches_arccos_oracle(self):
-        # minimized N*energy ~ arccos^2(sqrt(eta) . sqrt(eta')) = arccos(0.6)^2
+        # minimized energy ~ 4 arccos^2(sqrt(eta) . sqrt(eta')) = 4 arccos(0.6)^2
         dec = M.simplex_chart_decoder(2)
         cfg = EnergyConfig(
             n_disc=500, segments=4, max_iters=400, grad_tol=1e-10,
@@ -186,8 +189,8 @@ class TestCategoricalEnergy:
         res = G.minimize_energy_detailed(
             np.array([0.1]), np.array([0.9]), dec, cfg, RngStream(4)
         )
-        oracle = np.arccos(0.6) ** 2
-        assert cfg.n_disc * res.energy == pytest.approx(oracle, rel=0.02)
+        oracle = 4.0 * np.arccos(0.6) ** 2
+        assert res.energy == pytest.approx(oracle, rel=0.02)
 
     def test_chart_geodesic_from_the_boundary_stays_on_the_simplex(self):
         # z0 decodes to (0, 0.5, 0.5), on the simplex's boundary; the chart
@@ -198,9 +201,9 @@ class TestCategoricalEnergy:
         z0, z1 = np.array([0.0, 0.5]), np.array([0.5, 0.2])
         res = G.minimize_energy_detailed(z0, z1, dec, cfg, RngStream(0))
         p, q = np.array([0.0, 0.5, 0.5]), np.array([0.5, 0.2, 0.3])
-        oracle = np.arccos(np.sum(np.sqrt(p * q))) ** 2
+        oracle = 4.0 * np.arccos(np.sum(np.sqrt(p * q))) ** 2
         assert res.converged
-        assert abs(cfg.n_disc * res.energy - oracle) < 1e-4
+        assert abs(res.energy - oracle) < 4e-4
         zs, _ = res.curve.eval(np.arange(cfg.n_disc + 1) / cfg.n_disc)
         assert np.all(zs >= 0.0) and np.all(zs.sum(axis=1) <= 1.0)
 
@@ -571,7 +574,7 @@ def test_evaluate_equals_energy_and_fresh_gradients_bit_for_bit(source, gen):
     energy, evaluate, coeffs = _energies(source, gen)
     rows = np.array([4, 0, 2, 1])
     c = coeffs[rows]
-    energies, gradient_of = evaluate(c, rows)
+    energies, gradient_of, _ = evaluate(c, rows)
     assert np.array_equal(energies, energy(c, rows))
     for sel in (np.array([True, False, True, True]), np.array([3, 1]), np.arange(4)):
         fresh = evaluate(c[sel], rows[sel])[1](np.arange(len(rows[sel])))
@@ -581,13 +584,13 @@ def test_evaluate_equals_energy_and_fresh_gradients_bit_for_bit(source, gen):
 
 
 def test_fit_evaluates_the_metric_once_per_iteration(gen):
-    # every unit step of these quadratic fits is accepted, so after the
-    # chord and the start each iteration makes one metric evaluation, which
-    # serves its trial's energy and the next gradient; the last iteration
-    # finds every remaining curve converged and tries no step
+    # every unit step of these fits on diag(1 + z^2) is accepted, so after
+    # the chord and the start each iteration makes one metric evaluation,
+    # which serves its trial's energy and the next gradient; the last
+    # iteration finds every remaining curve converged and tries no step
     class Counted(M.LatentMetric):
-        def __init__(self, matrix):
-            self.inner, self.latent_dim, self.calls = M.ConstantMetric(matrix), 2, []
+        def __init__(self, inner):
+            self.inner, self.latent_dim, self.calls = inner, 2, []
 
         def eval_batch(self, zs):
             self.calls.append("eval_batch")
@@ -597,7 +600,7 @@ def test_fit_evaluates_the_metric_once_per_iteration(gen):
             self.calls.append("eval_batch_and_grad")
             return self.inner.eval_batch_and_grad(zs)
 
-    metric = Counted(np.diag([2.0, 0.5]))
+    metric = Counted(TestGraphGradient.smooth)
     cfg = EnergyConfig(n_disc=16, segments=1)
     z0, targets = np.array([0.1, -0.2]), gen.uniform(-1.5, 1.5, size=(20, 2))
     _, _, _, converged, iterations, _, _, _ = G._fit_curves(
@@ -714,6 +717,66 @@ def test_descend_solves_a_quadratic_energy_in_few_iterations(gen):
     assert np.all(converged) and iterations.max() <= 2 * n + 2
 
 
+def test_gauss_newton_start_reaches_the_chord_in_one_step(gen):
+    # on a constant metric the graph energy is quadratic and its Gauss-Newton
+    # matrix is its Hessian: the first step lands on the straight chord, and
+    # the second iteration finds the fit converged
+    metric = M.ConstantMetric(np.array([[4.0, 1.5], [1.5, 0.7]]))
+    z0, targets = np.array([0.1, -0.2]), gen.uniform(-1.5, 1.5, size=(5, 2))
+    energy, _, evaluate = G._graph_energy(metric, z0, targets, 4, 16, strict=False)
+    start = 0.1 * gen.normal(size=(5, 2, 8))
+    cfg = EnergyConfig(n_disc=16, segments=4, max_iters=1)
+    coeffs, e, _, _, _, stop = G._descend(start, energy, evaluate, cfg)
+    assert np.all(stop["start"] == "gauss_newton")
+    assert np.max(np.abs(coeffs)) < 1e-12
+    chord = energy(np.zeros_like(start), np.arange(5))
+    assert np.allclose(e, chord, rtol=1e-13, atol=0.0)
+    full = G._descend(start, energy, evaluate, replace(cfg, max_iters=200))
+    assert np.all(full[2]) and np.all(full[3] == 2)
+
+
+def test_gauss_newton_start_converges_at_four_segments(gen):
+    # a scaled-identity start needs more than 60 iterations for some of these
+    # fits at S=4 (the coefficients' Hessian has condition number ~2e4 there)
+    metric = TestGraphGradient.smooth
+    z0, targets = np.array([0.1, -0.2]), gen.uniform(-1.5, 1.5, size=(20, 2))
+    cfg = EnergyConfig(n_disc=16, segments=4, max_iters=60, jitter=0.0)
+    _, lengths, _, iterations, stop = G._log_maps(
+        metric, z0, targets, cfg, RngStream(0), None, False
+    )
+    assert np.all(stop["reason"] == "converged") and iterations.max() <= 20
+    assert np.all(stop["start"] == "gauss_newton")
+    ref = G._log_maps(metric, z0, targets, replace(cfg, max_iters=400, grad_tol=1e-10),
+                      RngStream(0), None, False)
+    assert np.all(ref[4]["reason"] == "converged")
+    assert np.max(np.abs(lengths - ref[1]) / ref[1]) < 1e-6
+
+
+def test_rows_without_a_gauss_newton_start_fit_as_alone(gen):
+    # M = diag(1 + z_1^2, max(0, 1 - z_0)^2): row 0 lies where z_0 >= 1, so
+    # its second axis has M = 0 along the whole chord and its Gauss-Newton
+    # matrix is singular; it keeps the scaled-identity rule, and every row
+    # of the batch fits exactly as it fits alone
+    metric = M.CallableMetric(lambda z: np.diag([1.0 + z[1] ** 2, max(0.0, 1.0 - z[0]) ** 2]), 2)
+    z0 = np.array([1.5, -0.5])
+    targets = np.array([[2.0, 0.5], [0.2, 0.4], [-0.6, -0.9]])
+    cfg = EnergyConfig(n_disc=16, segments=1, max_iters=60)
+    start = 0.05 * gen.normal(size=(3, 2, 2))
+    start[0] = 0.0  # on the chord, so every midpoint of row 0 has z_0 >= 1
+
+    def fit(rows):
+        energy, _, evaluate = G._graph_energy(metric, z0, targets[rows], 1, 16, strict=False)
+        return G._descend(start[rows], energy, evaluate, cfg)
+
+    coeffs, e, converged, iterations, _, stop = fit(np.arange(3))
+    assert list(stop["start"]) == ["scaled_identity", "gauss_newton", "gauss_newton"]
+    assert iterations[0] > 2 and np.all(converged)
+    for k in range(3):
+        alone = fit(np.array([k]))
+        assert np.array_equal(coeffs[k], alone[0][0]) and e[k] == alone[1][0]
+        assert iterations[k] == alone[3][0] and stop[k] == alone[5][0]
+
+
 @pytest.mark.parametrize("scale", [1e6, 1e12])
 def test_descend_converges_on_a_scaled_quadratic_energy(scale, gen):
     # energies of 1e6-1e13 cannot bring max|g| under an absolute 1e-6 at
@@ -785,7 +848,9 @@ class TestStopReason:
         assert np.array_equal(coeffs, start)
 
     def test_max_iters(self, gen):
-        energy, evaluate = self.quadratic(np.array([[1.0, 0.5]]))
+        # on a constant metric the Gauss-Newton start solves the fit in one
+        # step, so the capped fit runs on diag(1 + z^2)
+        energy, evaluate = self.quadratic(np.array([[1.0, 0.5]]), TestGraphGradient.smooth)
         cfg = EnergyConfig(n_disc=16, segments=1, max_iters=2)
         _, e, converged, iterations, _, stop = G._descend(
             0.1 * gen.normal(size=(1, 2, 2)), energy, evaluate, cfg
@@ -807,8 +872,8 @@ class TestStopReason:
             return g
 
         def evaluate_inf0_nan1(coeffs, rows):
-            e, gradient_of = edit_gradient(evaluate, nan_row1)(coeffs, rows)
-            return np.where(rows == 0, np.inf, e), gradient_of
+            e, gradient_of, gauss_newton_of = edit_gradient(evaluate, nan_row1)(coeffs, rows)
+            return np.where(rows == 0, np.inf, e), gradient_of, gauss_newton_of
 
         cfg = EnergyConfig(n_disc=16, segments=1)
         _, _, converged, iterations, _, stop = G._descend(
