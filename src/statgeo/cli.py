@@ -338,11 +338,8 @@ def _cmd_land(args, prof) -> int:
         with prof.phase("density"):
             pts = met.lattice_points(bounds, res)
             logpdf = land_mod.land_logpdf_batch(model, pts, rng.child(5))
-            tensors = model.metric.eval_batch(pts)
-            _, logdet = np.linalg.slogdet(tensors)
-            _, logdet_mu = np.linalg.slogdet(model.metric.eval(model.mean))
             # density against Lebesgue via the relative volume element
-            dens = np.exp(logpdf + 0.5 * (logdet - logdet_mu))
+            dens = np.exp(logpdf + land_mod._log_volume_ratio(model.metric, model.mean, pts))
             header = [f"z{i}" for i in range(pts.shape[1])] + ["density"]
             io.save_csv(args.out_density, header, np.column_stack([pts, dens]))
 

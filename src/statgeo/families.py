@@ -4,21 +4,22 @@ information tensors.
 Each family fixes a per-feature parameter layout (documented on the class)
 and implements, fully vectorized over leading axes:
 
-* ``log_pdf`` / ``score`` -- log density and its exact parameter gradient,
+* ``log_pdf`` -- log density, which the sampled KL estimates average,
 * ``sample`` -- i.i.d. draws from a seeded generator,
 * ``kl`` / ``kl_grad`` -- closed-form divergence between two points,
-* ``fisher`` -- closed-form information tensor (expected score outer
-  product in the stored coordinates),
+* ``fisher`` -- closed-form information tensor G(eta) in the stored
+  coordinates: the second-order term of the KL divergence,
+  KL(eta || eta + d) = 0.5 d^T G(eta) d + O(|d|^3),
 * ``max_uncertainty`` -- the maximum-entropy parameters used for
   extrapolation far from the data support.
 
-The Normal family is parametrized by (mean, variance): the variance
+The library promises no score function; ``log_pdf`` determines it. The
+Normal family is parametrized by (mean, variance): the variance
 coordinate is what makes the closed-form tensor diag(1/v, 1/(2v^2)) agree
-with both the Monte Carlo estimator and the local quadratic behaviour of
-the KL divergence. Categorical and von Mises-Fisher use over-complete
-coordinates (full simplex, ambient mean direction); their tensors are the
-raw score outer-product expectations, which is what the latent pullback
-consumes.
+with the local quadratic behaviour of the KL divergence. Categorical and
+von Mises-Fisher use over-complete coordinates (full simplex, ambient mean
+direction); their tensors are the raw expected outer products of the
+log-density gradient, which is what the latent pullback consumes.
 """
 
 from __future__ import annotations
@@ -91,9 +92,6 @@ class Family:
     def log_pdf(self, values, x):
         raise NotImplementedError
 
-    def score(self, values, x):
-        raise NotImplementedError
-
     def sample(self, values, gen: np.random.Generator, n: int):
         raise NotImplementedError
 
@@ -130,12 +128,6 @@ class NormalFamily(Family):
         mu, var = values[..., 0], _clamp_pos(values[..., 1])
         x = np.asarray(x, dtype=float)
         return -0.5 * (np.log(2.0 * np.pi * var) + (x - mu) ** 2 / var)
-
-    def score(self, values, x):
-        mu, var = values[..., 0], _clamp_pos(values[..., 1])
-        x = np.asarray(x, dtype=float)
-        d = x - mu
-        return np.stack([d / var, -0.5 / var + 0.5 * d**2 / var**2], axis=-1)
 
     def sample(self, values, gen, n):
         mu, var = values[0], values[1]
@@ -191,11 +183,6 @@ class BernoulliFamily(Family):
         t = self._theta(values)
         return x * np.log(t) + (1.0 - x) * np.log1p(-t)
 
-    def score(self, values, x):
-        t = self._theta(values)
-        x = np.asarray(x, dtype=float)
-        return (x / t - (1.0 - x) / (1.0 - t))[..., None]
-
     def sample(self, values, gen, n):
         return (gen.random(n) < values[0]).astype(float)
 
@@ -238,9 +225,6 @@ class CategoricalFamily(Family):
     def head_schema(self):
         return (("probs", self.k, "softmax"),)
 
-    def blend_mask(self):
-        return np.ones(self.k, dtype=bool)
-
     def normalize(self, values):
         values = np.asarray(values, dtype=float)
         return values / np.sum(values, axis=-1, keepdims=True)
@@ -257,10 +241,6 @@ class CategoricalFamily(Family):
             raise DomainError("categorical observations must be one-hot")
         t = _clamp_pos(values)
         return np.sum(x * np.log(t), axis=-1)
-
-    def score(self, values, x):
-        t = _clamp_pos(values)
-        return np.asarray(x, dtype=float) / t
 
     def sample(self, values, gen, n):
         idx = gen.choice(self.k, size=n, p=values / values.sum())
@@ -306,13 +286,6 @@ class GammaFamily(Family):
         if np.any(x <= 0):
             raise DomainError("gamma observations must be > 0")
         return a * np.log(b) + (a - 1.0) * np.log(x) - b * x - special.gammaln(a)
-
-    def score(self, values, x):
-        a, b = _clamp_pos(values[..., 0]), _clamp_pos(values[..., 1])
-        x = np.asarray(x, dtype=float)
-        return np.stack(
-            [np.log(b) - special.digamma(a) + np.log(x), a / b - x], axis=-1
-        )
 
     def sample(self, values, gen, n):
         return gen.gamma(shape=values[0], scale=1.0 / values[1], size=n)
@@ -384,18 +357,6 @@ class BetaFamily(Family):
             - special.gammaln(b)
         )
 
-    def score(self, values, x):
-        a, b = _clamp_pos(values[..., 0]), _clamp_pos(values[..., 1])
-        x = np.asarray(x, dtype=float)
-        dab = special.digamma(a + b)
-        return np.stack(
-            [
-                np.log(x) - special.digamma(a) + dab,
-                np.log1p(-x) - special.digamma(b) + dab,
-            ],
-            axis=-1,
-        )
-
     def sample(self, values, gen, n):
         return gen.beta(values[0], values[1], size=n)
 
@@ -463,10 +424,6 @@ class ExponentialFamily(Family):
             raise DomainError("exponential observations must be >= 0")
         return np.log(lam) - lam * x
 
-    def score(self, values, x):
-        lam = _clamp_pos(values[..., 0])
-        return (1.0 / lam - np.asarray(x, dtype=float))[..., None]
-
     def sample(self, values, gen, n):
         return gen.exponential(scale=1.0 / values[0], size=n)
 
@@ -515,12 +472,6 @@ class DirichletFamily(Family):
             - np.sum(special.gammaln(a), axis=-1)
             + np.sum((a - 1.0) * np.log(x), axis=-1)
         )
-
-    def score(self, values, x):
-        a = _clamp_pos(values)
-        x = np.asarray(x, dtype=float)
-        s = np.sum(a, axis=-1, keepdims=True)
-        return np.log(x) - special.digamma(a) + special.digamma(s)
 
     def sample(self, values, gen, n):
         return gen.dirichlet(values, size=n)
@@ -594,13 +545,6 @@ class VonMisesFisherS2Family(Family):
         if np.any(np.abs(np.linalg.norm(x, axis=-1) - 1.0) > 1e-6):
             raise DomainError("vmf observations must lie on the unit sphere")
         return log_vmf_normalizer(kappa) + kappa * np.sum(mu * x, axis=-1)
-
-    def score(self, values, x):
-        mu, kappa = values[..., :3], _clamp_pos(values[..., 3])
-        x = np.asarray(x, dtype=float)
-        g_mu = kappa[..., None] * x
-        g_kappa = np.sum(mu * x, axis=-1) - mean_resultant(kappa)
-        return np.concatenate([g_mu, g_kappa[..., None]], axis=-1)
 
     def sample(self, values, gen, n):
         mu, kappa = values[:3], float(values[3])
@@ -768,12 +712,9 @@ def sampled_kls(fam: Family, params, mc: McKl) -> np.ndarray:
     return kls
 
 
-def kl(eta1: ParamPoint, eta2: ParamPoint, mc: McKl | None = None) -> float:
-    """KL(p(.|eta1) || p(.|eta2)); Monte Carlo when ``mc`` is given."""
-    fam = _same_family(eta1, eta2)
-    if mc is not None:
-        return kl_mc_stats(eta1, eta2, mc)[0]
-    return float(fam.kl(eta1.values, eta2.values))
+def kl(eta1: ParamPoint, eta2: ParamPoint) -> float:
+    """Closed-form KL(p(.|eta1) || p(.|eta2)); ``kl_mc_stats`` samples it."""
+    return float(_same_family(eta1, eta2).kl(eta1.values, eta2.values))
 
 
 def kl_mc_stats(eta1: ParamPoint, eta2: ParamPoint, mc: McKl) -> tuple[float, float]:
@@ -781,17 +722,6 @@ def kl_mc_stats(eta1: ParamPoint, eta2: ParamPoint, mc: McKl) -> tuple[float, fl
     fam = _same_family(eta1, eta2)
     diffs = log_ratios(fam, eta1.values, eta2.values, mc.rng.generator, mc.n_samples)
     return float(np.mean(diffs)), float(np.std(diffs) / np.sqrt(mc.n_samples))
-
-
-def mc_fisher_rao(eta: ParamPoint, rng: RngStream, n: int) -> np.ndarray:
-    """(1/n) sum of score outer products with the analytic score, symmetrized."""
-    if n < 1:
-        raise InvalidParam("mc_fisher_rao needs n >= 1")
-    fam = eta.family
-    x = fam.sample(eta.values, rng.generator, n)
-    g = fam.score(eta.values, x)
-    m = g.T @ g / n
-    return 0.5 * (m + m.T)
 
 
 def max_uncertainty_params(kind: FamilyKind | str, p_dims: int | None = None) -> ParamPoint:

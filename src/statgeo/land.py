@@ -19,6 +19,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import DegenerateEstimate, InvalidParam, NonConvergence, SingularMetric
+# log_map stays imported: bench/selftest.py's NAME_IMPORTS pins statgeo.land.log_map
 from .geodesic import EnergyConfig, exp_map_batch, log_map, log_map_batch
 from .metric import LatentMetric
 from .rng import RngStream
@@ -56,13 +57,13 @@ class LandModel:
 
 
 def land_logpdf(model: LandModel, z, rng: RngStream | None = None) -> float:
-    """log C - 0.5 v^T Gamma v with v the log map of z at the mean."""
-    v = log_map(model.metric, model.mean, np.asarray(z, dtype=float),
-                model.logmap_cfg, rng or RngStream(model.seed))
-    return float(np.log(model.norm_const) - 0.5 * v @ model.precision @ v)
+    """``land_logpdf_batch`` of the one point z."""
+    return float(land_logpdf_batch(model, [z], rng)[0])
 
 
 def land_logpdf_batch(model: LandModel, zs, rng: RngStream | None = None) -> np.ndarray:
+    """log C - 0.5 v^T Gamma v per row, with v the log map of the row at the
+    mean; a row whose log map is not finite gives a non-finite value."""
     vs, _, _ = log_map_batch(
         model.metric, model.mean, np.atleast_2d(np.asarray(zs, dtype=float)),
         model.logmap_cfg, rng or RngStream(model.seed),
@@ -76,6 +77,14 @@ def _tangent_proposal(precision, gen, n):
     chol = np.linalg.cholesky(precision)
     xi = gen.standard_normal((n, precision.shape[0]))
     return np.linalg.solve(chol.T, xi.T).T
+
+
+def _log_volume_ratio(metric: LatentMetric, mean, zs) -> np.ndarray:
+    """0.5 log det M(z) - 0.5 log det M(mean) per row z of zs: the log of the
+    metric's volume element at z relative to the mean."""
+    _, logdet = np.linalg.slogdet(metric.eval_batch(zs))
+    _, logdet_mu = np.linalg.slogdet(metric.eval(mean))
+    return 0.5 * (logdet - logdet_mu)
 
 
 def land_normalizer_stats(
@@ -102,9 +111,7 @@ def land_normalizer_stats(
         raise InvalidParam("precision matrix must be positive definite")
     vs = _tangent_proposal(precision, rng.generator, n)
     ends = exp_map_batch(metric, np.tile(mean, (n, 1)), vs, steps=exp_steps)
-    _, logdet_end = np.linalg.slogdet(metric.eval_batch(ends))
-    _, logdet_mu = np.linalg.slogdet(metric.eval(mean))
-    w = np.exp(0.5 * (logdet_end - logdet_mu))
+    w = np.exp(_log_volume_ratio(metric, mean, ends))
     if not np.all(np.isfinite(w)):
         raise DegenerateEstimate("normalizer weights are not finite")
     ess = float(w.sum() ** 2 / max(float((w**2).sum()), n, 1e-300))

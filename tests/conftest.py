@@ -78,6 +78,24 @@ def perturb(eta: ParamPoint, u: np.ndarray, eps: float) -> ParamPoint:
     return ParamPoint(eta.family, vals)
 
 
+def fd_score(fam, values, x) -> np.ndarray:
+    """The score at observations x, shape x's batch + (p,): central
+    differences of ``fam.log_pdf`` in each parameter eta_j, with step
+    1e-6 max(1, |eta_j|)."""
+    values = np.asarray(values, dtype=float)
+    # column-major x, so that log_pdf's sums over an observation's entries
+    # add whole columns instead of reducing many short rows
+    x = np.asfortranarray(x, dtype=float)
+    cols = []
+    for j in range(values.size):
+        up, down = values.copy(), values.copy()
+        h = 1e-6 * max(1.0, abs(values[j]))
+        up[j] += h
+        down[j] -= h
+        cols.append((fam.log_pdf(up, x) - fam.log_pdf(down, x)) / (up[j] - down[j]))
+    return np.stack(cols, axis=-1)
+
+
 @pytest.fixture
 def gen():
     return np.random.default_rng(20240817)

@@ -12,7 +12,7 @@ from statgeo.geodesic import SplineCurve, exp_map, kl_energy
 from statgeo.rng import RngStream
 from statgeo.toy import identity_parameter_decoder, toy_decoder
 
-from conftest import lifted_decoder, rel_frob
+from conftest import fd_score, lifted_decoder, rel_frob
 
 
 def gram_kernel_reference(grid, zs):
@@ -134,7 +134,7 @@ class TestPullback:
             total = np.zeros((2, 2))
             for f in range(dec.feature_count):
                 x = fam.sample(per[f], gen_mc, n)
-                score = fam.score(per[f], x)
+                score = fd_score(fam, per[f], x)
                 jf = jac[f * fam.param_dim : (f + 1) * fam.param_dim]
                 zscore = score @ jf
                 total += zscore.T @ zscore / n
