@@ -755,12 +755,14 @@ def log_map_batch(
     alone (the start jitter is drawn for the whole batch). Returns
     (tangents, lengths, coeffs); ``coeffs`` can warm-start the next call
     when the base point moves a little, as happens inside density fitting.
-    Non-finite energies are not raised: their rows come back non-finite.
+    A non-finite base point or target raises ShapeError, as in ``log_map``;
+    non-finite energies are not raised: their rows come back non-finite.
     """
+    z0, targets = _finite_endpoints(z0, targets)
     return _log_maps(
         target,
-        np.asarray(z0, dtype=float),
-        np.atleast_2d(np.asarray(targets, dtype=float)),
+        z0,
+        np.atleast_2d(targets),
         cfg or EnergyConfig(segments=1, n_disc=16),
         rng or RngStream(0),
         warm_coeffs,

@@ -8,6 +8,7 @@ weighted by the metric volume ratio sqrt(det M(Exp_mu(v)) / det M(mu)), so
 C normalizes the density against the volume measure relative to the mean
 point. The estimate raises DegenerateEstimate when its effective sample
 size, measured against the mean's own weight w(0) = 1, falls below 10.
+Every shot takes ``EXP_STEPS`` RK4 steps unless its caller says otherwise.
 Fitting runs gradient descent on the negative log-likelihood over
 (mu, Gamma) with Gamma kept SPD through a log-Cholesky parametrization.
 """
@@ -23,6 +24,13 @@ from .errors import DegenerateEstimate, InvalidParam, NonConvergence, SingularMe
 from .geodesic import EnergyConfig, exp_map_batch, log_map, log_map_batch
 from .metric import LatentMetric
 from .rng import RngStream
+
+# RK4 steps per normalizer shot: the default of land_normalizer_stats,
+# LandFitConfig.exp_steps and `statgeo land --exp-steps`. On the toy 40x40
+# grid (sigma 0.25, 256 samples) C at 10 steps is within 0.01 of its own
+# Monte Carlo standard error of a 100-step C on the same draws
+# (tests/test_land.py::test_default_exp_steps_keep_c_within_its_standard_error)
+EXP_STEPS = 10
 
 # errors that end land_fit's iterations, or reject one line-search trial
 _STEP_ERRORS = (DegenerateEstimate, InvalidParam, SingularMetric, np.linalg.LinAlgError)
@@ -93,9 +101,10 @@ def land_normalizer_stats(
     metric: LatentMetric,
     rng: RngStream,
     n: int,
-    exp_steps: int = 25,
+    exp_steps: int = EXP_STEPS,
 ):
-    """(C, standard error, effective sample size) of the MC normalizer.
+    """(C, standard error, effective sample size) of the MC normalizer, with
+    ``exp_steps`` RK4 steps per shot.
 
     The effective sample size is (sum w)^2 / max(sum w^2, n): the Kish ESS
     measured against the mean's own weight w(0) = 1, so weights that all
@@ -137,11 +146,12 @@ def land_normalizer(mean, precision, metric, rng: RngStream, n: int, **kw) -> fl
 @dataclass
 class LandFitConfig:
     """Settings of ``land_fit``, whose descent starts at step 0.25, takes
-    central differences of step 1e-4 and converges when max|grad| < 1e-4."""
+    central differences of step 1e-4 and converges when max|grad| < 1e-4;
+    ``exp_steps`` is the normalizer's RK4 steps per shot (``EXP_STEPS``)."""
 
     max_iters: int = 40
     mc_samples: int = 256
-    exp_steps: int = 20
+    exp_steps: int = EXP_STEPS
     logmap_cfg: EnergyConfig = field(default_factory=_default_logmap_cfg)
 
 
@@ -176,16 +186,16 @@ def land_fit(
     previous curves); the normalizer reuses one seed per outer iteration so
     finite differences see common random numbers. A DegenerateEstimate,
     InvalidParam, SingularMetric (a normalizer shot that meets a singular
-    metric) or LinAlgError in an iteration's NLL or gradient probes ends
-    the iterations, and in a line-search trial rejects the trial; with no
-    accepted step the fit raises NonConvergence carrying the model. The
-    model's C comes from a final normalizer of max(``mc_samples``, 1024)
-    samples, the model's ``mc_samples``; if that raises one of these
-    errors, the model keeps the C of the last NLL evaluated at its
-    (mu, Gamma) (the opening NLL's if no step was accepted), with
-    ``cfg.mc_samples`` its sample count, and the fit raises
-    NonConvergence carrying it. The opening NLL is not guarded: with no C
-    to keep yet, an error there propagates.
+    metric) or LinAlgError in an iteration's NLL or gradient probes, or a
+    gradient that is not finite, ends the iterations; one of these errors
+    in a line-search trial rejects the trial. With no accepted step the fit
+    raises NonConvergence carrying the model. The model's C comes from a
+    final normalizer of max(``mc_samples``, 1024) samples, the model's
+    ``mc_samples``; if that raises one of these errors, the model keeps the
+    C of the last NLL evaluated at its (mu, Gamma) (the opening NLL's if no
+    step was accepted), with ``cfg.mc_samples`` its sample count, and the
+    fit raises NonConvergence carrying it. The opening NLL is not guarded:
+    with no C to keep yet, an error there propagates.
     """
     cfg = cfg or LandFitConfig()
     rng = rng or RngStream(0)
@@ -248,6 +258,8 @@ def land_fit(
                 e_minus = nll(probe, seed, vs=vs_p)[0]
                 grad[i] = (e_plus - e_minus) / (2.0 * h)
         except _STEP_ERRORS:
+            break
+        if not np.all(np.isfinite(grad)):  # a trial along it would have NaN parameters
             break
         gnorm = float(np.max(np.abs(grad)))
         if gnorm < 1e-4:

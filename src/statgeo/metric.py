@@ -331,15 +331,16 @@ def kl_probe(dec: DecoderMap, z, eps: float = 1e-2) -> np.ndarray:
 def clamp_spd(m: np.ndarray):
     """Clamp eigenvalues below 1e-8 * trace / d up to that floor.
 
-    Returns (matrix, n_clamped). No-op for already-PD tensors.
+    Returns (matrix, n_clamped); a clamped matrix is exactly symmetric.
+    No-op for already-PD tensors.
     """
     vals, vecs = np.linalg.eigh(m)
     floor = 1e-8 * max(np.trace(m), np.finfo(float).tiny) / m.shape[0]
     bad = vals < floor
     if not np.any(bad):
         return m, 0
-    vals = np.maximum(vals, floor)
-    return (vecs * vals) @ vecs.T, int(bad.sum())
+    out = (vecs * np.maximum(vals, floor)) @ vecs.T
+    return 0.5 * (out + out.T), int(bad.sum())
 
 
 def simplex_chart(eta_free) -> tuple[ParamPoint, np.ndarray]:

@@ -496,6 +496,32 @@ def test_commands_without_special_functions_never_import_scipy(decoder_path, tmp
     assert report["bound"] == [True, True, True]
 
 
+def test_one_parser_serves_every_call_as_fresh_ones_do(tmp_path, capsys):
+    # main builds its parser once per process: a usage error mid-parse, and
+    # one command's options, must not leak into the next call
+    argvs = [
+        ["toygen", "--n", "0", "--seed", "1", "--out", str(tmp_path / "bad.json")],
+        ["toygen", "--n", "5", "--noise", "0.3", "--seed", "2", "--out", str(tmp_path / "a.json")],
+        ["toygen", "--seed", "2", "--out", str(tmp_path / "b.json")],
+    ]
+    in_process = []
+    for argv in argvs:
+        code = cli.main(argv)
+        out = capsys.readouterr()
+        in_process.append((code, out.out, out.err))
+    src = str(Path(io.__file__).resolve().parents[1])
+    fresh = []
+    for argv in argvs:
+        proc = subprocess.run(
+            [sys.executable, "-m", "statgeo.cli", *argv], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src}, timeout=120,
+        )
+        fresh.append((proc.returncode, proc.stdout, proc.stderr))
+    assert in_process == fresh
+    assert [code for code, _, _ in fresh] == [1, 0, 0]
+    assert json.loads(fresh[2][1])["n"] == 200
+
+
 @pytest.mark.parametrize("argv", [
     ["exp", "--decoder", "{dec}", "--z=0,0", "--v=0.1,0", "--steps", "0"],
     ["land", "--decoder", "{dec}", "--codes", "{codes}", "--seed", "1",

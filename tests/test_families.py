@@ -113,6 +113,35 @@ class TestFisherRao:
                 g = fd_score(eta.family, eta.values, x)
                 assert rel_frob(g.T @ g / len(g), closed) < 0.05, kind
 
+    @pytest.mark.parametrize(
+        "mu,kappa",
+        [((0.0, 0.0, 1.0), 0.05), ((1.0, -2.0, 0.5), 2.0), ((-0.3, 0.4, -2.0), 8.0)],
+    )
+    def test_vmf_tensor_is_the_score_second_moment_by_quadrature(self, mu, kappa):
+        # E[s s^T] over S^2, s the score of log_pdf in all four parameters, so
+        # the block normal to the sphere (the mu mu^T coefficient and the
+        # kappa K' mu cross terms) is checked too. Product quadrature about mu:
+        # Gauss-Legendre in t = cos(theta), exact to rounding for the smooth
+        # e^{kappa t} factor, and the trapezoid rule in phi, exact for the
+        # degree-2 trigonometric polynomials of s s^T
+        mu = np.asarray(mu) / np.linalg.norm(mu)
+        fam = get_family(FamilyKind.VON_MISES_FISHER_S2)
+        values = np.concatenate([mu, [kappa]])
+        e1 = np.cross(mu, [1.0, 0.0, 0.0] if abs(mu[0]) < 0.9 else [0.0, 1.0, 0.0])
+        e1 /= np.linalg.norm(e1)
+        e2 = np.cross(mu, e1)
+        t, wt = np.polynomial.legendre.leggauss(48)
+        phi = 2.0 * np.pi * np.arange(8) / 8
+        r = np.sqrt(1.0 - t**2)[:, None, None]
+        x = (t[:, None, None] * mu + r * np.cos(phi)[:, None] * e1
+             + r * np.sin(phi)[:, None] * e2).reshape(-1, 3)
+        weights = (wt[:, None] * np.full(phi.size, 2.0 * np.pi / phi.size)).ravel()
+        weights = weights * np.exp(fam.log_pdf(values, x))
+        s = fd_score(fam, values, x)
+        second = np.einsum("n,ni,nj->ij", weights, s, s)
+        closed = fam.fisher(values)
+        np.testing.assert_allclose(second, closed, rtol=1e-6, atol=1e-6 * np.abs(closed).max())
+
 
 class TestKl:
     def test_gaussian_mean_shift(self):

@@ -893,6 +893,20 @@ class TestStopReason:
         assert capped.stop_reason == "max_iters" and capped.grad_norm > 0
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_both_log_maps_reject_non_finite_endpoints(bad):
+    # the batched log map used to return such a row as NaN; a finite row
+    # whose energy is not finite still comes back non-finite
+    # (test_single_curve_calls_raise_nonfinite_energy)
+    metric = M.ConstantMetric(np.eye(2))
+    z0, targets = np.zeros(2), np.array([[1.0, 0.0], [bad, 0.0]])
+    for base, ys in ((z0, targets), (np.array([0.0, bad]), targets[:1])):
+        with pytest.raises(ShapeError, match="finite"):
+            G.log_map_batch(metric, base, ys)
+        with pytest.raises(ShapeError, match="finite"):
+            G.log_map(metric, base, ys[-1])
+
+
 @pytest.mark.parametrize("grad_tol", [-1.0, np.nan, np.inf])
 def test_grad_tol_must_be_finite_and_non_negative(grad_tol):
     with pytest.raises(ShapeError):

@@ -1,10 +1,14 @@
+import inspect
+
 import numpy as np
 import pytest
 
 import statgeo.land as L
 import statgeo.metric as M
-from statgeo import io
-from statgeo.errors import DegenerateEstimate, InvalidParam, NonConvergence, SingularMetric
+from statgeo import cli, io
+from statgeo.errors import (
+    DegenerateEstimate, InvalidParam, NonConvergence, ShapeError, SingularMetric,
+)
 from statgeo.geodesic import EnergyConfig
 from statgeo.metric import ConstantMetric, GridMetric, PullbackMetric, grid_build
 from statgeo.rng import RngStream
@@ -35,6 +39,11 @@ class TestLogPdf:
                 - 0.5 * z @ gamma @ z
             )
             assert L.land_logpdf(model, z) == pytest.approx(expect, abs=1e-3)
+
+    def test_non_finite_point_raises(self):
+        # as log_map does, instead of returning a NaN log density
+        with pytest.raises(ShapeError, match="finite"):
+            L.land_logpdf(make_model(), [np.nan, 0.0])
 
     def test_symmetric_under_reflection(self):
         # metric symmetric under z -> -z, so density of v and -v agree
@@ -89,6 +98,30 @@ class TestNormalizer:
         a = L.land_normalizer(np.zeros(2), np.eye(2), metric, RngStream(5), 300)
         b = L.land_normalizer(np.zeros(2), np.eye(2), metric, RngStream(5), 300)
         assert a == b
+
+    def test_default_exp_steps_keep_c_within_its_standard_error(self):
+        # the toy workflow's 40x40 grid at sigma 0.25, 256 samples: on the
+        # same draws, C at EXP_STEPS moves from a 100-step C by under 0.01 of
+        # its Monte Carlo SE (measured at most 8e-4 over 4 seeds), at the
+        # moment-initialized precision and at a wider diag(0.3, 0.5)
+        codes = toy_circle_codes(200, 0.1, RngStream(1))
+        source = PullbackMetric(toy_decoder("beta", seed=5))
+        grid = GridMetric(grid_build(source, [[-2, 2], [-2, 2]], (40, 40), 0.25))
+        mean = codes.mean(axis=0)
+        moment = np.linalg.inv(np.cov(codes.T) + 1e-6 * np.eye(2))
+        for gamma in (moment, np.diag([0.3, 0.5])):
+            c, _, _ = L.land_normalizer_stats(mean, gamma, grid, RngStream(1), 256)
+            ref, se, _ = L.land_normalizer_stats(
+                mean, gamma, grid, RngStream(1), 256, exp_steps=100
+            )
+            assert abs(c - ref) < 0.01 * se
+
+    def test_one_exp_steps_default(self):
+        stats = inspect.signature(L.land_normalizer_stats).parameters["exp_steps"].default
+        args = cli._build_parser().parse_args(
+            ["land", "--grid", "g.json", "--codes", "c.json", "--seed", "0", "--out-model", "m"]
+        )
+        assert stats == L.LandFitConfig().exp_steps == args.exp_steps == L.EXP_STEPS
 
     def test_invalid_precision(self):
         with pytest.raises(InvalidParam):
@@ -244,6 +277,27 @@ def test_failing_final_normalizer_keeps_the_last_nll_c(monkeypatch, step_accepte
     assert (len(model.nll_trace) > 1) == step_accepted
     if not step_accepted:
         assert model.norm_const == seen[0][2]
+
+
+def test_non_finite_gradient_ends_the_fit(monkeypatch):
+    # the mean probes' log maps come back infinite, so their NLLs are both
+    # inf and the mean's gradient entries inf - inf: the fit ends there, as
+    # on a step error, instead of trying a NaN mean (a ShapeError)
+    gen = np.random.default_rng(11)
+    pts = gen.normal(size=(60, 2))
+    cfg = L.LandFitConfig(max_iters=3, mc_samples=128)
+    real, mu0 = L.log_map_batch, pts.mean(axis=0)
+
+    def stub(metric, mu, targets, *args, **kw):
+        vs, lengths, coeffs = real(metric, mu, targets, *args, **kw)
+        if not np.array_equal(mu, mu0):
+            vs = np.full_like(vs, np.inf)
+        return vs, lengths, coeffs
+
+    monkeypatch.setattr(L, "log_map_batch", stub)
+    with np.errstate(invalid="ignore"), pytest.raises(NonConvergence, match="no progress") as err:
+        L.land_fit(pts, IDENTITY, cfg=cfg, rng=RngStream(2))
+    assert len(err.value.last.nll_trace) == 1
 
 
 def test_line_search_trial_with_a_singular_normalizer_is_rejected(monkeypatch):
