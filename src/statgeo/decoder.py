@@ -8,9 +8,15 @@ outputs are interleaved feature-major into the stacked parameter vector
 Jacobians are exact chain-rule products; softmax and unit-normalize use
 their full per-feature-block Jacobians. The optional uncertainty wrapper
 blends decoded parameters toward maximum-entropy values via a translated
-sigmoid of the squared distance to the nearest KMeans center, and its
-gradient term is included in the Jacobian (nearest center held fixed at
-the non-differentiable min).
+sigmoid of a soft minimum over the KMeans centers of the squared distance,
+d_tau(u) = -tau log sum_k exp(-|u - c_k|^2 / tau), and its gradient
+sum_k pi_k 2 (u - c_k), with pi the softmax weights of the centers, is
+included in the Jacobian. So the decoded parameters are C^1, and their
+Jacobian and the pullback metric continuous, across the boundaries between
+nearest centers, where a hard min would make the Jacobian jump. tau is
+derived from the blend's own sharpness, not set (``SOFT_MIN_DIVISOR``):
+d_tau is within tau log k below the nearest center's distance, and equal to
+it where every other center is 40 tau farther.
 
 Every decoder output comes from one walk over the layers, ``_decode``:
 ``forward_stacked``, ``jacobian_stacked``, ``forward_and_jacobian_stacked``
@@ -19,9 +25,10 @@ Jacobian is carried and whether the blend applies. The walk does no work
 that is fixed per layer or per decoder: a ``LayerSpec`` keeps its parsed
 activation, and a ``DecoderMap`` its blend mask and extrapolation target.
 What is fixed per walk is done once in it: Softplus(beta), which both the
-blend weight and its gradient divide by, and one ``argmin`` that gives
-both the nearest center and its distance. The Jacobian starts from m
-copies of the first layer's weight, since d(W u)/du = W.
+blend weight and its gradient divide by, and one in-place pass over the
+squared distances to the centers that gives both d_tau and the weighted
+center sum_k pi_k c_k. The Jacobian starts from m copies of the first layer's
+weight, since d(W u)/du = W.
 """
 
 from __future__ import annotations
@@ -34,6 +41,10 @@ from .errors import InvalidK, NoRegularization, ShapeError
 from .families import Family, ParamPoint
 from .rng import RngStream
 from .special import sigmoid, softplus
+
+# the support proxy's temperature tau is Softplus(beta) / SOFT_MIN_DIVISOR,
+# a twentieth of the translated sigmoid's scale (9.1e-4 at beta = -4)
+SOFT_MIN_DIVISOR = 20.0
 
 ACTIVATIONS = ("identity", "tanh", "sigmoid", "softplus", "softmax", "unit_normalize")
 
@@ -217,7 +228,7 @@ def _decode(dec: DecoderMap, z, with_jac: bool):
     ShapeError.
     """
     zb, single = _as_batch(z, dec.latent_dim)
-    if not np.all(np.isfinite(zb)):
+    if not np.isfinite(zb).all():
         raise ShapeError("latent point must be finite")
     u = zb if dec.pre_transform is None else zb @ dec.pre_transform[0].T + dec.pre_transform[1]
     m, d = u.shape
@@ -239,18 +250,19 @@ def _decode(dec: DecoderMap, z, with_jac: bool):
         jac = np.concatenate(jacs, axis=2).reshape(m, dec.param_dim, d)
     reg = dec.regularization
     if reg is not None:
-        dist, nearest = _support_distance_argmin(reg, u)
         beta_sp = softplus(reg.beta)
+        dist, center = _soft_support(reg, u, beta_sp / SOFT_MIN_DIVISOR)
         s = _translated_sigmoid(reg, dist, beta_sp)
         mask = dec._mask
         gap = dec._extrap - h
+        s_mask = s[:, None] * mask
         if with_jac:
             sp = s * (1.0 - s) / beta_sp
-            grad_s = sp[:, None] * (2.0 * (u - reg.centers[nearest]))  # (m, d) wrt u
-            jac = (1.0 - s[:, None] * mask)[..., None] * jac + (
+            grad_s = sp[:, None] * (2.0 * (u - center))  # (m, d) wrt u
+            jac = (1.0 - s_mask)[..., None] * jac + (
                 mask * gap
             )[..., None] * grad_s[:, None, :]
-        h = h + s[:, None] * mask * gap
+        h = h + s_mask * gap
     if with_jac and dec.pre_transform is not None:
         jac = jac @ dec.pre_transform[0]
     if single:
@@ -319,21 +331,36 @@ def product_fisher_stacked(family: Family, stacked: np.ndarray) -> np.ndarray:
 # uncertainty regularization
 
 
-def _support_distance_argmin(reg: UncertaintyReg, zb: np.ndarray):
-    # one (m, k) term per axis, added in axis order: the sum over the last
-    # axis of the (m, k, d) differences, without building them
+def _soft_support(reg: UncertaintyReg, zb: np.ndarray, tau: float):
+    """(d_tau, sum_k pi_k c_k) at the rows of zb: the soft minimum
+    -tau log sum_k exp(-|z - c_k|^2 / tau) over the centers, taken from the
+    row minimum so that no exponent is positive, and the centers weighted by
+    pi_k, the softmax of -|z - c_k|^2 / tau, so that its gradient is
+    2 (z - sum_k pi_k c_k)."""
+    # the (k, m) squared distances, one term per axis added in axis order,
+    # turned into the unnormalized weights in place; numpy reduces over the
+    # leading axis of (k, m) several times faster than over the short
+    # trailing axis of (m, k)
     c = reg.centers
-    d2 = (zb[:, 0, None] - c[:, 0]) ** 2
+    w = (c[:, 0, None] - zb[:, 0]) ** 2
     for j in range(1, c.shape[1]):
-        d2 += (zb[:, j, None] - c[:, j]) ** 2
-    nearest = np.argmin(d2, axis=1)
-    return d2[np.arange(d2.shape[0]), nearest], nearest
+        w += (c[:, j, None] - zb[:, j]) ** 2
+    low = w.min(axis=0)
+    w -= low
+    w *= -1.0 / tau
+    # exp takes a slow path below about -708; a weight under exp(-40) next
+    # to the nearest center's 1 does not change the sum
+    np.maximum(w, -700.0, out=w)
+    np.exp(w, out=w)
+    total = w.sum(axis=0)
+    return low - tau * np.log(total), (c.T @ w / total).T
 
 
 def support_distance(reg: UncertaintyReg, z):
-    """Squared Euclidean distance to the nearest center."""
+    """Soft minimum d_tau over the centers of the squared Euclidean distance,
+    tau = Softplus(beta) / ``SOFT_MIN_DIVISOR``."""
     zb, single = _as_batch(z, reg.centers.shape[1])
-    dist, _ = _support_distance_argmin(reg, zb)
+    dist, _ = _soft_support(reg, zb, softplus(reg.beta) / SOFT_MIN_DIVISOR)
     return float(dist[0]) if single else dist
 
 

@@ -367,7 +367,8 @@ class BetaFamily(Family):
         Never stack both arguments: ``v1`` and ``v2`` may broadcast against
         each other, e.g. (n, 1, p) against (n, k, p).
         """
-        a, b = _clamp_pos(values[..., 0]), _clamp_pos(values[..., 1])
+        v = _clamp_pos(values)
+        a, b = v[..., 0], v[..., 1]
         return np.stack([a, b, a + b])
 
     def kl(self, v1, v2):

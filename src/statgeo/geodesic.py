@@ -20,17 +20,19 @@ One fitter serves ``minimize_energy_detailed`` and both log maps, on
 decoders and metric fields alike: one BFGS descent with Armijo
 backtracking over coefficient arrays of shape (m, d, 2S), with an
 inverse-Hessian estimate, a step and a stopping rule per curve: max|g| below
-``grad_tol`` times (1 + energy), and a stop reason for each curve. On a
-metric field each estimate starts at the inverse of the graph energy's
-Gauss-Newton matrix, which the Hermite coefficients make badly conditioned
-(condition number ~2e4 at S=4), so a scaled identity would need many more
-iterations; on a decoder it starts as a scaled identity. Each
-energy is exact (closed-form KLs, no sampling) and comes with one
-evaluation that serves both the energy and its analytic gradient: on a
-decoder one pass over the nodes that returns both the parameters and their
-Jacobians, then a per-pair derivative (``kl_grad``, or the great-circle
-form's for the categorical objective); on a metric field one
-``eval_batch_and_grad`` call over the midpoints. The descent spends that
+``grad_tol`` times (1 + energy), and a stop reason for each curve. Each
+estimate starts at the inverse of the energy's Gauss-Newton matrix, which
+the Hermite coefficients make badly conditioned (condition number ~2e4 at
+S=4), so a scaled identity would need many more iterations: on a metric
+field the graph energy's with M held fixed, and on a decoder the KL
+energy's with the decoder held linear (the KL divergence's second-order
+term is the Fisher information). Each energy is exact (closed-form KLs,
+no sampling) and comes with one evaluation that serves both the energy
+and its analytic gradient: on a decoder one pass over the nodes that
+returns both the parameters and their Jacobians, then a per-pair
+derivative (``kl_grad``, or the great-circle form's for the categorical
+objective); on a metric field one ``eval_batch_and_grad`` call over the
+midpoints. The descent spends that
 evaluation on its start and on each iteration's unit-step trial, which
 most iterations accept, so an accepted unit step costs one metric or
 decoder evaluation for both its energy and the next gradient. One routine,
@@ -160,11 +162,11 @@ def curve_eval(c: SplineCurve, t: float):
 @dataclass
 class EnergyConfig:
     """Discretization and optimizer settings for energy minimization. The
-    descent's first step is the Gauss-Newton step on a metric field and -0.1 g
-    on a decoder or where the Gauss-Newton matrix is singular (see
-    ``_descend``); its step wherever the BFGS direction does not descend is
-    -0.1 g. A curve has converged when max|g| < grad_tol (1 + E)
-    at its energy E: relative for E >> 1, absolute for E << 1. An objective
+    descent's first step is the Gauss-Newton step, or -0.1 g where the
+    Gauss-Newton matrix is singular or not finite (see ``_descend``); its
+    step wherever the BFGS direction does not descend is -0.1 g. A curve has
+    converged when max|g| < grad_tol (1 + E) at its energy E: relative for
+    E >> 1, absolute for E << 1. An objective
     other than "kl" or "categorical", fewer than one segment, or a jitter
     that is negative or not finite raises ShapeError."""
 
@@ -211,8 +213,8 @@ def _spline_points(z0, chords, coeffs, ts, basis) -> np.ndarray:
 
 def _decoder_energy(dec: DecoderMap, z0, targets, cfg: EnergyConfig, strict: bool):
     """Energy of the decoded curves z0 -> targets[rows], its terms and its
-    evaluation with gradient, in ``_graph_energy``'s form with no
-    Gauss-Newton matrix (None).
+    evaluation with gradient and Gauss-Newton matrix, in ``_graph_energy``'s
+    form.
 
     The terms (rows, N) are the squared Fisher-Rao lengths of the segments
     between the nodes t = n/N, n = 0..N: 2 sum_f KL(p_n || p_{n+1}) for the
@@ -225,8 +227,14 @@ def _decoder_energy(dec: DecoderMap, z0, targets, cfg: EnergyConfig, strict: boo
     bit-identical, so its energies equal ``energy``'s; its ``gradient_of``
     pulls the per-pair derivative (2N ``kl_grad``, or 4N times -sqrt(h')/sqrt(h)
     and -sqrt(h)/sqrt(h'), taken as 0 where h <= 0) back through the kept
-    Jacobians and the Hermite basis, with no second decoder pass. With
-    ``strict`` a non-finite term raises NonFiniteEnergy at its t.
+    Jacobians and the Hermite basis, with no second decoder pass. Its
+    ``gauss_newton_of`` gives 2N sum_n A_n^T G(eta_n) A_n from the same
+    Jacobians and one ``fisher`` call over the nodes, with
+    A_n = J_{n+1} (I_d (x) B_{n+1}) - J_n (I_d (x) B_n): the second-order term
+    of 2 KL (Fisher-Rao), and of the categorical term, whose Fisher
+    information diag(1/h) is the great-circle form's second order. It is the
+    energy's Hessian with the decoder held linear. With ``strict`` a
+    non-finite term raises NonFiniteEnergy at its t.
     """
     fam, n = dec.family, cfg.n_disc
     categorical = cfg.objective == "categorical"
@@ -234,6 +242,7 @@ def _decoder_energy(dec: DecoderMap, z0, targets, cfg: EnergyConfig, strict: boo
         raise FamilyMismatch("categorical energy needs a categorical decoder")
     ts = np.arange(n + 1) / n
     basis = hermite_basis(ts, cfg.segments)[0]
+    size = z0.size * basis.shape[1]
     chords = targets - z0[None, :]
 
     def nodes(coeffs, rows):
@@ -285,7 +294,18 @@ def _decoder_energy(dec: DecoderMap, z0, targets, cfg: EnergyConfig, strict: boo
             pulled = pulled.reshape(p.shape[0], zs.shape[1], zs.shape[2])
             return factor * np.einsum("mtd,tc->mdc", pulled, basis)
 
-        return n * terms_of(params).sum(axis=1), gradient_of, None
+        def gauss_newton_of(sel):
+            # A_n = J_{n+1} (I_d (x) B_{n+1}) - J_n (I_d (x) B_n), per feature
+            jb = np.einsum("mtpd,tc->mtpdc", jac[sel], basis)
+            jb = jb.reshape(*jb.shape[:2], dec.feature_count, fam.param_dim, size)
+            a = jb[:, 1:] - jb[:, :-1]
+            ga = np.matmul(fam.fisher(params[sel][:, :-1]), a)
+            k = a.shape[0]
+            return 2.0 * n * np.matmul(
+                np.swapaxes(a.reshape(k, -1, size), 1, 2), ga.reshape(k, -1, size)
+            )
+
+        return n * terms_of(params).sum(axis=1), gradient_of, gauss_newton_of
 
     return energy, terms, evaluate
 
@@ -456,9 +476,9 @@ def _descend(coeffs, energy, evaluate, cfg: EnergyConfig, first=None):
 
     ``coeffs`` (m, d, 2S) is the start; ``energy(c, rows)`` gives the energies
     of curves ``rows`` with coefficients c, and ``evaluate(c, rows)`` gives
-    the same energies and ``gradient_of``, where gradient_of(sel) is the
-    gradients of rows[sel] from that one evaluation, and a third element,
-    None or gauss_newton_of(sel), the Gauss-Newton matrices of rows[sel];
+    the same energies, ``gradient_of`` and ``gauss_newton_of``, where
+    gradient_of(sel) is the gradients of rows[sel] from that one evaluation
+    and gauss_newton_of(sel) their Gauss-Newton matrices;
     ``first``, if given, is evaluate(coeffs, all rows), made by the caller.
     Each curve searches along p = -H g from t = 1, halving t until
     e(x + t p) <= e(x) + 1e-4 t g^T p, with H its own dense inverse-Hessian
@@ -507,8 +527,7 @@ def _descend(coeffs, energy, evaluate, cfg: EnergyConfig, first=None):
     stop["reason"] = np.where(active, "max_iters", "non_finite")
     stop["grad_norm"] = np.nan
     h_inv = np.full((m, n, n), np.nan)  # NaN until a curve's first estimate
-    if gauss_newton_of is not None:
-        h_inv[active] = _gauss_newton_inverse(gauss_newton_of(active))
+    h_inv[active] = _gauss_newton_inverse(gauss_newton_of(active))
     stop["start"] = np.where(np.isnan(h_inv[:, 0, 0]), "scaled_identity", "gauss_newton")
     prev_x = np.full((m, n), np.nan)
     prev_g = np.full((m, n), np.nan)

@@ -26,6 +26,7 @@ geodesic ODE's right-hand side then costs one walk.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -59,6 +60,16 @@ class LatentMetric:
         return _central_differences(self.eval_batch, zs)
 
 
+@functools.cache
+def _stencil_shifts(d: int) -> np.ndarray:
+    """The (2d, 1, d) shifts +FD_STEP e_k, k = 0..d-1, then -FD_STEP e_k:
+    z + (-h) is z - h bit for bit."""
+    shifts = FD_STEP * np.eye(d)[:, None, :]
+    out = np.concatenate([shifts, -shifts])
+    out.flags.writeable = False  # shared by every call
+    return out
+
+
 def _central_differences(tensors, zs):
     """``LatentMetric.eval_batch_and_grad`` with the tensors from one call
     of ``tensors``, which maps (n, d) points to (n, d, d), on the (2d+1)*m
@@ -66,8 +77,7 @@ def _central_differences(tensors, zs):
     then zs - FD_STEP e_k."""
     zs = np.atleast_2d(np.asarray(zs, dtype=float))
     m, d = zs.shape
-    shifts = FD_STEP * np.eye(d)[:, None, :]
-    stacked = np.concatenate([zs[None], zs[None] + shifts, zs[None] - shifts])
+    stacked = np.concatenate([zs[None], zs[None] + _stencil_shifts(d)])
     mm = tensors(stacked.reshape(-1, d)).reshape(2 * d + 1, m, d, d)
     return mm[0], (mm[1 : d + 1] - mm[d + 1 :]) / (2.0 * FD_STEP)
 

@@ -75,7 +75,7 @@ def _recurrence_sum(x: np.ndarray) -> np.ndarray:
 def trigamma(x):
     """psi_1(x) = d^2/dx^2 log Gamma(x) for x > 0, elementwise."""
     x = np.asarray(x, dtype=float)
-    if np.any(x <= 0):
+    if (x <= 0).any():
         raise ValueError("trigamma requires x > 0")
     out = _recurrence_sum(x)
     inv = 1.0 / (x + 6.0)

@@ -187,7 +187,7 @@ def test_log_profile_reports_why_the_fit_stopped(cap, reason, decoder_path, caps
                                       cfg, RngStream(1))
     assert doc["stop_reason"] == want.stop_reason == reason
     assert doc["iterations"] == want.iterations and doc["grad_norm"] == want.grad_norm
-    assert doc["start"] == "scaled_identity"  # decoder energies have no Gauss-Newton start
+    assert doc["start"] == "gauss_newton"  # the KL energy's Gauss-Newton matrix
 
 
 def test_log_profile_reports_the_gauss_newton_start_on_a_grid(grid_path, capsys):

@@ -235,29 +235,48 @@ class TestUncertainty:
     def test_distance_three_four_five(self):
         assert D.support_distance(self.reg(), np.array([3.0, 4.0])) == pytest.approx(25.0)
 
-    @given(st.integers(0, 2**31 - 1))
+    @staticmethod
+    def soft_oracle(centers, z, beta):
+        """d_tau and sum_k pi_k c_k from the broadcast (m, k, d) differences,
+        through scipy's log-sum-exp and softmax."""
+        from scipy.special import logsumexp, softmax
+
+        tau = softplus(beta) / D.SOFT_MIN_DIVISOR
+        d2 = np.sum((z[:, None, :] - centers[None, :, :]) ** 2, axis=-1)
+        return d2, tau, -tau * logsumexp(-d2 / tau, axis=1), softmax(-d2 / tau, axis=1) @ centers
+
+    @given(st.integers(0, 2**31 - 1), st.sampled_from([-4.0, 0.0, 3.0]))
     @settings(max_examples=25, deadline=None)
-    def test_distance_is_min_over_centers(self, seed):
+    def test_distance_is_within_tau_log_k_of_the_min_over_centers(self, seed, beta):
         gen = np.random.default_rng(seed)
         centers = gen.normal(size=(50, 2))
-        reg = self.reg(centers)
         z = gen.normal(size=2) * 3
-        got = D.support_distance(reg, z)
-        each = np.sum((centers - z) ** 2, axis=1)
-        assert got == pytest.approx(each.min(), rel=1e-12)
-        assert np.all(got <= each + 1e-12)
+        got = D.support_distance(self.reg(centers, beta=beta), z)
+        d2, tau, want, _ = self.soft_oracle(centers, z[None], beta)
+        low = d2.min()
+        assert got == pytest.approx(want[0], rel=1e-12, abs=1e-12)
+        assert low - tau * np.log(50) - 1e-12 <= got <= low
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("m", [1, 5, 201, 1000])
     @pytest.mark.parametrize("k", [1, 12])
     def test_distance_equals_the_broadcast_sum(self, d, m, k, gen):
-        # per-axis accumulation gives the sum over the last axis of the
-        # (m, k, d) differences bit for bit, and the same nearest centers
+        # the soft minimum and the weighted center (the gradient's) against
+        # the broadcast log-sum-exp and softmax; at beta = 3 (tau = 0.15)
+        # many rows weigh several centers
         centers, z = gen.normal(size=(k, d)), 3.0 * gen.normal(size=(m, d))
-        d2 = np.sum((z[:, None, :] - centers[None, :, :]) ** 2, axis=-1)
-        dist, nearest = D._support_distance_argmin(self.reg(centers), z)
-        assert np.array_equal(dist, d2.min(axis=1))
-        assert np.array_equal(nearest, np.argmin(d2, axis=1))
+        for beta in (-4.0, 0.0, 3.0):
+            reg = self.reg(centers, beta=beta)
+            dist, center = D._soft_support(reg, z, softplus(beta) / D.SOFT_MIN_DIVISOR)
+            d2, tau, want, want_center = self.soft_oracle(centers, z, beta)
+            assert np.allclose(dist, want, rtol=1e-12, atol=1e-12)
+            assert np.allclose(center, want_center, rtol=1e-12, atol=1e-12)
+            # where the runner-up is more than 40 tau farther, every other
+            # weight is below exp(-40) and d_tau is the min bit for bit
+            ranked = np.sort(d2, axis=1)
+            alone = np.ones(m, bool) if k == 1 else ranked[:, 1] - ranked[:, 0] > 40.0 * tau
+            assert np.any(alone) or beta > -4.0  # at larger tau few rows are this far apart
+            assert np.array_equal(dist[alone], ranked[alone, 0])
 
     def test_translated_sigmoid_midpoint(self):
         reg = self.reg(beta=0.3, c=7.0)
@@ -320,6 +339,58 @@ class TestUncertainty:
         assert diffs[0] > diffs[1] > diffs[2]
         # ratio ~ delta ratio: linear convergence, no jump discontinuity
         assert diffs[2] / max(diffs[0], 1e-300) < 1e-3
+
+
+class TestSmoothSupport:
+    """The blend is C^1 across the boundaries between nearest centers."""
+
+    @staticmethod
+    def boundary_crossings(dec):
+        """(z, n): points on the boundary between two nearest centers a and
+        b, inside the blend band (squared distance c Softplus(beta) to both),
+        and the unit normal (c_b - c_a) / |c_b - c_a| that crosses it."""
+        reg = dec.regularization
+        band, c = reg.c * softplus(reg.beta), reg.centers
+        out = []
+        for a in range(len(c)):
+            for b in range(a + 1, len(c)):
+                normal = c[b] - c[a]
+                half = normal @ normal / 4.0
+                if half >= band:
+                    continue
+                normal /= np.linalg.norm(normal)
+                for side in (1.0, -1.0):
+                    z = 0.5 * (c[a] + c[b]) + side * np.sqrt(band - half) * np.array(
+                        [-normal[1], normal[0]]
+                    )
+                    d2 = np.sum((c - z) ** 2, axis=1)
+                    if np.all(np.delete(d2, [a, b]) > d2[a] + 1e-9):
+                        out.append((z, normal))
+        return out
+
+    def test_metric_is_continuous_across_voronoi_boundaries(self):
+        # with a hard nearest-center min, M jumps by about its own size here
+        from statgeo.metric import PullbackMetric
+
+        dec = toy_decoder("beta", seed=2)
+        crossings = self.boundary_crossings(dec)
+        assert len(crossings) >= 10
+        pb = PullbackMetric(dec)
+        for z, n in crossings:
+            jumps = []
+            for eps in (1e-3, 1e-5, 1e-7):
+                upper, lower = pb.eval(z + eps * n), pb.eval(z - eps * n)
+                jumps.append(np.linalg.norm(upper - lower) / np.linalg.norm(upper))
+            assert jumps[0] > jumps[1] > jumps[2]
+            # linear in eps: the difference quotient stays bounded
+            assert jumps[2] < 1e-3 and jumps[2] / jumps[1] < 0.02
+
+    def test_jacobian_matches_central_differences_on_the_boundary(self):
+        dec = toy_decoder("beta", seed=2)
+        for z, _ in self.boundary_crossings(dec):
+            jac = D.jacobian_stacked(dec, z)
+            err = np.max(np.abs(fd_jacobian(dec, z, h=1e-6) - jac))
+            assert err < 1e-8 * np.max(np.abs(jac))
 
 
 class TestActivationConstraints:

@@ -5,7 +5,9 @@ import pytest
 
 import statgeo.geodesic as G
 import statgeo.metric as M
+from statgeo.decoder import DecoderMap, Head, LayerSpec
 from statgeo.errors import FamilyMismatch, NonFiniteEnergy, OutOfRange, ShapeError, SingularMetric
+from statgeo.families import get_family
 from statgeo.geodesic import EnergyConfig, SplineCurve, straight_line
 from statgeo.rng import RngStream
 from statgeo.toy import identity_parameter_decoder, toy_circle_codes, toy_decoder
@@ -775,6 +777,65 @@ def test_rows_without_a_gauss_newton_start_fit_as_alone(gen):
         alone = fit(np.array([k]))
         assert np.array_equal(coeffs[k], alone[0][0]) and e[k] == alone[1][0]
         assert iterations[k] == alone[3][0] and stop[k] == alone[5][0]
+
+
+def linear_normal_decoder(gen, features: int = 3):
+    """Normal features whose means are affine in z and whose variances are
+    constant: 2 KL is then (Delta mu)^2 / var, so the KL energy is exactly
+    quadratic in the curve coefficients."""
+    heads = (
+        Head("mean", (LayerSpec(gen.normal(size=(features, 2)), gen.normal(size=features)),)),
+        Head("var", (LayerSpec(np.zeros((features, 2)), gen.uniform(0.5, 2.0, size=features)),)),
+    )
+    return DecoderMap(2, features, get_family("normal"), heads)
+
+
+def test_decoder_gauss_newton_matrix_is_the_quadratic_energys_hessian(gen):
+    dec = linear_normal_decoder(gen)
+    cfg = EnergyConfig(n_disc=16, segments=2)
+    z0, targets = np.array([0.1, -0.2]), gen.uniform(-1.5, 1.5, size=(3, 2))
+    energy, _, evaluate = G._decoder_energy(dec, z0, targets, cfg, strict=True)
+    coeffs, rows = 0.3 * gen.normal(size=(3, 2, 4)), np.arange(3)
+    gn = evaluate(coeffs, rows)[2](rows)
+    # second central differences of the energy, exact on a quadratic up to
+    # rounding
+    n, h, flat = 8, 0.1, coeffs.reshape(3, -1)
+    hess = np.zeros((3, n, n))
+    for i in range(n):
+        for j in range(n):
+            e = [
+                energy((flat + si * h * np.eye(n)[i] + sj * h * np.eye(n)[j]).reshape(coeffs.shape), rows)
+                for si, sj in ((1, 1), (1, -1), (-1, 1), (-1, -1))
+            ]
+            hess[:, i, j] = (e[0] - e[1] - e[2] + e[3]) / (4.0 * h * h)
+    assert np.allclose(gn, hess, rtol=1e-8, atol=1e-8 * np.abs(hess).max())
+
+
+def test_decoder_fit_on_a_quadratic_energy_converges_from_the_gauss_newton_start(gen):
+    dec = linear_normal_decoder(gen)
+    cfg = EnergyConfig(n_disc=16, segments=2)
+    stop = {}
+    G.log_map(dec, np.array([0.1, -0.2]), np.array([1.2, 0.7]), cfg, RngStream(3), stop)
+    assert stop["start"] == "gauss_newton" and stop["stop_reason"] == "converged"
+    assert stop["iterations"] <= 2
+    res = G.minimize_energy_detailed([0.1, -0.2], [1.2, 0.7], dec, cfg, RngStream(3))
+    assert res.converged and res.iterations <= 2
+
+
+def test_decoder_log_map_batch_rows_fit_as_alone():
+    # every row starts from its own Gauss-Newton matrix, so with jitter 0
+    # a batch row is bit for bit the same target fitted alone
+    codes = toy_circle_codes(200, 0.1, RngStream(1))
+    dec = toy_decoder("beta", seed=5)
+    cfg = EnergyConfig(n_disc=16, segments=2, jitter=0.0, max_iters=30)
+    z0, targets = codes[0], codes[[17, 60, 101, 150]]
+    *_, stop = G._log_maps(dec, z0, targets, cfg, RngStream(0), None, False)
+    assert np.all(stop["start"] == "gauss_newton")
+    batch = G.log_map_batch(dec, z0, targets, cfg)
+    for k in range(len(targets)):
+        alone = G.log_map_batch(dec, z0, targets[k : k + 1], cfg)
+        for got, want in zip(batch, alone):
+            assert np.array_equal(got[k], want[0])
 
 
 @pytest.mark.parametrize("scale", [1e6, 1e12])
