@@ -329,7 +329,7 @@ def _cmd_land(args, prof) -> int:
             model, exit_code = exc.last, 2
             _print_error("NonConvergence", str(exc))
     prof.notes.update(iterations=len(model.nll_trace) - 1, converged=bool(model.converged),
-                      mc_samples=int(model.mc_samples))
+                      stop_reason=model.stop_reason, mc_samples=int(model.mc_samples))
 
     with prof.phase("write"):
         io.save_json(io.land_to_dict(model, metric_ref=args.grid or args.decoder),
@@ -448,8 +448,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--max-iters", type=_positive_int, default=40)
     p.add_argument("--mc-samples", type=_positive_int, default=256)
     p.add_argument("--exp-steps", type=_positive_int, default=land_mod.EXP_STEPS,
-                   help="RK4 steps per normalizer shot (default %(default)s: on the toy "
-                   "grid C is within 0.01 standard errors of a 100-step C)")
+                   help="Runge-Kutta-Nystrom steps per normalizer shot, 3 metric "
+                   "evaluations each (default %(default)s: on the toy grid C is within "
+                   "0.01 standard errors of a 100-step C)")
     p.add_argument("--out-model", required=True)
     p.add_argument("--out-density")
     p.add_argument("--density-bounds", default="-2,2,-2,2")
@@ -466,7 +467,9 @@ def _build_parser() -> _Parser:
     _add_metric_source(p)
     p.add_argument("--z", required=True)
     p.add_argument("--v", required=True)
-    p.add_argument("--steps", type=_positive_int, default=100)
+    p.add_argument("--steps", type=_positive_int, default=100,
+                   help="Runge-Kutta-Nystrom steps over the shot, 3 metric evaluations "
+                   "each (default %(default)s)")
     p.add_argument("--out")
 
     p = command("log", _cmd_log, "logarithmic map (shortest-path velocity)")

@@ -37,8 +37,10 @@ evaluation on its start and on each iteration's unit-step trial, which
 most iterations accept, so an accepted unit step costs one metric or
 decoder evaluation for both its energy and the next gradient. One routine,
 ``_shoot``, serves both exponential maps: one rescale to metric norm |v|,
-one SingularMetric rule and one RK4 loop, whose right-hand side gets M and
-dM/dz from one ``eval_batch_and_grad`` call per stage.
+one SingularMetric rule and one Runge-Kutta-Nystrom loop for the
+second-order geodesic equation. Its four stages sit at three positions,
+and M and dM/dz come from one ``eval_batch_and_grad`` call per position,
+so a step costs 3 metric evaluations.
 """
 
 from __future__ import annotations
@@ -664,13 +666,10 @@ def minimize_energy_detailed(
 # geodesic ODE, exponential and logarithmic maps
 
 
-def _ode_rhs_batch(metric: LatentMetric, zs, vs) -> np.ndarray:
-    """Geodesic accelerations at the rows of (zs, vs).
-
-    M and dM/dz come from one ``eval_batch_and_grad`` call; the linear
-    systems are solved directly rather than inverting the tensors.
-    """
-    mm, dm = metric.eval_batch_and_grad(zs)
+def _acceleration(mm, dm, vs) -> np.ndarray:
+    """Geodesic accelerations at velocities vs from already evaluated M and
+    dM/dz (``eval_batch_and_grad``'s pair); the linear systems are solved
+    directly rather than inverting the tensors."""
     mdot = np.einsum("mk,kmij->mij", vs, dm)
     term_a = 2.0 * np.einsum("mij,mj->mi", mdot, vs)
     term_b = np.einsum("kmij,mi,mj->mk", dm, vs, vs)
@@ -684,16 +683,26 @@ def ode_rhs(metric: LatentMetric, z, zdot) -> np.ndarray:
     """Geodesic acceleration for the metric field at (z, zdot); see
     ``LatentMetric.eval_batch_and_grad`` for the metric derivatives."""
     z, zdot = np.asarray(z, dtype=float), np.asarray(zdot, dtype=float)
-    return _ode_rhs_batch(metric, z[None], zdot[None])[0]
+    return _acceleration(*metric.eval_batch_and_grad(z[None]), zdot[None])[0]
 
 
 def _shoot(metric: LatentMetric, zs, vs, start_tensors, steps: int, return_path: bool):
-    """RK4 over t in [0, 1] from the rows of (zs, vs), each nonzero v first
-    scaled to metric norm |v| under its start tensor: ``log_map``'s
-    convention, where |v| is the geodesic length. A nonzero v whose squared
-    metric norm is not > 0 (zero, negative or NaN) raises SingularMetric.
-    Returns the endpoints and, with ``return_path``, the (steps + 1, m, d) path.
+    """The geodesic ODE z'' = a(z, z') over t in [0, 1] from the rows of
+    (zs, vs), each nonzero v first scaled to metric norm |v| under its start
+    tensor: ``log_map``'s convention, where |v| is the geodesic length. A
+    nonzero v whose squared metric norm is not > 0 (zero, negative or NaN)
+    raises SingularMetric, and a step count that is not an integer >= 1
+    ShapeError. Returns the endpoints and, with ``return_path``, the
+    (steps + 1, m, d) path.
+
+    Each of the ``steps`` steps is one classical fourth-order
+    Runge-Kutta-Nystrom step (Hairer, Norsett & Wanner, Solving ODEs I,
+    II.14). The costly part of a, M and dM/dz, depends on the position only,
+    and stages 2 and 3 share theirs, so a step costs 3 ``eval_batch_and_grad``
+    calls.
     """
+    if not isinstance(steps, (int, np.integer)) or steps < 1:
+        raise ShapeError(f"shooting needs an integer step count >= 1, got {steps!r}")
     norm_e = np.linalg.norm(vs, axis=1)
     moving = norm_e > 0
     sq = np.einsum("mi,mij,mj->m", vs, start_tensors, vs)[moving]
@@ -704,16 +713,14 @@ def _shoot(metric: LatentMetric, zs, vs, start_tensors, steps: int, return_path:
     h = 1.0 / steps
     path = [zs]
     for _ in range(steps):
-        k1v = _ode_rhs_batch(metric, zs, vs)
-        k1z = vs
-        k2v = _ode_rhs_batch(metric, zs + 0.5 * h * k1z, vs + 0.5 * h * k1v)
-        k2z = vs + 0.5 * h * k1v
-        k3v = _ode_rhs_batch(metric, zs + 0.5 * h * k2z, vs + 0.5 * h * k2v)
-        k3z = vs + 0.5 * h * k2v
-        k4v = _ode_rhs_batch(metric, zs + h * k3z, vs + h * k3v)
-        k4z = vs + h * k3v
-        zs = zs + (h / 6.0) * (k1z + 2 * k2z + 2 * k3z + k4z)
-        vs = vs + (h / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
+        f1 = _acceleration(*metric.eval_batch_and_grad(zs), vs)
+        mid = metric.eval_batch_and_grad(zs + (0.5 * h) * vs + (h * h / 8.0) * f1)
+        f2 = _acceleration(*mid, vs + (0.5 * h) * f1)
+        f3 = _acceleration(*mid, vs + (0.5 * h) * f2)
+        end = metric.eval_batch_and_grad(zs + h * vs + (0.5 * h * h) * f3)
+        f4 = _acceleration(*end, vs + h * f3)
+        zs = zs + h * vs + (h * h / 6.0) * (f1 + f2 + f3)
+        vs = vs + (h / 6.0) * (f1 + 2.0 * f2 + 2.0 * f3 + f4)
         if return_path:
             path.append(zs)
     return zs, (np.stack(path) if return_path else None)

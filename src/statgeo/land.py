@@ -8,7 +8,9 @@ weighted by the metric volume ratio sqrt(det M(Exp_mu(v)) / det M(mu)), so
 C normalizes the density against the volume measure relative to the mean
 point. The estimate raises DegenerateEstimate when its effective sample
 size, measured against the mean's own weight w(0) = 1, falls below 10.
-Every shot takes ``EXP_STEPS`` RK4 steps unless its caller says otherwise.
+Every shot takes ``EXP_STEPS`` steps of the exponential map's
+Runge-Kutta-Nystrom scheme, 3 metric evaluations each, unless its caller
+says otherwise.
 Fitting runs gradient descent on the negative log-likelihood over
 (mu, Gamma) with Gamma kept SPD through a log-Cholesky parametrization.
 """
@@ -25,10 +27,11 @@ from .geodesic import EnergyConfig, exp_map_batch, log_map, log_map_batch
 from .metric import LatentMetric
 from .rng import RngStream
 
-# RK4 steps per normalizer shot: the default of land_normalizer_stats,
-# LandFitConfig.exp_steps and `statgeo land --exp-steps`. On the toy 40x40
-# grid (sigma 0.25, 256 samples) C at 10 steps is within 0.01 of its own
-# Monte Carlo standard error of a 100-step C on the same draws
+# Runge-Kutta-Nystrom steps per normalizer shot, 3 metric evaluations each:
+# the default of land_normalizer_stats, LandFitConfig.exp_steps and
+# `statgeo land --exp-steps`. On the toy 40x40 grid (sigma 0.25, 256
+# samples) C at 10 steps is within 0.01 of its own Monte Carlo standard
+# error of a 100-step C on the same draws
 # (tests/test_land.py::test_default_exp_steps_keep_c_within_its_standard_error)
 EXP_STEPS = 10
 
@@ -54,6 +57,7 @@ class LandModel:
     logmap_cfg: EnergyConfig = field(default_factory=_default_logmap_cfg)
     converged: bool = True
     nll_trace: list[float] = field(default_factory=list)
+    stop_reason: str = ""  # why land_fit's iterations stopped; "" if not fitted
 
     def __post_init__(self):
         self.mean = np.asarray(self.mean, dtype=float)
@@ -104,7 +108,8 @@ def land_normalizer_stats(
     exp_steps: int = EXP_STEPS,
 ):
     """(C, standard error, effective sample size) of the MC normalizer, with
-    ``exp_steps`` RK4 steps per shot.
+    ``exp_steps`` Runge-Kutta-Nystrom steps per shot, 3 metric evaluations
+    each; a step count that is not an integer >= 1 raises ShapeError.
 
     The effective sample size is (sum w)^2 / max(sum w^2, n): the Kish ESS
     measured against the mean's own weight w(0) = 1, so weights that all
@@ -147,7 +152,8 @@ def land_normalizer(mean, precision, metric, rng: RngStream, n: int, **kw) -> fl
 class LandFitConfig:
     """Settings of ``land_fit``, whose descent starts at step 0.25, takes
     central differences of step 1e-4 and converges when max|grad| < 1e-4;
-    ``exp_steps`` is the normalizer's RK4 steps per shot (``EXP_STEPS``)."""
+    ``exp_steps`` is the normalizer's Runge-Kutta-Nystrom steps per shot
+    (``EXP_STEPS``), 3 metric evaluations each."""
 
     max_iters: int = 40
     mc_samples: int = 256
@@ -196,6 +202,11 @@ def land_fit(
     step was accepted), with ``cfg.mc_samples`` its sample count, and the
     fit raises NonConvergence carrying it. The opening NLL is not guarded:
     with no C to keep yet, an error there propagates.
+
+    The model's ``stop_reason`` says why the iterations stopped: "converged",
+    "max_iters", "line_search" (no trial accepted), "non_finite_gradient",
+    or the type name of the error that ended them; the NonConvergence
+    model carries it too.
     """
     cfg = cfg or LandFitConfig()
     rng = rng or RngStream(0)
@@ -242,7 +253,7 @@ def land_fit(
     e_cur, c_cur = nll(params, seed, vs=vs_cur)  # c_cur: C of the last NLL at params
     trace = [e_cur]
     step = 0.25
-    converged = False
+    converged, stop_reason = False, "max_iters"
     for it in range(cfg.max_iters):
         seed = 10_000 + it
         grad = np.zeros_like(params)
@@ -257,13 +268,15 @@ def land_fit(
                 probe[i] -= 2.0 * h
                 e_minus = nll(probe, seed, vs=vs_p)[0]
                 grad[i] = (e_plus - e_minus) / (2.0 * h)
-        except _STEP_ERRORS:
+        except _STEP_ERRORS as exc:
+            stop_reason = type(exc).__name__
             break
         if not np.all(np.isfinite(grad)):  # a trial along it would have NaN parameters
+            stop_reason = "non_finite_gradient"
             break
         gnorm = float(np.max(np.abs(grad)))
         if gnorm < 1e-4:
-            converged = True
+            converged, stop_reason = True, "converged"
             break
         gsq = float(grad @ grad)
         accepted = False
@@ -284,6 +297,7 @@ def land_fit(
                 break
             step *= 0.5
         if not accepted:
+            stop_reason = "line_search"
             break
 
     mu, gamma = unpack(params)
@@ -306,6 +320,7 @@ def land_fit(
         logmap_cfg=cfg.logmap_cfg,
         converged=converged,
         nll_trace=trace,
+        stop_reason=stop_reason,
     )
     if final_error is not None:
         raise NonConvergence(

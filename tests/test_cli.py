@@ -439,6 +439,43 @@ def test_land_profile_on_the_non_convergence_exit(monkeypatch, tmp_path, capsys)
     assert doc["iterations"] in (0, 1, 2)  # accepted steps, at most --max-iters
 
 
+@pytest.mark.parametrize("fail,exit_code,reason", [
+    (False, 0, "max_iters"), (True, 2, "SingularMetric"),
+], ids=["iteration-cap", "step-error"])
+def test_land_profile_names_why_the_fit_stopped(monkeypatch, tmp_path, capsys, fail, exit_code,
+                                                 reason):
+    # one iteration runs to the cap; or iteration 0's NLL (the opening NLL
+    # shares its seed) raises, and the NonConvergence model carries the
+    # reason. stdout and the model file are those of the unprofiled run
+    grid_file, codes, model = tmp_path / "grid.json", tmp_path / "codes.csv", tmp_path / "m.json"
+    grid = M.MetricGrid(np.tile(np.diag([1.0, 2.0]), (25, 1, 1)), SIGMA, [[-2, 2], [-2, 2]],
+                        (5, 5))
+    io.save_grid(grid, grid_file)
+    io.save_codes(0.5 * np.random.default_rng(7).standard_normal((12, 2)), codes)
+    real, calls = land_mod.land_normalizer_stats, []
+    first = RngStream(3).child(10_000).generator.bit_generator.state
+
+    def stub(mean, precision, metric, rng, n, **kw):
+        if fail and rng.generator.bit_generator.state == first:
+            calls.append(1)
+            if len(calls) % 2 == 0:  # each run's second draw on that seed
+                raise SingularMetric("stub")
+        return real(mean, precision, metric, rng, n, **kw)
+
+    monkeypatch.setattr(land_mod, "land_normalizer_stats", stub)
+    argv = ["land", "--grid", str(grid_file), "--codes", str(codes), "--seed", "3",
+            "--max-iters", "1", "--mc-samples", "16", "--exp-steps", "4",
+            "--out-model", str(model)]
+    assert cli.main(argv) == exit_code
+    plain, plain_model = capsys.readouterr(), model.read_text()
+    assert cli.main([*argv, "--profile"]) == exit_code
+    profiled = capsys.readouterr()
+    assert profiled.out == plain.out and model.read_text() == plain_model
+    doc = json.loads(profiled.err.splitlines()[-1])
+    assert doc["stop_reason"] == reason and doc["converged"] is False
+    assert "stop_reason" not in json.loads(plain_model)
+
+
 def test_land_on_a_grid_writes_a_model_that_loads(tmp_path, capsys):
     grid_file, codes, model = tmp_path / "grid.json", tmp_path / "codes.csv", tmp_path / "m.json"
     grid = M.MetricGrid(np.tile(np.diag([1.0, 2.0]), (25, 1, 1)), SIGMA, [[-2, 2], [-2, 2]],

@@ -123,6 +123,13 @@ class TestNormalizer:
         )
         assert stats == L.LandFitConfig().exp_steps == args.exp_steps == L.EXP_STEPS
 
+    @pytest.mark.parametrize("steps", [0, -1])
+    def test_step_count_below_one_is_a_shape_error(self, steps):
+        # not the C of unshot samples, nor a ZeroDivisionError
+        with pytest.raises(ShapeError, match="step count"):
+            L.land_normalizer_stats(np.zeros(2), np.eye(2), IDENTITY, RngStream(0), 64,
+                                    exp_steps=steps)
+
     def test_invalid_precision(self):
         with pytest.raises(InvalidParam):
             L.land_normalizer(np.zeros(2), np.diag([1.0, -1.0]), IDENTITY, RngStream(0), 100)
@@ -154,6 +161,14 @@ class TestFit:
         model = L.land_fit(pts, IDENTITY, cfg=cfg, rng=RngStream(2))
         trace = model.nll_trace
         assert all(a >= b - 1e-9 for a, b in zip(trace, trace[1:]))
+
+    @pytest.mark.parametrize("max_iters,reason", [(2, "max_iters"), (40, "converged")])
+    def test_model_records_why_the_iterations_stopped(self, max_iters, reason):
+        # the identity metric's C is exact, so the gradient test can fire
+        pts = np.random.default_rng(11).normal(size=(60, 2))
+        cfg = L.LandFitConfig(max_iters=max_iters, mc_samples=128)
+        model = L.land_fit(pts, IDENTITY, cfg=cfg, rng=RngStream(2))
+        assert model.stop_reason == reason and model.converged == (reason == "converged")
 
     def test_model_records_the_final_normalizer_sample_count(self):
         # C comes from the final max(mc_samples, 1024)-sample normalizer
@@ -239,6 +254,7 @@ def test_failing_iteration_nll_ends_the_fit(monkeypatch, seed, skip):
         model = err.value.last
         assert len(model.nll_trace) == 1
     assert not model.converged and model.norm_const > 0
+    assert model.stop_reason == "DegenerateEstimate"
 
 
 @pytest.mark.parametrize("step_accepted", [True, False], ids=["after-steps", "no-step"])
@@ -298,6 +314,7 @@ def test_non_finite_gradient_ends_the_fit(monkeypatch):
     with np.errstate(invalid="ignore"), pytest.raises(NonConvergence, match="no progress") as err:
         L.land_fit(pts, IDENTITY, cfg=cfg, rng=RngStream(2))
     assert len(err.value.last.nll_trace) == 1
+    assert err.value.last.stop_reason == "non_finite_gradient"
 
 
 def test_line_search_trial_with_a_singular_normalizer_is_rejected(monkeypatch):

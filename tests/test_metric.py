@@ -168,8 +168,9 @@ class TestPullback:
         for steps in (1, 7):
             walks.clear()
             exp_map(pb, [0.6, 0.2], [0.3, -0.2], steps=steps)
-            # 4 stages per step, plus the start tensor's two walks
-            assert len(walks) == 4 * steps + 2
+            # 3 metric evaluations per step (stages 2 and 3 share one
+            # position), plus the start tensor's two walks
+            assert len(walks) == 3 * steps + 2
 
 
 class TestKlProbe:
