@@ -9,11 +9,11 @@ Three sources for the d x d tensor at a latent point:
 * a lattice of precomputed tensors blended with a normalized Gaussian
   kernel. ``MetricGrid`` stores only the tensors, the bandwidth and the
   bounds x resolution that define the lattice; its points are derived.
-  ``GridMetric`` uses that the kernel factors across axes: one numpy pass
-  over its node table, one row per axis padded with +inf, gives every
-  axis's 1-D weights, and the lattice is contracted one axis at a time.
-  Far-field queries get the nearest node's tensor; NaN or infinite
-  queries get NaN.
+  ``GridMetric`` uses that the kernel factors across axes: each axis's 1-D
+  weights come from two per-axis tables indexed by the rounded nearest
+  node, and the unique components of the lattice are contracted one axis
+  at a time. Far-field queries get the nearest node's tensor; NaN or
+  infinite queries get NaN.
 
 A metric implements ``eval_batch``, the tensors at a batch of latent
 points; ``eval`` is its one-row view. ``eval_batch_and_grad`` adds dM/dz:
@@ -38,6 +38,7 @@ from .errors import InvalidEpsilon, OffSimplex, ShapeError
 from .families import FamilyKind, McKl, ParamPoint, get_family, sampled_kls
 
 FD_STEP = 1e-4  # central-difference step of LatentMetric.eval_batch_and_grad
+GRID_BLOCK_FLOATS = 2**18  # the buffers a GridMetric keeps for one block of rows: 2 MiB
 
 
 class LatentMetric:
@@ -217,6 +218,11 @@ class MetricGrid:
             raise ShapeError("resolution must give one count >= 1 per axis")
         if self.tensors.shape != (math.prod(self.resolution), d, d):
             raise ShapeError("grid needs one d x d tensor per lattice point")
+        if not np.all(np.isfinite(self.tensors)):
+            raise ShapeError("grid tensors must be finite")
+        # GridMetric reads only the upper triangles
+        if not np.array_equal(self.tensors, np.swapaxes(self.tensors, 1, 2)):
+            raise ShapeError("grid tensors must be exactly symmetric")
 
     @property
     def points(self) -> np.ndarray:
@@ -227,73 +233,133 @@ class MetricGrid:
 class GridMetric(LatentMetric):
     """Kernel-smoothed interpolation of a tensor lattice.
 
-    The normalized Gaussian kernel factors across axes. The nodes are kept
-    as one (d, r_max) table, row k holding axis k's r_k nodes padded with
-    +inf, so that one pass over an (m, d, r_max) block gives the 1-D
-    weights of every axis; ``eval_batch`` then contracts the tensor lattice
-    one axis at a time. Per axis the weights are shifted so that the node
-    nearest the query weighs exactly 1: far-field queries return the
-    nearest node's tensor, and a NaN or infinite query returns NaN.
+    The normalized Gaussian kernel factors across axes, so ``eval_batch``
+    weighs each axis's nodes on their own and contracts the lattice one
+    axis at a time. On each axis the weights are taken relative to the node
+    c nearest the query x, found by rounding (x - first node) / spacing and
+    clamping the index to the axis:
+
+        w_n = exp(slope[c, n] * (x - c) + shift[c, n]),
+        slope[c, n] = (n - c) / sigma^2,  shift[c, n] = -(n - c)^2 / (2 sigma^2),
+
+    which is exp(-[(x - n)^2 - (x - c)^2] / (2 sigma^2)), normalized over
+    the axis. So c weighs exactly 1, nothing cancels inside the box (there
+    |x - c| is at most half a spacing), far-field queries return the
+    nearest node's tensor, and a NaN or infinite query returns NaN. Both
+    tables have one row per (axis, node c), padded to the longest axis's
+    r_max nodes with slope 0 and shift -inf, so that a pad weighs 0: they
+    hold d * r_max^2 floats each, 3,200 on a 40 x 40 lattice. Only the
+    d(d + 1)/2 unique components of the lattice tensors, which
+    ``MetricGrid`` checks are symmetric, are contracted, and the output is
+    assembled symmetric from them. Rows go through in blocks whose buffers
+    (``GRID_BLOCK_FLOATS``, about 500 rows on that lattice) the instance
+    keeps between calls, so one GridMetric must not serve two threads at
+    once.
     """
 
     def __init__(self, grid: MetricGrid):
         self.grid = grid
-        self.latent_dim = grid.bounds.shape[0]
+        d = self.latent_dim = grid.bounds.shape[0]
         # always 0: no query needs a fallback; kept for callers that read it
         self.fallback_count = 0
-        nodes = _axis_nodes(grid.bounds, grid.resolution)
-        # row k holds axis k's nodes, padded with +inf to the longest axis
-        self._table = np.full((self.latent_dim, max(grid.resolution)), np.inf)
-        for k, axis in enumerate(nodes):
-            self._table[k, : axis.size] = axis
-        self._lo = np.array([axis.min() for axis in nodes])
-        self._hi = np.array([axis.max() for axis in nodes])
-        self._lattice = grid.tensors.reshape(grid.resolution[0], -1)
+        res = np.array(grid.resolution)
+        r_max = int(res.max())
+        nodes = np.zeros((d, r_max))  # axis k's nodes, padded with 0
+        for k, axis in enumerate(_axis_nodes(grid.bounds, grid.resolution)):
+            nodes[k, : axis.size] = axis
+        span = grid.bounds[:, 1] - grid.bounds[:, 0]
+        # nodes per unit of x; 0 on a zero-span axis, whose nodes all coincide
+        self._per_step = np.divide(res - 1, span, out=np.zeros(d), where=span != 0)
+        self._first, self._last = nodes[:, 0], res - 1.0
+        self._row0 = r_max * np.arange(d)  # the flat row of (axis k, node 0)
+        self._nodes = nodes.reshape(-1)
+        gap = nodes[:, None, :] - nodes[:, :, None]  # [k, c, n] = node n - node c
+        real = np.arange(r_max) < res[:, None, None]
+        sigma2 = grid.bandwidth**2
+        # row (k, c) of each table belongs to node c of axis k
+        self._slope = np.where(real, gap / sigma2, 0.0).reshape(d * r_max, r_max)
+        self._shift = np.where(real, gap * gap / (-2.0 * sigma2), -np.inf).reshape(d * r_max, r_max)
+        iu, ju = np.triu_indices(d)
+        self._lattice = grid.tensors[:, iu, ju].reshape(grid.resolution[0], -1)
+        full = np.empty((d, d), dtype=np.intp)
+        full[iu, ju] = full[ju, iu] = np.arange(iu.size)
+        self._full = full.reshape(-1)  # the unique component of each (i, j)
+        # a row's three (d, r_max) buffers and its first-axis tracks, M's and the d derivatives'
+        row_floats = 3 * d * r_max + (1 + d) * self._lattice.shape[1]
+        self._block_rows = max(16, GRID_BLOCK_FLOATS // row_floats)
+        self._buffers = None
 
     def _contract(self, zs, grad: bool) -> np.ndarray:
         """M, and with ``grad`` also dM/dz_k for each k: (1 or 1 + d, m, d, d).
 
-        One pass over the (m, d, r_max) node table gives every axis's
-        unnormalized 1-D weights. A +inf pad is never the nearest node and
-        weighs exp(-inf) = 0, and each axis is normalized over its own r_k
-        real nodes. Each track then carries one product of 1-D weights
-        through the lattice, one axis at a time; the track of dM/dz_k swaps
-        axis k's weights w for their derivatives w * (nodes - w @ nodes) /
-        sigma^2. One-hot (far-field) weights have a mean of exactly their
-        node, so dw = 0.
+        Rows go through ``_contract_block`` in nearly equal blocks of at most
+        ``_block_rows``, whose buffers fit ``GRID_BLOCK_FLOATS``: the memory
+        kept between calls does not grow with the batch.
         """
         zs = np.atleast_2d(np.asarray(zs, dtype=float))
-        m, d = zs.shape
-        table, sigma2 = self._table, self.grid.bandwidth**2
-        # w is one (m, d, r_max) buffer, computed in place: first |x - node| for
-        # x clipped into the box, so that the nearest node resolves for |x| >> |node|
-        w = np.clip(zs, self._lo, self._hi)[:, :, None] - table
-        np.abs(w, out=w)
-        near = table[np.arange(d), w.argmin(axis=2)][:, :, None]
-        # -[(x - n)^2 - (x - near)^2] / 2, factored so that no square of x can overflow
-        np.subtract(table, near, out=w)
-        mid = table + near
-        mid *= 0.5
-        np.subtract(zs[:, :, None], mid, out=mid)
-        w *= mid
-        w /= sigma2
-        np.exp(w, out=w)
-        ws, dws = [], []
-        for k, r in enumerate(self.grid.resolution):
-            wk, nodes = w[:, k, :r], table[k, :r]
-            # a new, contiguous array: a strided view would miss BLAS's fast path below
-            wk = wk / wk.sum(axis=1, keepdims=True)
-            ws.append(wk)
-            if grad:
-                dws.append(wk * (nodes - (wk @ nodes)[:, None]) / sigma2)
+        blocks = -(-len(zs) // self._block_rows)
+        if blocks <= 1:
+            return self._contract_block(zs, grad)
+        parts = [self._contract_block(b, grad) for b in np.array_split(zs, blocks)]
+        return np.concatenate(parts, axis=1)
 
-        tracks = [v @ self._lattice for v in [ws[0], *dws[:1]]]
-        for k in range(1, d):
-            lats = [t.reshape(m, ws[k].shape[1], -1) for t in tracks]
-            tracks = [(ws[k][:, None, :] @ lat)[:, 0] for lat in lats] + [
-                (v[:, None, :] @ lats[0])[:, 0] for v in dws[k : k + 1]
+    def _block_buffers(self, m: int):
+        """Buffers for a block of m rows, kept across calls: three (m, d,
+        r_max) arrays (slopes, weights, products) and the first-axis tracks
+        (1 + d, m, ...). Arrays this size, allocated afresh, cost a page
+        fault per 4 KiB each time the allocator has handed the last call's
+        back to the operating system."""
+        if self._buffers is None or len(self._buffers[0]) < m:
+            per_row = (self.latent_dim, self._slope.shape[1])
+            self._buffers = [np.empty((m, *per_row)) for _ in range(3)] + [
+                np.empty((1 + self.latent_dim, m, self._lattice.shape[1]))
             ]
-        return np.stack(tracks).reshape(-1, m, d, d)
+        return [a[:m] for a in self._buffers[:3]] + [self._buffers[3][:, :m]]
+
+    def _contract_block(self, zs, grad: bool) -> np.ndarray:
+        """``_contract`` on one block of rows.
+
+        One gather of the tables at each row's nearest nodes gives the
+        (m, d, r_max) exponents, and one pass over all axes normalizes them.
+        The derivative of axis k's normalized weights is dw = w * (slope -
+        w @ slope), which is exactly 0 where w is one-hot (far field) or the
+        axis has one node. Each track then carries one product of 1-D weights
+        through the lattice's unique components, one axis at a time; the
+        track of dM/dz_k swaps axis k's w for its dw. M's track is the same
+        sequence of matmuls with or without ``grad``, so ``eval_batch``'s M
+        is ``eval_batch_and_grad``'s bit for bit.
+        """
+        m, d = zs.shape
+        slope, w, product, first = self._block_buffers(m)
+        # far afield, x * per_step and slope * (x - c) may overflow; the index
+        # is then clamped to the axis's end, and the exponent's -inf weighs 0
+        with np.errstate(over="ignore"):
+            index = (zs - self._first) * self._per_step
+            np.rint(index, out=index)
+            np.fmax(index, 0.0, out=index)  # a NaN x takes node 0 and keeps its row NaN
+            np.fmin(index, self._last, out=index)
+            rows = index.astype(np.intp) + self._row0
+            # rows are in range; "clip" writes straight into the buffers
+            self._slope.take(rows, axis=0, out=slope, mode="clip")
+            self._shift.take(rows, axis=0, out=w, mode="clip")
+            w += np.multiply(slope, (zs - self._nodes.take(rows))[:, :, None], out=product)
+        np.exp(w, out=w)
+        w /= w.sum(axis=2, keepdims=True)
+        ws = [w]
+        if grad:  # dw overwrites the slopes
+            slope -= (w[:, :, None] @ slope[..., None])[..., 0]
+            slope *= w
+            ws.append(slope)
+
+        res = self.grid.resolution
+        tracks = [np.matmul(v[:, 0, : res[0]], self._lattice, out=t) for v, t in zip(ws, first)]
+        for k in range(1, d):
+            lats = [t.reshape(m, res[k], -1) for t in tracks]
+            tracks = [(w[:, k, None, : res[k]] @ lat)[:, 0] for lat in lats] + [
+                (dw[:, k, None, : res[k]] @ lats[0])[:, 0] for dw in ws[1:]
+            ]
+        # take, unlike [..., full], returns C order, which the callers' einsums want
+        return np.array(tracks).take(self._full, axis=-1, mode="clip").reshape(-1, m, d, d)
 
     def eval_batch(self, zs):
         return self._contract(zs, grad=False)[0]

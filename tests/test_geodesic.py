@@ -1068,3 +1068,59 @@ def test_normal_chart_shots_travel_their_fisher_rao_length(gen):
             err.append(abs(normal_fisher_rao_distance(z, end) - length) / length)
     assert max(errs[100]) < 1e-6
     assert np.median(errs[10]) >= 8.0 * np.median(errs[20])
+
+
+def two_feature_identity_chart(kind: str) -> DecoderMap:
+    """Two independent features of a one-parameter family, feature i decoding
+    latent coordinate i as its parameter."""
+    fam = get_family(kind)
+    head = Head(fam.head_schema()[0][0], (LayerSpec(np.eye(2), np.zeros(2)),))
+    return DecoderMap(latent_dim=2, feature_count=2, family=fam, heads=(head,))
+
+
+# (flat coordinate, its derivative, the latent box the tests draw from, the
+# length tolerance): the Fisher-Rao metric of Bernoulli p, dp^2 / (p (1 - p)),
+# is d(2 arcsin sqrt p)^2, and that of the Exponential rate l, dl^2 / l^2, is
+# d(log l)^2, so in these coordinates each chart is the Euclidean plane
+FLAT_CHARTS = {
+    "bernoulli": (lambda z: 2.0 * np.arcsin(np.sqrt(z)), lambda z: 1.0 / np.sqrt(z * (1.0 - z)),
+                  (0.1, 0.9), 5e-4),
+    "exponential": (np.log, lambda z: 1.0 / z, (0.3, 3.0), 2.5e-3),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(FLAT_CHARTS))
+def test_flat_chart_geodesics_match_the_closed_form_distance(kind, gen):
+    # at the CLI settings the fitted curve's length is the Euclidean distance
+    # in the flat coordinates, 2 |arcsin sqrt p - arcsin sqrt q| and
+    # |log(l1 / l2)| per feature. The length sums sqrt(2 KL) over N segments,
+    # whose third-order term is an O(1/N) bias: on these draws at most
+    # 2.5e-4 (Bernoulli) and 1.2e-3 (Exponential) relative, halving at
+    # N = 400; each tolerance is twice that. One Bernoulli fit stops on the
+    # line search with max|g| at 1.6e-6, at the energy's rounding floor
+    dec = two_feature_identity_chart(kind)
+    flat, _, (lo, hi), tol = FLAT_CHARTS[kind]
+    cfg = EnergyConfig(n_disc=200, segments=4, max_iters=200)
+    for k in range(6):
+        a, b = gen.uniform(lo, hi, size=2), gen.uniform(lo, hi, size=2)
+        res = G.minimize_energy_detailed(a, b, dec, cfg, RngStream(k))
+        assert res.stop_reason in ("converged", "line_search") and res.grad_norm < 1e-5
+        exact = np.linalg.norm(flat(a) - flat(b))
+        assert abs(G.curve_length(res.curve, dec, cfg.n_disc) - exact) / exact < tol
+
+
+@pytest.mark.parametrize("kind", sorted(FLAT_CHARTS))
+def test_flat_chart_shots_end_on_the_straight_line(kind, gen):
+    # geodesics are straight lines in the flat coordinates: the shot from z
+    # in the direction d(flat)^-1 (flat(e) - flat(z)), with the distance as
+    # its length, ends at e: at 100 steps within 1.3e-7 (Bernoulli) and
+    # 4.4e-8 (Exponential) of the distance on these draws, 2.1e-6 and 3.6e-5
+    # at 10 steps
+    flat, slope, (lo, hi), _ = FLAT_CHARTS[kind]
+    metric = M.PullbackMetric(two_feature_identity_chart(kind))
+    for _ in range(10):
+        z, e = gen.uniform(lo, hi, size=2), gen.uniform(lo, hi, size=2)
+        direction = (flat(e) - flat(z)) / slope(z)
+        dist = np.linalg.norm(flat(e) - flat(z))
+        end = G.exp_map(metric, z, dist * direction / np.linalg.norm(direction), steps=100)
+        assert np.linalg.norm(flat(end) - flat(e)) / dist < 1e-6

@@ -7,7 +7,7 @@ from statgeo import cli, io
 from statgeo import decoder as D
 from statgeo.errors import ShapeError
 from statgeo.land import LandModel
-from statgeo.metric import ConstantMetric, grid_build
+from statgeo.metric import ConstantMetric, KlProbeMetric, PullbackMetric, grid_build
 from statgeo.toy import toy_decoder
 
 
@@ -120,3 +120,34 @@ def test_grid_file_keeps_latent_dim_and_loads_without_it(tmp_path):
     back = io.grid_from_dict(doc)
     assert np.array_equal(back.tensors, grid.tensors) and np.array_equal(back.bounds, grid.bounds)
     assert (back.resolution, back.bandwidth) == (grid.resolution, grid.bandwidth)
+
+
+@pytest.mark.parametrize("entry,value,message", [
+    (1, 0.5, "symmetric"),  # M[0, 1] = 0.5 while M[1, 0] = 0
+    (2, 1e-300, "symmetric"),  # M[1, 0] off by 1e-300
+    (0, float("nan"), "finite"),
+    (3, float("inf"), "finite"),
+])
+def test_grid_file_with_an_asymmetric_or_non_finite_tensor_is_a_shape_error(
+    entry, value, message, tmp_path, capsys
+):
+    # GridMetric contracts only the upper triangles, so an asymmetric file
+    # would be read as some other tensor: it is refused instead
+    grid = grid_build(ConstantMetric(np.eye(2)), [[-1, 1], [-1, 1]], (3, 3), 0.5)
+    doc = io.grid_to_dict(grid, "pullback")
+    doc["tensors"][4][entry] = value
+    path = tmp_path / "grid.json"
+    io.save_json(doc, path)
+    with pytest.raises(ShapeError, match=message):
+        io.load_grid(path)
+    assert cli.main(["exp", "--grid", str(path), "--z", "0,0", "--v", "0.1,0"]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "ShapeError"
+
+
+@pytest.mark.parametrize("metric", [PullbackMetric, KlProbeMetric])
+def test_pullback_and_kl_probe_grid_files_load(metric, tmp_path):
+    grid = grid_build(metric(toy_decoder("beta", seed=5)), [[-2, 2], [-2, 2]], (8, 8), 0.25)
+    path = tmp_path / "grid.json"
+    io.save_grid(grid, path)
+    back = io.load_grid(path)
+    assert np.array_equal(back.tensors, grid.tensors)
